@@ -100,17 +100,25 @@ def success_mass(params: AnalyticParams) -> float:
     return sum(first_success_pmf(params))
 
 
+def _mean_and_mass(pmf: list[float]) -> tuple[float | None, float]:
+    """(mean attempt count given success, success mass) of a first-success pmf.
+
+    The mean counts the crossing as attempt 1 and is None when the mass is
+    zero.
+    """
+    mass = sum(pmf)
+    if mass <= 0.0:
+        return None, mass
+    return sum((n + 1) * p for n, p in enumerate(pmf)) / mass, mass
+
+
 def mean_attempts(params: AnalyticParams) -> float | None:
     """Mean attempt count conditioned on success, counting the crossing as 1.
 
     Returns None when the success mass is zero (no completion is possible),
     rather than a meaningless number.
     """
-    pmf = first_success_pmf(params)
-    mass = sum(pmf)
-    if mass <= 0.0:
-        return None
-    return sum((n + 1) * p for n, p in enumerate(pmf)) / mass
+    return _mean_and_mass(first_success_pmf(params))[0]
 
 
 @dataclass(frozen=True)
@@ -136,8 +144,6 @@ def sweep_trigger(params: AnalyticParams,
             tau_s=params.tau_s, curve=params.curve, density=params.density,
             n_max=params.n_max,
         )
-        pmf = first_success_pmf(p)
-        mass = sum(pmf)
-        mean = None if mass <= 0 else sum((n + 1) * q for n, q in enumerate(pmf)) / mass
+        mean, mass = _mean_and_mass(first_success_pmf(p))
         out.append(SweepPoint(d_t=d, mean_attempts=mean, success_mass=mass))
     return out

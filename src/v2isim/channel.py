@@ -5,12 +5,21 @@ traffic density (veh/s) and absolute Tx-Rx distance (m). The exchange delay
 tau covers the intra-layer and scheduling latency between a request reaching
 the RSU and the matching acknowledgment reaching the vehicle; samples always
 fall inside [8, 200] ms.
+
+PER has two lookup paths over the same knots. ``per_many`` is the vector
+path and calls ``np.interp``. ``per`` is the scalar path used per packet by
+the engine and per attempt by the closed form: a ``bisect`` over cached
+Python lists that repeats ``np.interp``'s arithmetic step for step, so it is
+bit-identical to ``per_many`` on the same distance and returns a plain
+``float``. Both paths pick the density level(s) and blend weight once per
+(curve, density) and reuse that choice.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,6 +29,22 @@ TAU_MAX_MS = 200
 
 class CurveError(ValueError):
     """Raised when a PER calibration cannot be parsed or validated."""
+
+
+class _KnotTable(NamedTuple):
+    """One density level's knots, as Python lists and as numpy arrays."""
+
+    dists: list[float]
+    pers: list[float]
+    slopes: list[float]          # slopes[j] spans knots j and j + 1
+    dist_array: np.ndarray
+    per_array: np.ndarray
+
+
+# (blend weight of the upper level, lower level, upper level or None).
+_Blend = tuple[float, _KnotTable, _KnotTable | None]
+
+_BLEND_CACHE_SIZE = 64
 
 
 @dataclass(eq=True)
@@ -33,15 +58,43 @@ class PerCurve:
 
     levels: tuple[float, ...]
     tables: tuple[tuple[tuple[float, float], ...], ...]
-    _arrays: list | None = field(default=None, repr=False, compare=False)
+    _knots: list[_KnotTable] | None = field(
+        default=None, init=False, repr=False, compare=False)
+    _blends: dict[float, _Blend] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
-    def _as_arrays(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        if self._arrays is None:
-            self._arrays = [
-                (np.array([d for d, _ in tab]), np.array([p for _, p in tab]))
-                for tab in self.tables
-            ]
-        return self._arrays
+    def _knot_tables(self) -> list[_KnotTable]:
+        if self._knots is None:
+            knots = []
+            for tab in self.tables:
+                dists = [float(d) for d, _ in tab]
+                pers = [float(p) for _, p in tab]
+                slopes = [(pers[j + 1] - pers[j]) / (dists[j + 1] - dists[j])
+                          for j in range(len(tab) - 1)]
+                knots.append(_KnotTable(dists, pers, slopes, np.array(dists), np.array(pers)))
+            self._knots = knots
+        return self._knots
+
+    def _blend(self, density: float) -> _Blend:
+        """The level(s) and weight used at ``density``, cached per density."""
+        blend = self._blends.get(density)
+        if blend is not None:
+            return blend
+        levels = self.levels
+        knots = self._knot_tables()
+        if density <= levels[0]:
+            blend = (0.0, knots[0], None)
+        elif density >= levels[-1]:
+            blend = (0.0, knots[-1], None)
+        else:
+            hi = bisect.bisect_right(levels, density)
+            lo = hi - 1
+            w = (density - levels[lo]) / (levels[hi] - levels[lo])
+            blend = (float(w), knots[lo], knots[hi])
+        if len(self._blends) >= _BLEND_CACHE_SIZE:
+            self._blends.clear()
+        self._blends[density] = blend
+        return blend
 
     @property
     def max_knot_distance(self) -> float:
@@ -89,34 +142,58 @@ def validate_per_curve(curve: PerCurve) -> list[str]:
     return violations
 
 
-def _per_single_level(curve: PerCurve, index: int, abs_dist) -> np.ndarray | float:
-    dists, pers = curve._as_arrays()[index]
-    return np.interp(abs_dist, dists, pers)
+def _interp(x: float, knots: _KnotTable) -> float:
+    """``np.interp(x, dists, pers)`` for one float, with numpy's arithmetic.
+
+    Same branches as numpy's compiled loop: a single-knot table returns its
+    value (even for NaN), NaN otherwise propagates, both ends clamp, an exact
+    knot returns its value, and a NaN interpolant is retried from the right
+    knot before falling back to a flat segment's value.
+    """
+    xp, fp = knots.dists, knots.pers
+    last = len(xp) - 1
+    if last == 0:
+        return fp[0]
+    if x != x:
+        return x
+    j = bisect.bisect_right(xp, x) - 1
+    if j < 0:
+        return fp[0]
+    if j >= last:
+        return fp[last]
+    if xp[j] == x:
+        return fp[j]
+    slope = knots.slopes[j]
+    y = slope * (x - xp[j]) + fp[j]
+    if y != y:
+        y = slope * (x - xp[j + 1]) + fp[j + 1]
+        if y != y and fp[j] == fp[j + 1]:
+            y = fp[j]
+    return y
 
 
 def per(curve: PerCurve, distance: float, density: float) -> float:
     """PER at signed ``distance`` for ``density`` veh/s.
 
     Depends on |distance| only; clamps beyond the last knot and outside the
-    calibrated density range. Pure and deterministic.
+    calibrated density range. Pure and deterministic, and bit-identical to
+    ``per_many`` at the same point.
     """
-    return float(per_many(curve, np.asarray([distance], dtype=float), density)[0])
+    w, lo, hi = curve._blend(density)
+    x = abs(float(distance))
+    if hi is None:
+        return _interp(x, lo)
+    return (1.0 - w) * _interp(x, lo) + w * _interp(x, hi)
 
 
 def per_many(curve: PerCurve, distances: np.ndarray, density: float) -> np.ndarray:
     """Vectorized ``per`` over an array of signed distances."""
     abs_dist = np.abs(np.asarray(distances, dtype=float))
-    levels = curve.levels
-    if density <= levels[0]:
-        return _per_single_level(curve, 0, abs_dist)
-    if density >= levels[-1]:
-        return _per_single_level(curve, len(levels) - 1, abs_dist)
-    hi = bisect.bisect_right(levels, density)
-    lo = hi - 1
-    w = (density - levels[lo]) / (levels[hi] - levels[lo])
-    return (1.0 - w) * _per_single_level(curve, lo, abs_dist) + w * _per_single_level(
-        curve, hi, abs_dist
-    )
+    w, lo, hi = curve._blend(density)
+    if hi is None:
+        return np.interp(abs_dist, lo.dist_array, lo.per_array)
+    return (1.0 - w) * np.interp(abs_dist, lo.dist_array, lo.per_array) \
+        + w * np.interp(abs_dist, hi.dist_array, hi.per_array)
 
 
 def sample_reception(rng: np.random.Generator, curve: PerCurve,

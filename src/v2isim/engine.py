@@ -4,6 +4,11 @@ Every run is a pure function of (config, seed): events are totally ordered by
 (time, insertion sequence), the clock never moves backward, and all
 randomness flows through one per-run generator consumed in event order.
 
+Events are named tuples ``(time, seq, kind, payload)`` on a ``heapq`` heap,
+so the heap orders them with C tuple comparison. ``seq`` is unique, so a
+comparison is settled by ``(time, seq)`` and never reaches ``kind`` or
+``payload``. The main loop dispatches on ``kind`` through a dict of handlers.
+
 Transmission latency: each radio leg takes ceil(tau/2) ms, where tau is one
 exchange-delay draw per transmission, so an unbatched request/acknowledgment
 round trip spans a single tau. Reception is sampled per candidate receiver at
@@ -22,9 +27,8 @@ from __future__ import annotations
 
 import heapq
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -57,12 +61,11 @@ class EventKind(Enum):
     SIM_END = "sim_end"
 
 
-@dataclass(frozen=True, order=True)
-class Event:
+class Event(NamedTuple):
     time: TimeMs
     seq: int
-    kind: EventKind = field(compare=False)
-    payload: Any = field(compare=False, default=None)
+    kind: EventKind
+    payload: Any = None
 
 
 class EventQueue:
@@ -183,11 +186,6 @@ class _Simulation:
 
     # -- helpers ---------------------------------------------------------
 
-    def _emit_trace(self, t: TimeMs, entity: str, event: str,
-                    before: str, after: str) -> None:
-        if self.trace is not None:
-            self.trace(t, entity, event, before, after)
-
     def _flight_ms(self) -> TimeMs:
         return ceil_ms(chan.sample_tau(self.rng, self.tau) / 2.0)
 
@@ -219,13 +217,16 @@ class _Simulation:
         self.obu[vid] = new
         if new.phase is not proto.ObuPhase.IDLE:
             self.awaiting_sam.pop(vid, None)
-        self._emit_trace(now, f"veh{vid}", event, state.phase.value, new.phase.value)
+        if self.trace is not None:
+            self.trace(now, f"veh{vid}", event, state.phase.value, new.phase.value)
         self._apply_output(vid, now, out)
 
     def _rsu_transition(self, now: TimeMs, event: str, fn, *args) -> None:
-        before = f"pending:{len(self.rsu.pending)}"
-        self.rsu, out = fn(self.rsu, now, *args)
-        self._emit_trace(now, "rsu", event, before, f"pending:{len(self.rsu.pending)}")
+        state = self.rsu
+        self.rsu, out = fn(state, now, *args)
+        if self.trace is not None:
+            self.trace(now, "rsu", event, f"pending:{len(state.pending)}",
+                       f"pending:{len(self.rsu.pending)}")
         self._apply_output(RSU_ID, now, out)
 
     def _finalize(self, vid: int, outcome_if_incomplete: str) -> None:
@@ -297,10 +298,10 @@ class _Simulation:
         else:
             raise EngineError(f"unexpected arrival kind {msg.kind}")
 
-    def _on_ack_timer(self, now: TimeMs) -> None:
+    def _on_ack_timer(self, now: TimeMs, _payload: None) -> None:
         self._rsu_transition(now, "ack_timer", proto.rsu_on_ack_timer)
 
-    def _on_sam_timer(self, now: TimeMs) -> None:
+    def _on_sam_timer(self, now: TimeMs, _payload: None) -> None:
         self._rsu_transition(now, "sam_tx", proto.rsu_on_sam_timer)
 
     def _on_despawn(self, now: TimeMs, vid: int) -> None:
@@ -309,7 +310,7 @@ class _Simulation:
         self.active.pop(vid, None)
         self.awaiting_sam.pop(vid, None)
 
-    def _on_bsm_tick(self, now: TimeMs) -> None:
+    def _on_bsm_tick(self, now: TimeMs, _payload: None) -> None:
         xs, ys = [], []
         for direction in (mob.Direction.EAST, mob.Direction.WEST):
             spawns = self.spawn_arrays[direction]
@@ -337,29 +338,25 @@ class _Simulation:
     # -- main loop ---------------------------------------------------------
 
     def run(self) -> RunSummary:
-        while self.queue:
-            event = self.queue.pop()
-            now = event.time
-            if event.kind is EventKind.SIM_END:
+        handlers = {
+            EventKind.VEHICLE_SPAWN: self._on_spawn,
+            EventKind.TRIGGER_CROSS: self._on_trigger,
+            EventKind.RETRY_TIMER: self._on_retry_timer,
+            EventKind.ACK_TIMER: self._on_ack_timer,
+            EventKind.SAM_TIMER: self._on_sam_timer,
+            EventKind.MSG_ARRIVAL: self._on_msg_arrival,
+            EventKind.VEHICLE_DESPAWN: self._on_despawn,
+            EventKind.BSM_TICK: self._on_bsm_tick,
+        }
+        queue = self.queue
+        while queue:
+            now, _, kind, payload = queue.pop()
+            if kind is EventKind.SIM_END:
                 break
-            if event.kind is EventKind.VEHICLE_SPAWN:
-                self._on_spawn(now, event.payload)
-            elif event.kind is EventKind.TRIGGER_CROSS:
-                self._on_trigger(now, event.payload)
-            elif event.kind is EventKind.RETRY_TIMER:
-                self._on_retry_timer(now, event.payload)
-            elif event.kind is EventKind.ACK_TIMER:
-                self._on_ack_timer(now)
-            elif event.kind is EventKind.SAM_TIMER:
-                self._on_sam_timer(now)
-            elif event.kind is EventKind.MSG_ARRIVAL:
-                self._on_msg_arrival(now, event.payload)
-            elif event.kind is EventKind.VEHICLE_DESPAWN:
-                self._on_despawn(now, event.payload)
-            elif event.kind is EventKind.BSM_TICK:
-                self._on_bsm_tick(now)
-            else:
-                raise EngineError(f"unhandled event kind {event.kind}")
+            handler = handlers.get(kind)
+            if handler is None:
+                raise EngineError(f"unhandled event kind {kind}")
+            handler(now, payload)
         for vid in list(self.active):
             self._finalize(vid, OUTCOME_SIMEND)
         return RunSummary(

@@ -70,10 +70,23 @@ def measured_records(summary: RunSummary) -> list[CompletionRecord]:
     return [r for r in summary.records if r.first_sum_tx_time >= summary.cfg.warmup]
 
 
-def complete_sorted_scts(summary: RunSummary) -> list[TimeMs]:
-    scts = [r.sct for r in measured_records(summary) if r.sct is not None]
+def _sorted_scts(recs: list[CompletionRecord]) -> list[TimeMs]:
+    scts = [r.sct for r in recs if r.sct is not None]
     scts.sort()
     return scts
+
+
+def complete_sorted_scts(summary: RunSummary) -> list[TimeMs]:
+    return _sorted_scts(measured_records(summary))
+
+
+def _nearest_rank(scts: list[TimeMs], q: float) -> TimeMs | None:
+    if not 0.0 < q <= 100.0:
+        raise ValueError(f"percentile must lie in (0, 100] (got {q})")
+    if not scts:
+        return None
+    rank = max(1, math.ceil(q / 100.0 * len(scts)))
+    return scts[rank - 1]
 
 
 def sct_percentile(summary: RunSummary, q: float) -> TimeMs | None:
@@ -81,28 +94,29 @@ def sct_percentile(summary: RunSummary, q: float) -> TimeMs | None:
 
     q must lie in (0, 100]. Returns None when no complete record exists.
     """
-    if not 0.0 < q <= 100.0:
-        raise ValueError(f"percentile must lie in (0, 100] (got {q})")
-    scts = complete_sorted_scts(summary)
-    if not scts:
-        return None
-    rank = max(1, math.ceil(q / 100.0 * len(scts)))
-    return scts[rank - 1]
+    return _nearest_rank(complete_sorted_scts(summary), q)
 
 
-def mean_attempts_empirical(summary: RunSummary) -> float | None:
-    """Mean request count over completed, post-warmup records (None if none)."""
-    attempts = [r.attempts for r in measured_records(summary) if r.complete]
+def _mean_attempts(recs: list[CompletionRecord]) -> float | None:
+    attempts = [r.attempts for r in recs if r.complete]
     if not attempts:
         return None
     return sum(attempts) / len(attempts)
 
 
-def completion_rate(summary: RunSummary) -> float | None:
-    recs = measured_records(summary)
+def mean_attempts_empirical(summary: RunSummary) -> float | None:
+    """Mean request count over completed, post-warmup records (None if none)."""
+    return _mean_attempts(measured_records(summary))
+
+
+def _completion_rate(recs: list[CompletionRecord]) -> float | None:
     if not recs:
         return None
     return sum(1 for r in recs if r.complete) / len(recs)
+
+
+def completion_rate(summary: RunSummary) -> float | None:
+    return _completion_rate(measured_records(summary))
 
 
 def _fmt(value) -> str:
@@ -127,18 +141,18 @@ SUMMARY_COLUMNS = (
 
 def summary_row(summary: RunSummary) -> dict[str, object]:
     recs = measured_records(summary)
-    scts = complete_sorted_scts(summary)
+    scts = _sorted_scts(recs)
     return {
         "d_t": summary.cfg.d_t,
         "flow_rate": summary.cfg.flow_rate,
         "seed": summary.seed,
         "records": len(recs),
         "complete": sum(1 for r in recs if r.complete),
-        "completion_rate": completion_rate(summary),
-        "attempts_mean": mean_attempts_empirical(summary),
+        "completion_rate": _completion_rate(recs),
+        "attempts_mean": _mean_attempts(recs),
         "sct_min_ms": scts[0] if scts else None,
-        "sct_median_ms": sct_percentile(summary, 50) if scts else None,
-        "sct_p90_ms": sct_percentile(summary, 90) if scts else None,
+        "sct_median_ms": _nearest_rank(scts, 50),
+        "sct_p90_ms": _nearest_rank(scts, 90),
         "sct_max_ms": scts[-1] if scts else None,
         "bsm_per": summary.bsm_per,
     }
@@ -166,7 +180,7 @@ def export_records(summary: RunSummary, path: str) -> None:
 
 def export_summaries(summaries: list[RunSummary], path: str) -> None:
     """One aggregate row per run, keyed by (d_t, flow_rate)."""
-    rows = [[summary_row(s)[c] for c in SUMMARY_COLUMNS] for s in summaries]
+    rows = [[row[c] for c in SUMMARY_COLUMNS] for row in map(summary_row, summaries)]
     _write_table(path, SUMMARY_COLUMNS, rows)
 
 

@@ -16,11 +16,16 @@ RSU side: pending requesters accumulate in arrival order. An ACK naming all
 of them is sent when the batch reaches b_ack entries or when t_ack elapses
 after the first entry of the batch. A retransmitted SUM from an
 already-pending vehicle does not duplicate its entry.
+
+States are frozen dataclasses. Transitions build each new state with its
+constructor, field by field, instead of ``dataclasses.replace``, which
+re-inspects the field list on every call; they never mutate a state a caller
+holds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .core import Message, MessageKind, RSU_ID, TimeMs
@@ -68,16 +73,19 @@ class ObuState:
     deferred_start: bool = False
 
 
-def _start_requesting(state: ObuState, now: TimeMs, **extra) -> tuple[ObuState, ProtocolOutput]:
+def _start_requesting(state: ObuState, now: TimeMs,
+                      sam_rx_time: TimeMs | None) -> tuple[ObuState, ProtocolOutput]:
     deadline = now + state.t_sum
-    new = replace(
-        state,
+    new = ObuState(
+        vehicle_id=state.vehicle_id,
+        t_sum=state.t_sum,
         phase=ObuPhase.AWAITING_ACK,
+        sam_rx_time=sam_rx_time,
         first_sum_tx_time=now,
         attempts=1,
         retry_deadline=deadline,
+        ack_rx_time=state.ack_rx_time,
         deferred_start=False,
-        **extra,
     )
     sum_msg = Message(kind=MessageKind.SUM, sender=state.vehicle_id, tx_time=now, seq=1)
     return new, ProtocolOutput(transmissions=(sum_msg,), timers=((deadline, TimerKind.RETRY),))
@@ -93,16 +101,38 @@ def obu_on_sam(state: ObuState, now: TimeMs) -> tuple[ObuState, ProtocolOutput]:
         return state, _NO_OUTPUT
     if state.deferred_start:
         return _start_requesting(state, now, sam_rx_time=now)
-    return replace(state, phase=ObuPhase.SAM_STORED, sam_rx_time=now), _NO_OUTPUT
+    new = ObuState(
+        vehicle_id=state.vehicle_id,
+        t_sum=state.t_sum,
+        phase=ObuPhase.SAM_STORED,
+        sam_rx_time=now,
+        first_sum_tx_time=state.first_sum_tx_time,
+        attempts=state.attempts,
+        retry_deadline=state.retry_deadline,
+        ack_rx_time=state.ack_rx_time,
+        deferred_start=state.deferred_start,
+    )
+    return new, _NO_OUTPUT
 
 
 def obu_on_trigger(state: ObuState, now: TimeMs) -> tuple[ObuState, ProtocolOutput]:
     """Trigger-line crossing: send the first SUM (or defer it, if no SAM yet)."""
     if state.phase is ObuPhase.SAM_STORED:
-        return _start_requesting(state, now)
+        return _start_requesting(state, now, sam_rx_time=state.sam_rx_time)
     if state.phase is ObuPhase.IDLE:
         # Cannot respond to a service it has not heard of yet.
-        return replace(state, deferred_start=True), _NO_OUTPUT
+        new = ObuState(
+            vehicle_id=state.vehicle_id,
+            t_sum=state.t_sum,
+            phase=state.phase,
+            sam_rx_time=state.sam_rx_time,
+            first_sum_tx_time=state.first_sum_tx_time,
+            attempts=state.attempts,
+            retry_deadline=state.retry_deadline,
+            ack_rx_time=state.ack_rx_time,
+            deferred_start=True,
+        )
+        return new, _NO_OUTPUT
     raise ProtocolError(
         f"vehicle {state.vehicle_id} crossed the trigger in phase "
         f"{state.phase.value}; each vehicle crosses exactly once"
@@ -114,9 +144,20 @@ def obu_on_retry_timer(state: ObuState, now: TimeMs) -> tuple[ObuState, Protocol
     if state.phase is not ObuPhase.AWAITING_ACK or state.retry_deadline != now:
         return state, _NO_OUTPUT
     deadline = now + state.t_sum
-    new = replace(state, attempts=state.attempts + 1, retry_deadline=deadline)
+    attempts = state.attempts + 1
+    new = ObuState(
+        vehicle_id=state.vehicle_id,
+        t_sum=state.t_sum,
+        phase=state.phase,
+        sam_rx_time=state.sam_rx_time,
+        first_sum_tx_time=state.first_sum_tx_time,
+        attempts=attempts,
+        retry_deadline=deadline,
+        ack_rx_time=state.ack_rx_time,
+        deferred_start=state.deferred_start,
+    )
     sum_msg = Message(kind=MessageKind.SUM, sender=state.vehicle_id, tx_time=now,
-                      seq=new.attempts)
+                      seq=attempts)
     return new, ProtocolOutput(transmissions=(sum_msg,), timers=((deadline, TimerKind.RETRY),))
 
 
@@ -124,7 +165,17 @@ def obu_on_ack(state: ObuState, now: TimeMs,
                recipients: tuple[int, ...]) -> tuple[ObuState, ProtocolOutput]:
     """ACK reception: complete if this vehicle is named; otherwise ignore."""
     if state.phase is ObuPhase.AWAITING_ACK and state.vehicle_id in recipients:
-        new = replace(state, phase=ObuPhase.COMPLETE, ack_rx_time=now, retry_deadline=None)
+        new = ObuState(
+            vehicle_id=state.vehicle_id,
+            t_sum=state.t_sum,
+            phase=ObuPhase.COMPLETE,
+            sam_rx_time=state.sam_rx_time,
+            first_sum_tx_time=state.first_sum_tx_time,
+            attempts=state.attempts,
+            retry_deadline=None,
+            ack_rx_time=now,
+            deferred_start=state.deferred_start,
+        )
         return new, _NO_OUTPUT
     return state, _NO_OUTPUT
 
@@ -133,7 +184,17 @@ def obu_mark_failed(state: ObuState) -> ObuState:
     """External failure declaration at despawn or simulation end."""
     if state.phase in (ObuPhase.COMPLETE, ObuPhase.FAILED):
         return state
-    return replace(state, phase=ObuPhase.FAILED, retry_deadline=None)
+    return ObuState(
+        vehicle_id=state.vehicle_id,
+        t_sum=state.t_sum,
+        phase=ObuPhase.FAILED,
+        sam_rx_time=state.sam_rx_time,
+        first_sum_tx_time=state.first_sum_tx_time,
+        attempts=state.attempts,
+        retry_deadline=None,
+        ack_rx_time=state.ack_rx_time,
+        deferred_start=state.deferred_start,
+    )
 
 
 @dataclass(frozen=True)
@@ -149,19 +210,25 @@ class RsuState:
     ack_seq: int = 0
 
 
-def _flush_ack(state: RsuState, now: TimeMs) -> tuple[RsuState, ProtocolOutput]:
-    recipients = state.pending
+def _flush_ack(state: RsuState, now: TimeMs,
+               recipients: tuple[int, ...]) -> tuple[RsuState, ProtocolOutput]:
+    """ACK ``recipients`` (the full pending batch) and empty the batch."""
     if not (1 <= len(recipients) <= state.b_ack):
         raise ProtocolError(f"ACK batch of {len(recipients)} violates b_ack={state.b_ack}")
-    new = replace(
-        state,
+    ack_seq = state.ack_seq + 1
+    new = RsuState(
+        b_ack=state.b_ack,
+        t_ack=state.t_ack,
+        sam_period=state.sam_period,
         pending=(),
         ack_deadline=None,
+        next_sam_time=state.next_sam_time,
         served_total=state.served_total + len(recipients),
-        ack_seq=state.ack_seq + 1,
+        sam_seq=state.sam_seq,
+        ack_seq=ack_seq,
     )
     ack = Message(kind=MessageKind.ACK, sender=RSU_ID, tx_time=now,
-                  recipients=recipients, seq=new.ack_seq)
+                  recipients=recipients, seq=ack_seq)
     return new, ProtocolOutput(transmissions=(ack,))
 
 
@@ -176,19 +243,30 @@ def rsu_on_sum(state: RsuState, now: TimeMs, sender: int) -> tuple[RsuState, Pro
         return state, _NO_OUTPUT
     pending = state.pending + (sender,)
     if len(pending) == state.b_ack:
-        return _flush_ack(replace(state, pending=pending), now)
-    if len(pending) == 1:
-        deadline = now + state.t_ack
-        new = replace(state, pending=pending, ack_deadline=deadline)
+        return _flush_ack(state, now, pending)
+    first = len(pending) == 1
+    deadline = now + state.t_ack if first else state.ack_deadline
+    new = RsuState(
+        b_ack=state.b_ack,
+        t_ack=state.t_ack,
+        sam_period=state.sam_period,
+        pending=pending,
+        ack_deadline=deadline,
+        next_sam_time=state.next_sam_time,
+        served_total=state.served_total,
+        sam_seq=state.sam_seq,
+        ack_seq=state.ack_seq,
+    )
+    if first:
         return new, ProtocolOutput(timers=((deadline, TimerKind.ACK_FLUSH),))
-    return replace(state, pending=pending), _NO_OUTPUT
+    return new, _NO_OUTPUT
 
 
 def rsu_on_ack_timer(state: RsuState, now: TimeMs) -> tuple[RsuState, ProtocolOutput]:
     """Batch timer expiry: ACK everything pending; stale timers are no-ops."""
     if state.ack_deadline != now or not state.pending:
         return state, _NO_OUTPUT
-    return _flush_ack(state, now)
+    return _flush_ack(state, now, state.pending)
 
 
 def rsu_on_sam_timer(state: RsuState, now: TimeMs) -> tuple[RsuState, ProtocolOutput]:
@@ -197,7 +275,17 @@ def rsu_on_sam_timer(state: RsuState, now: TimeMs) -> tuple[RsuState, ProtocolOu
         raise ProtocolError(
             f"SAM timer fired at {now} but next_sam_time is {state.next_sam_time}"
         )
-    new = replace(state, next_sam_time=now + state.sam_period, sam_seq=state.sam_seq + 1)
+    new = RsuState(
+        b_ack=state.b_ack,
+        t_ack=state.t_ack,
+        sam_period=state.sam_period,
+        pending=state.pending,
+        ack_deadline=state.ack_deadline,
+        next_sam_time=now + state.sam_period,
+        served_total=state.served_total,
+        sam_seq=state.sam_seq + 1,
+        ack_seq=state.ack_seq,
+    )
     sam = Message(kind=MessageKind.SAM, sender=RSU_ID, tx_time=now, seq=new.sam_seq)
     return new, ProtocolOutput(
         transmissions=(sam,),

@@ -154,3 +154,50 @@ def test_curve_validation_reports_each_level():
     violations = validate_per_curve(bad)
     assert any("density 10" in m for m in violations)
     assert any("density 20" in m for m in violations)
+
+
+# The scalar path must agree with the vector path bit for bit: the engine and
+# the closed form use ``per`` while BSM batches use ``per_many``.
+SINGLE_KNOT = PerCurve(levels=(10.0, 30.0), tables=(((120.0, 0.25),), ((120.0, 0.5),)))
+BIT_CURVES = {
+    "default": CAL,
+    "constant": constant_per_curve(0.3),
+    "single_knot": SINGLE_KNOT,
+}
+# Below, at, between and above the levels of every curve above.
+BIT_DENSITIES = (2.0, 10.0, 12.5, 15.0, 17.3, 20.0, 25.0, 29.999, 30.0, 45.0)
+
+
+def _bit_probe_distances(curve: PerCurve) -> list[float]:
+    knots = sorted({d for tab in curve.tables for d, _ in tab})
+    special = [0.0, -0.0, 1e9, -1e9, -1.0, -137.25, 0.5, 499.999, 500.001, math.nan]
+    return knots + [-d for d in knots] + special
+
+
+@pytest.mark.parametrize("name", sorted(BIT_CURVES))
+def test_scalar_per_bit_identical_to_per_many(name):
+    curve = BIT_CURVES[name]
+    for rho in BIT_DENSITIES:
+        for dist in _bit_probe_distances(curve):
+            got = per(curve, dist, rho)
+            want = float(per_many(curve, [dist], rho)[0])
+            assert type(got) is float
+            # hex() compares bits: it tells -0.0 from 0.0 and matches NaN.
+            assert got.hex() == want.hex(), (dist, rho)
+
+
+@pytest.mark.parametrize("name", sorted(BIT_CURVES))
+def test_scalar_per_bit_identical_on_random_distances(name):
+    curve = BIT_CURVES[name]
+    dists = np.random.default_rng(99).uniform(-700.0, 700.0, size=100_000)
+    for rho in (2.0, 10.0, 17.3, 30.0, 45.0):
+        # per_many is elementwise, so one vector call gives each reference.
+        want = per_many(curve, dists, rho)
+        got = np.array([per(curve, d, rho) for d in dists.tolist()])
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), rho
+
+
+def test_scalar_per_accepts_numpy_scalars():
+    got = per(CAL, np.float64(-212.5), np.float64(17.0))
+    assert type(got) is float
+    assert got == per(CAL, 212.5, 17.0)

@@ -1,0 +1,55 @@
+"""Golden outputs: exact bytes of the exported tables for three fixed cells.
+
+Performance work on the engine, channel and protocol must not change a
+single output byte. Each cell runs ``v2isim simulate`` for 60 simulated
+seconds and compares the sha256 of ``records.csv`` and ``summary.csv``
+against the digests recorded before that work began. A deliberate change to
+simulation semantics is the only reason to update them.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from v2isim.cli import main
+
+_SHORT = ["--set", "sim_duration=60000", "--set", "warmup=10000", "--seed", "7"]
+_NO_BSM = ["--set", "bsm_period=60001"]
+
+# (cell id, overrides, sha256(records.csv), sha256(summary.csv))
+GOLDEN = [
+    (
+        "dt300_flow30_bsm",
+        ["--set", "d_t=300", "--set", "flow_rate=30"],
+        "1cbf3b737f947d01ff8351c8d929d95dff4ea49c8cb41c8db75d15dcb1f7a0d2",
+        "823b3bcc1891f7918389c0496ab80a70a551a61e32df19d7af6d35174f5f440b",
+    ),
+    (
+        "dt0_flow10_fixed_tau",
+        ["--set", "d_t=0", "--set", "flow_rate=10", "--set", "tau_mode=fixed", *_NO_BSM],
+        "3ea543d6850bfe72fd3d63876e141398a81d0233b749f88ef9b1965124b9c1aa",
+        "5e3e26bbf59efd95e5bb4e63e3a2f12913212d39abd594d362bf6d173773206e",
+    ),
+    (
+        # 15 veh/s lies between the 10 and 20 veh/s levels: blended PER.
+        "dtm100_flow15_blend",
+        ["--set", "d_t=-100", "--set", "flow_rate=15", *_NO_BSM],
+        "8bae8711d926fbc8d2704a82705533e7859cfdc36c6b1042cc8a9552bc8c41c9",
+        "4edb8957fe2b0af8057147560fe639d118951160d9876e79bf68a63d86bf0355",
+    ),
+]
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("overrides,records_sha,summary_sha",
+                         [g[1:] for g in GOLDEN], ids=[g[0] for g in GOLDEN])
+def test_simulate_output_bytes_are_pinned(tmp_path, overrides, records_sha, summary_sha):
+    out = tmp_path / "run"
+    assert main(["simulate", "--out", str(out), *_SHORT, *overrides]) == 0
+    assert _sha256(out / "records.csv") == records_sha
+    assert _sha256(out / "summary.csv") == summary_sha
