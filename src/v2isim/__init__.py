@@ -11,7 +11,7 @@ from .channel import (
     validate_per_curve,
 )
 from .core import (
-    ConfigError, Message, MessageKind, MESSAGE_SPECS, RSU_ID, ScenarioConfig,
+    ConfigError, Message, MessageKind, RSU_ID, ScenarioConfig,
     dump_config, dumps_config, load_config, override_config, parse_config,
     validate_config,
 )
@@ -36,7 +36,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AnalyticParams", "ArrivalProcess", "BatchError", "BinCheck",
     "ChannelModel", "CompletionRecord", "ConfigError", "CurveError",
-    "Direction", "EngineError", "MESSAGE_SPECS", "Message", "MessageKind",
+    "Direction", "EngineError", "Message", "MessageKind",
     "ObuPhase", "ObuState", "PerCurve", "ProtocolError", "ProtocolOutput",
     "RSU_ID", "RsuState", "RunSummary", "ScenarioConfig", "SweepPoint",
     "TauModel", "TimerKind", "VehicleKinematics", "attempt_success",

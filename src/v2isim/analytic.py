@@ -96,10 +96,6 @@ def first_success_pmf(params: AnalyticParams) -> list[float]:
     return pmf
 
 
-def success_mass(params: AnalyticParams) -> float:
-    return sum(first_success_pmf(params))
-
-
 def _mean_and_mass(pmf: list[float]) -> tuple[float | None, float]:
     """(mean attempt count given success, success mass) of a first-success pmf.
 

@@ -229,23 +229,6 @@ class TauModel:
         return (self.low_ms + self.high_ms) // 2
 
 
-def validate_tau_model(model: TauModel) -> list[str]:
-    violations = []
-    if model.mode not in ("fixed", "uniform"):
-        violations.append(f"tau mode must be 'fixed' or 'uniform' (got {model.mode!r})")
-    if not (TAU_MIN_MS <= model.low_ms <= model.high_ms <= TAU_MAX_MS):
-        violations.append(
-            f"tau range must satisfy {TAU_MIN_MS} <= low <= high <= {TAU_MAX_MS} "
-            f"(got [{model.low_ms}, {model.high_ms}])"
-        )
-    if not (TAU_MIN_MS <= model.fixed_ms <= TAU_MAX_MS):
-        violations.append(
-            f"fixed tau must lie in [{TAU_MIN_MS}, {TAU_MAX_MS}] ms "
-            f"(got {model.fixed_ms})"
-        )
-    return violations
-
-
 def sample_tau(rng: np.random.Generator, model: TauModel) -> int:
     """Sample the exchange delay in ms; always within [8, 200]."""
     if model.mode == "fixed":

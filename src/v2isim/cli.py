@@ -38,7 +38,7 @@ def _load(args: argparse.Namespace) -> ScenarioConfig:
     if args.set:
         cfg = override_config(cfg, args.set)
     if getattr(args, "seed", None) is not None:
-        cfg = dataclasses.replace(cfg, rng_seed=args.seed)
+        cfg = override_config(cfg, [f"rng_seed={args.seed}"])
     return cfg
 
 
@@ -136,8 +136,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
                 f"sigma={check.sigma:.1f} {'ok' if ok else 'VIOLATION'}"
             )
     if not all_ok:
-        print("validate: model/engine drift detected (3-sigma violation)",
-              file=sys.stderr)
+        print("validate: the closed-form pmf and its Monte-Carlo replay disagree "
+              "(3-sigma violation)", file=sys.stderr)
         return 1
     return 0
 

@@ -3,6 +3,12 @@
 All simulation times are integer milliseconds (``TimeMs``); distances are
 meters. Signed longitudinal distances are positive upstream of the RSU in a
 vehicle's own direction of travel and negative once it has passed the RSU.
+
+A ``Message`` is an immutable named tuple; the engine stamps its transmit
+position with ``msg._replace(tx_position=...)``. The per-kind radio
+parameters (priority, payload size, MCS) have no effect on the simulation
+and are listed in the README only. The config parser takes each field's
+type from the ``ScenarioConfig`` annotations.
 """
 
 from __future__ import annotations
@@ -10,8 +16,9 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple, get_type_hints
 
 from . import channel as _channel
 
@@ -37,25 +44,7 @@ class MessageKind(Enum):
     ACK = "ack"
 
 
-@dataclass(frozen=True)
-class MessageSpec:
-    """Per-kind radio parameters carried as metadata (not used mechanically)."""
-
-    priority: int
-    payload_bytes: int
-    mcs: int
-
-
-MESSAGE_SPECS: dict[MessageKind, MessageSpec] = {
-    MessageKind.BSM: MessageSpec(priority=5, payload_bytes=300, mcs=11),
-    MessageKind.SAM: MessageSpec(priority=6, payload_bytes=700, mcs=7),
-    MessageKind.SUM: MessageSpec(priority=6, payload_bytes=450, mcs=11),
-    MessageKind.ACK: MessageSpec(priority=6, payload_bytes=300, mcs=6),
-}
-
-
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
     """A single in-simulator transmission.
 
     ``recipients`` is non-empty only for ACKs (the addressed vehicle ids).
@@ -132,17 +121,8 @@ class ScenarioConfig:
         return _channel.ChannelModel(curve=curve, tau=self.tau_model())
 
 
-_INT_FIELDS = {
-    "b_ack", "t_sum", "t_ack", "sam_period", "bsm_period", "lane_count",
-    "sim_duration", "warmup", "rng_seed", "tau_fixed", "tau_low", "tau_high",
-    "bsm_probe_count",
-}
-_FLOAT_FIELDS = {
-    "d_t", "flow_rate", "mean_speed", "road_length", "lane_width",
-    "rsu_x", "rsu_y",
-}
-# Remaining fields (tau_mode, per_curve) stay strings.
-_ALL_FIELDS = [f.name for f in fields(ScenarioConfig)]
+# Field name -> int, float or str, in declaration order.
+_FIELD_TYPES: dict[str, type] = get_type_hints(ScenarioConfig)
 
 
 def validate_config(cfg: ScenarioConfig) -> list[str]:
@@ -155,6 +135,10 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
     def bad(reason: str) -> None:
         violations.append(reason)
 
+    for name, kind in _FIELD_TYPES.items():
+        value = getattr(cfg, name)
+        if kind is float and not math.isfinite(value):
+            bad(f"{name} must be a finite number (got {value})")
     if cfg.b_ack < 1:
         bad(f"b_ack must be >= 1 (got {cfg.b_ack})")
     for name in ("t_sum", "t_ack", "sam_period", "bsm_period"):
@@ -197,25 +181,20 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
         )
     if cfg.bsm_probe_count < 1:
         bad(f"bsm_probe_count must be >= 1 (got {cfg.bsm_probe_count})")
+    if cfg.rng_seed < 0:
+        bad(f"rng_seed must be >= 0 (got {cfg.rng_seed})")
     return violations
 
 
 def _coerce(key: str, raw: str, lineno: int) -> int | float | str:
-    if key in _INT_FIELDS:
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(
-                f"line {lineno}: field {key} expects an integer, got {raw!r}"
-            ) from None
-    if key in _FLOAT_FIELDS:
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(
-                f"line {lineno}: field {key} expects a number, got {raw!r}"
-            ) from None
-    return raw
+    kind = _FIELD_TYPES[key]
+    try:
+        return kind(raw)
+    except ValueError:
+        expected = "an integer" if kind is int else "a number"
+        raise ConfigError(
+            f"line {lineno}: field {key} expects {expected}, got {raw!r}"
+        ) from None
 
 
 def parse_config(text: str, base_dir: str = ".") -> ScenarioConfig:
@@ -234,7 +213,7 @@ def parse_config(text: str, base_dir: str = ".") -> ScenarioConfig:
         key, _, raw = stripped.partition("=")
         key = key.strip()
         raw = raw.strip()
-        if key not in _ALL_FIELDS:
+        if key not in _FIELD_TYPES:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
@@ -264,7 +243,7 @@ def override_config(cfg: ScenarioConfig, assignments: list[str]) -> ScenarioConf
         key, _, raw = item.partition("=")
         key = key.strip()
         raw = raw.strip()
-        if key not in _ALL_FIELDS:
+        if key not in _FIELD_TYPES:
             raise ConfigError(f"override: unknown key {key!r}")
         updates[key] = _coerce(key, raw, i)
     new = dataclasses.replace(cfg, **updates)
@@ -290,7 +269,7 @@ def load_config(path: str) -> ScenarioConfig:
 
 def dumps_config(cfg: ScenarioConfig) -> str:
     """Serialize a config so that parsing it back yields an identical value."""
-    lines = [f"{name} = {getattr(cfg, name)}" for name in _ALL_FIELDS]
+    lines = [f"{name} = {getattr(cfg, name)}" for name in _FIELD_TYPES]
     return "\n".join(lines) + "\n"
 
 

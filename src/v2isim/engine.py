@@ -98,10 +98,6 @@ class EventQueue:
     def __len__(self) -> int:
         return len(self._heap)
 
-    @property
-    def clock(self) -> TimeMs:
-        return self._clock
-
 
 def deliver_broadcast(msg: Message,
                       receivers: Sequence[tuple[int, tuple[float, float]]],
@@ -200,9 +196,8 @@ class _Simulation:
                 pos = self._obu_position(msg.sender, now)
                 if msg.kind is MessageKind.SUM:
                     self.sum_tx_count[msg.sender] = self.sum_tx_count.get(msg.sender, 0) + 1
-            stamped = Message(kind=msg.kind, sender=msg.sender, tx_time=msg.tx_time,
-                              tx_position=pos, recipients=msg.recipients, seq=msg.seq)
-            self.queue.push(now + self._flight_ms(), EventKind.MSG_ARRIVAL, stamped)
+            self.queue.push(now + self._flight_ms(), EventKind.MSG_ARRIVAL,
+                            msg._replace(tx_position=pos))
         for deadline, kind in out.timers:
             if kind is proto.TimerKind.RETRY:
                 self.queue.push(deadline, EventKind.RETRY_TIMER, sender)
@@ -269,9 +264,6 @@ class _Simulation:
         self._obu_transition(vid, now, "trigger_cross", proto.obu_on_trigger)
 
     def _on_retry_timer(self, now: TimeMs, vid: int) -> None:
-        state = self.obu[vid]
-        if state.phase is not proto.ObuPhase.AWAITING_ACK or state.retry_deadline != now:
-            return  # stale timer
         self._obu_transition(vid, now, "retry_timer", proto.obu_on_retry_timer)
 
     def _on_msg_arrival(self, now: TimeMs, msg: Message) -> None:

@@ -41,10 +41,6 @@ class VehicleKinematics:
     y: float
     speed: float
 
-    @property
-    def spawn_position(self) -> tuple[float, float]:
-        return (self.spawn_x, self.y)
-
 
 @dataclass(frozen=True)
 class ArrivalProcess:
@@ -112,12 +108,6 @@ def position_at(v: VehicleKinematics, t: TimeMs) -> tuple[float, float]:
     return (x, v.y)
 
 
-def signed_distance(v: VehicleKinematics, t: TimeMs, rsu_x: float) -> SignedMeters:
-    """Longitudinal distance to the RSU in v's travel direction (+ = upstream)."""
-    x, _ = position_at(v, t)
-    return (rsu_x - x) * v.direction.sign
-
-
 def trigger_crossing_time(v: VehicleKinematics, d_t: SignedMeters,
                           rsu_x: float = 0.0) -> TimeMs:
     """Unique instant at which the signed distance to the RSU equals d_t.
@@ -142,10 +132,6 @@ def exit_time(v: VehicleKinematics, road_length: float) -> TimeMs:
 
 def transit_ms(road_length: float, speed: float) -> TimeMs:
     return ceil_ms(road_length / speed * 1000.0)
-
-
-def in_stretch(v: VehicleKinematics, t: TimeMs, road_length: float) -> bool:
-    return v.spawn_time <= t < exit_time(v, road_length)
 
 
 def positions_x(spawn_times: np.ndarray, t: TimeMs, direction: Direction,

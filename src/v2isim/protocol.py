@@ -17,16 +17,14 @@ of them is sent when the batch reaches b_ack entries or when t_ack elapses
 after the first entry of the batch. A retransmitted SUM from an
 already-pending vehicle does not duplicate its entry.
 
-States are frozen dataclasses. Transitions build each new state with its
-constructor, field by field, instead of ``dataclasses.replace``, which
-re-inspects the field list on every call; they never mutate a state a caller
-holds.
+States are immutable named tuples: a transition returns
+``state._replace(...)`` with only the fields it changes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .core import Message, MessageKind, RSU_ID, TimeMs
 
@@ -49,8 +47,7 @@ class TimerKind(Enum):
     SAM = "sam"
 
 
-@dataclass(frozen=True)
-class ProtocolOutput:
+class ProtocolOutput(NamedTuple):
     """Transmissions to enqueue now plus (deadline, kind) timer requests."""
 
     transmissions: tuple[Message, ...] = ()
@@ -60,8 +57,7 @@ class ProtocolOutput:
 _NO_OUTPUT = ProtocolOutput()
 
 
-@dataclass(frozen=True)
-class ObuState:
+class ObuState(NamedTuple):
     vehicle_id: int
     t_sum: TimeMs
     phase: ObuPhase = ObuPhase.IDLE
@@ -73,22 +69,20 @@ class ObuState:
     deferred_start: bool = False
 
 
+def _send_sum(state: ObuState, now: TimeMs, attempts: int,
+              **changes) -> tuple[ObuState, ProtocolOutput]:
+    """Transmit SUM number ``attempts`` and arm its retry timer."""
+    deadline = now + state.t_sum
+    new = state._replace(attempts=attempts, retry_deadline=deadline, **changes)
+    sum_msg = Message(kind=MessageKind.SUM, sender=state.vehicle_id, tx_time=now,
+                      seq=attempts)
+    return new, ProtocolOutput((sum_msg,), ((deadline, TimerKind.RETRY),))
+
+
 def _start_requesting(state: ObuState, now: TimeMs,
                       sam_rx_time: TimeMs | None) -> tuple[ObuState, ProtocolOutput]:
-    deadline = now + state.t_sum
-    new = ObuState(
-        vehicle_id=state.vehicle_id,
-        t_sum=state.t_sum,
-        phase=ObuPhase.AWAITING_ACK,
-        sam_rx_time=sam_rx_time,
-        first_sum_tx_time=now,
-        attempts=1,
-        retry_deadline=deadline,
-        ack_rx_time=state.ack_rx_time,
-        deferred_start=False,
-    )
-    sum_msg = Message(kind=MessageKind.SUM, sender=state.vehicle_id, tx_time=now, seq=1)
-    return new, ProtocolOutput(transmissions=(sum_msg,), timers=((deadline, TimerKind.RETRY),))
+    return _send_sum(state, now, 1, phase=ObuPhase.AWAITING_ACK, sam_rx_time=sam_rx_time,
+                     first_sum_tx_time=now, deferred_start=False)
 
 
 def obu_on_sam(state: ObuState, now: TimeMs) -> tuple[ObuState, ProtocolOutput]:
@@ -101,18 +95,7 @@ def obu_on_sam(state: ObuState, now: TimeMs) -> tuple[ObuState, ProtocolOutput]:
         return state, _NO_OUTPUT
     if state.deferred_start:
         return _start_requesting(state, now, sam_rx_time=now)
-    new = ObuState(
-        vehicle_id=state.vehicle_id,
-        t_sum=state.t_sum,
-        phase=ObuPhase.SAM_STORED,
-        sam_rx_time=now,
-        first_sum_tx_time=state.first_sum_tx_time,
-        attempts=state.attempts,
-        retry_deadline=state.retry_deadline,
-        ack_rx_time=state.ack_rx_time,
-        deferred_start=state.deferred_start,
-    )
-    return new, _NO_OUTPUT
+    return state._replace(phase=ObuPhase.SAM_STORED, sam_rx_time=now), _NO_OUTPUT
 
 
 def obu_on_trigger(state: ObuState, now: TimeMs) -> tuple[ObuState, ProtocolOutput]:
@@ -121,18 +104,7 @@ def obu_on_trigger(state: ObuState, now: TimeMs) -> tuple[ObuState, ProtocolOutp
         return _start_requesting(state, now, sam_rx_time=state.sam_rx_time)
     if state.phase is ObuPhase.IDLE:
         # Cannot respond to a service it has not heard of yet.
-        new = ObuState(
-            vehicle_id=state.vehicle_id,
-            t_sum=state.t_sum,
-            phase=state.phase,
-            sam_rx_time=state.sam_rx_time,
-            first_sum_tx_time=state.first_sum_tx_time,
-            attempts=state.attempts,
-            retry_deadline=state.retry_deadline,
-            ack_rx_time=state.ack_rx_time,
-            deferred_start=True,
-        )
-        return new, _NO_OUTPUT
+        return state._replace(deferred_start=True), _NO_OUTPUT
     raise ProtocolError(
         f"vehicle {state.vehicle_id} crossed the trigger in phase "
         f"{state.phase.value}; each vehicle crosses exactly once"
@@ -143,40 +115,15 @@ def obu_on_retry_timer(state: ObuState, now: TimeMs) -> tuple[ObuState, Protocol
     """Retry timer expiry: retransmit the SUM unless the timer is stale."""
     if state.phase is not ObuPhase.AWAITING_ACK or state.retry_deadline != now:
         return state, _NO_OUTPUT
-    deadline = now + state.t_sum
-    attempts = state.attempts + 1
-    new = ObuState(
-        vehicle_id=state.vehicle_id,
-        t_sum=state.t_sum,
-        phase=state.phase,
-        sam_rx_time=state.sam_rx_time,
-        first_sum_tx_time=state.first_sum_tx_time,
-        attempts=attempts,
-        retry_deadline=deadline,
-        ack_rx_time=state.ack_rx_time,
-        deferred_start=state.deferred_start,
-    )
-    sum_msg = Message(kind=MessageKind.SUM, sender=state.vehicle_id, tx_time=now,
-                      seq=attempts)
-    return new, ProtocolOutput(transmissions=(sum_msg,), timers=((deadline, TimerKind.RETRY),))
+    return _send_sum(state, now, state.attempts + 1)
 
 
 def obu_on_ack(state: ObuState, now: TimeMs,
                recipients: tuple[int, ...]) -> tuple[ObuState, ProtocolOutput]:
     """ACK reception: complete if this vehicle is named; otherwise ignore."""
     if state.phase is ObuPhase.AWAITING_ACK and state.vehicle_id in recipients:
-        new = ObuState(
-            vehicle_id=state.vehicle_id,
-            t_sum=state.t_sum,
-            phase=ObuPhase.COMPLETE,
-            sam_rx_time=state.sam_rx_time,
-            first_sum_tx_time=state.first_sum_tx_time,
-            attempts=state.attempts,
-            retry_deadline=None,
-            ack_rx_time=now,
-            deferred_start=state.deferred_start,
-        )
-        return new, _NO_OUTPUT
+        return state._replace(phase=ObuPhase.COMPLETE, retry_deadline=None,
+                              ack_rx_time=now), _NO_OUTPUT
     return state, _NO_OUTPUT
 
 
@@ -184,21 +131,10 @@ def obu_mark_failed(state: ObuState) -> ObuState:
     """External failure declaration at despawn or simulation end."""
     if state.phase in (ObuPhase.COMPLETE, ObuPhase.FAILED):
         return state
-    return ObuState(
-        vehicle_id=state.vehicle_id,
-        t_sum=state.t_sum,
-        phase=ObuPhase.FAILED,
-        sam_rx_time=state.sam_rx_time,
-        first_sum_tx_time=state.first_sum_tx_time,
-        attempts=state.attempts,
-        retry_deadline=None,
-        ack_rx_time=state.ack_rx_time,
-        deferred_start=state.deferred_start,
-    )
+    return state._replace(phase=ObuPhase.FAILED, retry_deadline=None)
 
 
-@dataclass(frozen=True)
-class RsuState:
+class RsuState(NamedTuple):
     b_ack: int
     t_ack: TimeMs
     sam_period: TimeMs
@@ -216,20 +152,11 @@ def _flush_ack(state: RsuState, now: TimeMs,
     if not (1 <= len(recipients) <= state.b_ack):
         raise ProtocolError(f"ACK batch of {len(recipients)} violates b_ack={state.b_ack}")
     ack_seq = state.ack_seq + 1
-    new = RsuState(
-        b_ack=state.b_ack,
-        t_ack=state.t_ack,
-        sam_period=state.sam_period,
-        pending=(),
-        ack_deadline=None,
-        next_sam_time=state.next_sam_time,
-        served_total=state.served_total + len(recipients),
-        sam_seq=state.sam_seq,
-        ack_seq=ack_seq,
-    )
+    new = state._replace(pending=(), ack_deadline=None, ack_seq=ack_seq,
+                         served_total=state.served_total + len(recipients))
     ack = Message(kind=MessageKind.ACK, sender=RSU_ID, tx_time=now,
                   recipients=recipients, seq=ack_seq)
-    return new, ProtocolOutput(transmissions=(ack,))
+    return new, ProtocolOutput((ack,))
 
 
 def rsu_on_sum(state: RsuState, now: TimeMs, sender: int) -> tuple[RsuState, ProtocolOutput]:
@@ -244,22 +171,11 @@ def rsu_on_sum(state: RsuState, now: TimeMs, sender: int) -> tuple[RsuState, Pro
     pending = state.pending + (sender,)
     if len(pending) == state.b_ack:
         return _flush_ack(state, now, pending)
-    first = len(pending) == 1
-    deadline = now + state.t_ack if first else state.ack_deadline
-    new = RsuState(
-        b_ack=state.b_ack,
-        t_ack=state.t_ack,
-        sam_period=state.sam_period,
-        pending=pending,
-        ack_deadline=deadline,
-        next_sam_time=state.next_sam_time,
-        served_total=state.served_total,
-        sam_seq=state.sam_seq,
-        ack_seq=state.ack_seq,
-    )
-    if first:
-        return new, ProtocolOutput(timers=((deadline, TimerKind.ACK_FLUSH),))
-    return new, _NO_OUTPUT
+    if len(pending) > 1:
+        return state._replace(pending=pending), _NO_OUTPUT
+    deadline = now + state.t_ack
+    new = state._replace(pending=pending, ack_deadline=deadline)
+    return new, ProtocolOutput(timers=((deadline, TimerKind.ACK_FLUSH),))
 
 
 def rsu_on_ack_timer(state: RsuState, now: TimeMs) -> tuple[RsuState, ProtocolOutput]:
@@ -275,19 +191,6 @@ def rsu_on_sam_timer(state: RsuState, now: TimeMs) -> tuple[RsuState, ProtocolOu
         raise ProtocolError(
             f"SAM timer fired at {now} but next_sam_time is {state.next_sam_time}"
         )
-    new = RsuState(
-        b_ack=state.b_ack,
-        t_ack=state.t_ack,
-        sam_period=state.sam_period,
-        pending=state.pending,
-        ack_deadline=state.ack_deadline,
-        next_sam_time=now + state.sam_period,
-        served_total=state.served_total,
-        sam_seq=state.sam_seq + 1,
-        ack_seq=state.ack_seq,
-    )
+    new = state._replace(next_sam_time=now + state.sam_period, sam_seq=state.sam_seq + 1)
     sam = Message(kind=MessageKind.SAM, sender=RSU_ID, tx_time=now, seq=new.sam_seq)
-    return new, ProtocolOutput(
-        transmissions=(sam,),
-        timers=((new.next_sam_time, TimerKind.SAM),),
-    )
+    return new, ProtocolOutput((sam,), ((new.next_sam_time, TimerKind.SAM),))

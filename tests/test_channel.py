@@ -10,7 +10,7 @@ import pytest
 from v2isim.channel import (
     CurveError, PerCurve, TauModel, constant_per_curve, default_calibration,
     dumps_per_curve, load_per_curve, parse_per_curve, per, per_many,
-    sample_reception, sample_tau, validate_per_curve, validate_tau_model,
+    sample_reception, sample_tau, validate_per_curve,
 )
 
 CAL = default_calibration()
@@ -105,14 +105,6 @@ def test_sample_tau_uniform_bounds():
     assert min(samples) >= 8 and max(samples) <= 200
     # Both endpoints are reachable (inclusive range).
     assert 8 in samples and 200 in samples
-
-
-def test_tau_model_validation():
-    assert validate_tau_model(TauModel()) == []
-    assert validate_tau_model(TauModel(low_ms=4))
-    assert validate_tau_model(TauModel(high_ms=250))
-    assert validate_tau_model(TauModel(mode="gamma"))
-    assert validate_tau_model(TauModel(mode="fixed", fixed_ms=300))
 
 
 def test_effective_tau():

@@ -26,6 +26,20 @@ def test_unknown_override_key_rejected(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, bad, field", [
+    ("simulate", "--set d_t=nan", "d_t"),
+    ("simulate", "--set lane_width=nan", "lane_width"),
+    ("simulate", "--set flow_rate=inf", "flow_rate"),
+    ("simulate", "--seed -1", "rng_seed"),
+    ("validate", "--seed -1", "rng_seed"),
+])
+def test_non_finite_value_or_negative_seed_exits_2_naming_field(
+        tmp_path, capsys, command, bad, field):
+    out = ["--out", str(tmp_path / "o")] if command == "simulate" else []
+    assert main([command, *out, *FAST, *bad.split()]) == 2
+    assert field in capsys.readouterr().err
+
+
 def test_simulate_writes_tables(tmp_path):
     out = tmp_path / "run"
     assert main(["simulate", "--out", str(out), *FAST]) == 0

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from v2isim.core import (
-    ConfigError, MESSAGE_SPECS, MessageKind, ScenarioConfig, ceil_ms,
+    ConfigError, ScenarioConfig, ceil_ms,
     dump_config, dumps_config, load_config, override_config, parse_config,
     validate_config,
 )
@@ -44,17 +46,14 @@ def test_validation_reports_all_violations_without_raising():
     assert len(violations) == 3
 
 
-def test_message_specs_match_reference_table():
-    assert MESSAGE_SPECS[MessageKind.BSM].priority == 5
-    for kind in (MessageKind.SAM, MessageKind.SUM, MessageKind.ACK):
-        assert MESSAGE_SPECS[kind].priority == 6
-    assert MESSAGE_SPECS[MessageKind.BSM].payload_bytes == 300
-    assert MESSAGE_SPECS[MessageKind.SAM].payload_bytes == 700
-    assert MESSAGE_SPECS[MessageKind.SUM].payload_bytes == 450
-    assert MESSAGE_SPECS[MessageKind.ACK].payload_bytes == 300
-    assert MESSAGE_SPECS[MessageKind.SAM].mcs == 7
-    assert MESSAGE_SPECS[MessageKind.SUM].mcs == 11
-    assert MESSAGE_SPECS[MessageKind.ACK].mcs == 6
+@pytest.mark.parametrize("field, value", [
+    ("d_t", math.nan), ("flow_rate", math.inf), ("mean_speed", math.nan),
+    ("road_length", math.inf), ("lane_width", math.nan), ("rsu_x", -math.inf),
+    ("rsu_y", math.nan), ("rng_seed", -1),
+])
+def test_non_finite_float_or_negative_seed_rejected_naming_field(field, value):
+    violations = validate_config(ScenarioConfig(**{field: value}))
+    assert violations and all(field in msg for msg in violations)
 
 
 def test_load_partial_file_fills_defaults(tmp_path):
@@ -135,6 +134,9 @@ def test_override_config_applies_and_revalidates():
 def test_tau_range_validated():
     assert any("tau" in msg for msg in validate_config(ScenarioConfig(tau_low=4)))
     assert any("tau" in msg for msg in validate_config(ScenarioConfig(tau_high=300)))
+    assert any("tau_mode" in msg for msg in validate_config(ScenarioConfig(tau_mode="gamma")))
+    assert any("tau_fixed" in msg
+               for msg in validate_config(ScenarioConfig(tau_mode="fixed", tau_fixed=300)))
     assert validate_config(ScenarioConfig(tau_low=8, tau_high=200)) == []
 
 

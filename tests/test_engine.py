@@ -229,6 +229,23 @@ def test_trace_file_records_transitions(tmp_path):
     assert sum_rows, "expected at least one trigger transition into awaiting_ack"
 
 
+def test_stale_retry_timer_traced_once_without_change(tmp_path, lossless_curve_file):
+    # Lossless and b_ack=1: each vehicle is ACKed within two radio legs of its
+    # first SUM, so its armed retry timer fires stale after completion.
+    path = tmp_path / "stale.trace"
+    cfg = short_cfg(per_curve=lossless_curve_file, b_ack=1, d_t=1400.0)
+    run(cfg, trace_path=str(path))
+    rows = [line.split("\t") for line in path.read_text().splitlines()]
+    first_sum = {r[1]: int(r[0]) for r in rows
+                 if r[3] != "awaiting_ack" and r[4] == "awaiting_ack"}
+    completed = {r[1] for r in rows if r[2] == "ack_rx" and r[4] == "complete"}
+    checked = [v for v in completed if first_sum[v] + cfg.t_sum < cfg.sim_duration]
+    assert checked
+    for veh in checked:
+        retries = [(r[3], r[4]) for r in rows if r[1] == veh and r[2] == "retry_timer"]
+        assert retries == [("complete", "complete")]
+
+
 def test_retry_cadence_visible_in_trace(tmp_path):
     # A heavily lossy channel forces retransmissions before completion.
     path = tmp_path / "cadence.trace"

@@ -10,8 +10,8 @@ import pytest
 from v2isim.core import ScenarioConfig
 from v2isim.mobility import (
     ArrivalProcess, Direction, MobilityError, VehicleKinematics, exit_time,
-    generate_arrivals, in_stretch, position_at, signed_distance,
-    stretch_window, transit_ms, trigger_crossing_time,
+    generate_arrivals, position_at, stretch_window, transit_ms,
+    trigger_crossing_time,
 )
 
 CFG = ScenarioConfig()
@@ -71,7 +71,7 @@ def test_westbound_spawns_opposite_edge_and_side():
 
 def test_position_identity_at_spawn():
     v = _east_vehicle(spawn_time=1234)
-    assert position_at(v, 1234) == v.spawn_position
+    assert position_at(v, 1234) == (v.spawn_x, v.y)
 
 
 def test_position_advances_toward_exit():
@@ -79,10 +79,8 @@ def test_position_advances_toward_exit():
     x, y = position_at(v, 40_000)  # 40 s at 30 m/s
     assert x == pytest.approx(-300.0)
     assert y == 1.75
-    # At one full transit the vehicle is at the exit edge and out of stretch.
+    # At one full transit the vehicle is at the exit edge.
     assert position_at(v, 100_000)[0] == pytest.approx(1500.0)
-    assert not in_stretch(v, 100_000, CFG.road_length)
-    assert in_stretch(v, 99_999, CFG.road_length)
 
 
 def test_query_before_spawn_is_error():
@@ -101,11 +99,11 @@ def test_trigger_mirrored_for_opposing_direction():
     east, west = _east_vehicle(), _west_vehicle()
     for d_t in (300.0, 0.0, -100.0):
         assert trigger_crossing_time(east, d_t) == trigger_crossing_time(west, d_t)
-    # Signed distance decreases through zero for both directions.
+    # Signed distance to an RSU at x = 0 decreases through zero for both
+    # directions.
     for v in (east, west):
-        assert signed_distance(v, 0, 0.0) == pytest.approx(1500.0)
-        assert signed_distance(v, 50_000, 0.0) == pytest.approx(0.0)
-        assert signed_distance(v, 60_000, 0.0) == pytest.approx(-300.0)
+        for t, expected in ((0, 1500.0), (50_000, 0.0), (60_000, -300.0)):
+            assert -position_at(v, t)[0] * v.direction.sign == pytest.approx(expected)
 
 
 def test_exit_time_and_transit():
@@ -128,5 +126,6 @@ def test_stretch_window_matches_in_stretch():
     for t in (0, 40_000, 100_000, 149_999):
         lo, hi = stretch_window(spawns, t, transit)
         window_ids = {arrivals[i].vehicle_id for i in range(lo, hi)}
-        truth = {v.vehicle_id for v in arrivals if in_stretch(v, t, CFG.road_length)}
+        truth = {v.vehicle_id for v in arrivals
+                 if v.spawn_time <= t < exit_time(v, CFG.road_length)}
         assert window_ids == truth
