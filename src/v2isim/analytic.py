@@ -11,7 +11,7 @@ distance-dependent success probabilities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .channel import PerCurve, per
 from .core import ScenarioConfig, SignedMeters
@@ -135,11 +135,6 @@ def sweep_trigger(params: AnalyticParams,
         raise ValueError("d_range must be non-empty")
     out = []
     for d in d_range:
-        p = AnalyticParams(
-            d_t=d, mean_speed=params.mean_speed, t_sum_s=params.t_sum_s,
-            tau_s=params.tau_s, curve=params.curve, density=params.density,
-            n_max=params.n_max,
-        )
-        mean, mass = _mean_and_mass(first_success_pmf(p))
+        mean, mass = _mean_and_mass(first_success_pmf(replace(params, d_t=d)))
         out.append(SweepPoint(d_t=d, mean_attempts=mean, success_mass=mass))
     return out

@@ -1,17 +1,20 @@
 """Command-line front end: simulate, sweep, analytic, validate, trace.
 
 Every scenario parameter can be overridden from the command line with
-repeated ``--set key=value`` flags using the same keys as the configuration
-file. Diagnostics go to stderr; tabular data goes to files (the validate
-subcommand prints its comparison table, which is its work product). Exit
-status is 0 only when all requested work succeeded.
+repeated ``--set key=value`` flags using the same keys and rules as the
+configuration file. Every scenario a command runs (a sweep cell, an analytic
+density, a validate point) is built with ``replace_config``, so it passes the
+same validation as the base scenario. Diagnostics go to stderr; tabular data
+goes to files (the validate subcommand prints its comparison table, which is
+its work product). Exit status: 0 when all requested work succeeded, 1 when
+a run or an export failed, 2 when the input was rejected.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
+import math
 import os
 import sys
 
@@ -23,6 +26,7 @@ from . import metrics
 from .channel import CurveError
 from .core import (
     ConfigError, ScenarioConfig, dumps_config, load_config, override_config,
+    raise_violations, replace_config,
 )
 from .validation import check_against_pmf
 
@@ -34,11 +38,11 @@ def derive_cell_seed(base_seed: int, d_t: float, flow: float) -> int:
 
 
 def _load(args: argparse.Namespace) -> ScenarioConfig:
+    """The base scenario: --config, then --set and --seed, with its calibration read."""
     cfg = load_config(args.config) if args.config else ScenarioConfig()
-    if args.set:
-        cfg = override_config(cfg, args.set)
-    if getattr(args, "seed", None) is not None:
-        cfg = override_config(cfg, [f"rng_seed={args.seed}"])
+    seed = [] if args.seed is None else [f"rng_seed={args.seed}"]
+    cfg = override_config(cfg, args.set + seed)
+    cfg.channel()  # an unreadable or invalid calibration file is rejected input
     return cfg
 
 
@@ -67,8 +71,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if not d_values or not flows:
         raise ConfigError("sweep grid must be non-empty")
     cells = [
-        dataclasses.replace(cfg, d_t=d, flow_rate=f,
-                            rng_seed=derive_cell_seed(cfg.rng_seed, d, f))
+        replace_config(cfg, d_t=d, flow_rate=f,
+                       rng_seed=derive_cell_seed(cfg.rng_seed, d, f))
         for d in d_values for f in flows
     ]
     os.makedirs(args.out, exist_ok=True)
@@ -98,15 +102,20 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_analytic(args: argparse.Namespace) -> int:
     cfg = _load(args)
-    densities = _floats(args.densities)
+    flags = {"--d-min": args.d_min, "--d-max": args.d_max, "--d-step": args.d_step}
+    bad = [f"{flag} must be a finite number (got {value})"
+           for flag, value in flags.items() if not math.isfinite(value)]
     if args.d_step <= 0:
-        raise ConfigError(f"--d-step must be > 0 (got {args.d_step})")
+        bad.append(f"--d-step must be > 0 (got {args.d_step})")
+    if args.d_min > args.d_max:
+        bad.append(f"--d-min must not exceed --d-max (got {args.d_min} > {args.d_max})")
+    raise_violations(bad)
+    cells = [replace_config(cfg, flow_rate=rho) for rho in _floats(args.densities)]
     d_values = list(np.arange(args.d_min, args.d_max + args.d_step / 2, args.d_step))
     rows = []
-    for rho in densities:
-        params = ana.params_from_config(cfg, density=rho)
-        for point in ana.sweep_trigger(params, d_values):
-            rows.append((rho, point.d_t, point.mean_attempts, point.success_mass))
+    for cell in cells:
+        for point in ana.sweep_trigger(ana.params_from_config(cell), d_values):
+            rows.append((cell.flow_rate, point.d_t, point.mean_attempts, point.success_mass))
     metrics.export_analytic(rows, args.out)
     print(f"analytic: {len(rows)} rows -> {args.out}", file=sys.stderr)
     return 0
@@ -114,18 +123,20 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     cfg = _load(args)
-    if args.trials < 10_000:
-        raise ConfigError(f"--trials must be >= 10000 (got {args.trials})")
     points = []
     for spec_str in args.point or ["300:30", "0:10", "-100:20"]:
+        d_str, _, flow_str = spec_str.partition(":")
         try:
-            d_str, _, flow_str = spec_str.partition(":")
-            points.append((float(d_str), float(flow_str)))
+            d_t, flow = float(d_str), float(flow_str)
         except ValueError:
             raise ConfigError(f"--point expects D_T:FLOW, got {spec_str!r}") from None
+        if not math.isfinite(d_t):
+            raise_violations([f"--point {spec_str}: d_t must be a finite number"])
+        points.append((d_t, replace_config(cfg, flow_rate=flow)))
     all_ok = True
-    for d_t, flow in points:
-        params = ana.params_from_config(cfg, d_t=d_t, density=flow)
+    for d_t, cell in points:
+        flow = cell.flow_rate
+        params = ana.params_from_config(cell, d_t=d_t)
         rng = np.random.default_rng(derive_cell_seed(cfg.rng_seed, d_t, flow))
         for check in check_against_pmf(params, args.trials, rng):
             ok = check.within_3sigma
@@ -143,10 +154,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    cfg = _load(args)
-    if args.duration is not None:
-        cfg = override_config(cfg, [f"sim_duration={args.duration}"])
-    summary = engine.run(cfg, trace_path=args.out)
+    summary = engine.run(_load(args), trace_path=args.out)
     print(f"trace: {len(summary.records)} records, transitions -> {args.out}",
           file=sys.stderr)
     return 0
@@ -201,8 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace = sub.add_parser("trace", help="run with per-transition event trace")
     common(p_trace)
     p_trace.add_argument("--out", required=True, help="trace output file")
-    p_trace.add_argument("--duration", type=int,
-                         help="override sim_duration (ms) for short traces")
     p_trace.set_defaults(fn=_cmd_trace)
     return parser
 

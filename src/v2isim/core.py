@@ -7,8 +7,9 @@ vehicle's own direction of travel and negative once it has passed the RSU.
 A ``Message`` is an immutable named tuple; the engine stamps its transmit
 position with ``msg._replace(tx_position=...)``. The per-kind radio
 parameters (priority, payload size, MCS) have no effect on the simulation
-and are listed in the README only. The config parser takes each field's
-type from the ``ScenarioConfig`` annotations.
+and are listed in the README only. One key=value parser serves config-file
+lines and overrides, taking each field's type from the ``ScenarioConfig``
+annotations; every parsed or derived config passes ``replace_config``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import math
 import os
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, get_type_hints
+from typing import Iterable, NamedTuple, get_type_hints
 
 from . import channel as _channel
 
@@ -124,6 +125,13 @@ class ScenarioConfig:
 # Field name -> int, float or str, in declaration order.
 _FIELD_TYPES: dict[str, type] = get_type_hints(ScenarioConfig)
 
+# Fields that must be > 0, with their units.
+_POSITIVE_FIELDS = {
+    "t_sum": "ms", "t_ack": "ms", "sam_period": "ms", "bsm_period": "ms",
+    "sim_duration": "ms", "flow_rate": "veh/s", "mean_speed": "m/s",
+    "road_length": "m", "lane_width": "m",
+}
+
 
 def validate_config(cfg: ScenarioConfig) -> list[str]:
     """Return every violated invariant as a human-readable reason.
@@ -131,54 +139,45 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
     Never raises: an empty list means the configuration is valid.
     """
     violations: list[str] = []
-
-    def bad(reason: str) -> None:
-        violations.append(reason)
-
+    bad = violations.append
     for name, kind in _FIELD_TYPES.items():
         value = getattr(cfg, name)
         if kind is float and not math.isfinite(value):
             bad(f"{name} must be a finite number (got {value})")
     if cfg.b_ack < 1:
         bad(f"b_ack must be >= 1 (got {cfg.b_ack})")
-    for name in ("t_sum", "t_ack", "sam_period", "bsm_period"):
+    for name, unit in _POSITIVE_FIELDS.items():
         value = getattr(cfg, name)
         if value <= 0:
-            bad(f"{name} must be a positive duration in ms (got {value})")
-    if cfg.flow_rate <= 0:
-        bad(f"flow_rate must be > 0 veh/s (got {cfg.flow_rate})")
-    if cfg.mean_speed <= 0:
-        bad(f"mean_speed must be > 0 m/s (got {cfg.mean_speed})")
-    if cfg.road_length <= 0:
-        bad(f"road_length must be > 0 m (got {cfg.road_length})")
-    elif abs(cfg.d_t) >= cfg.road_length / 2:
-        bad(
-            f"d_t must satisfy |d_t| < road_length/2 so the trigger line lies "
-            f"inside the modeled stretch (got d_t={cfg.d_t}, "
-            f"road_length={cfg.road_length})"
-        )
+            bad(f"{name} must be > 0 {unit} (got {value})")
+    # Each direction gets half the flow; that half must not underflow to 0.
+    if cfg.flow_rate > 0 and cfg.flow_rate / 2.0 == 0:
+        bad(f"flow_rate must be > 0 veh/s in each direction (got {cfg.flow_rate})")
+    if abs(cfg.d_t) + abs(cfg.rsu_x) >= cfg.road_length / 2:
+        bad(f"d_t and rsu_x must satisfy |d_t| + |rsu_x| < road_length/2 so the "
+            f"trigger line lies inside the stretch in both directions (got d_t="
+            f"{cfg.d_t}, rsu_x={cfg.rsu_x}, road_length={cfg.road_length})")
+    if cfg.mean_speed > 0 and not math.isfinite(cfg.road_length / cfg.mean_speed * 1e3):
+        bad(f"road_length / mean_speed must be a finite transit time in ms "
+            f"(got {cfg.road_length} / {cfg.mean_speed})")
     if cfg.lane_count < 2 or cfg.lane_count % 2 != 0:
         bad(f"lane_count must be an even number >= 2 (got {cfg.lane_count})")
-    if cfg.lane_width <= 0:
-        bad(f"lane_width must be > 0 m (got {cfg.lane_width})")
-    if cfg.road_length > 0 and abs(cfg.rsu_x) >= cfg.road_length / 2:
-        bad(f"rsu_x must lie inside the stretch (got {cfg.rsu_x})")
-    if cfg.sim_duration <= 0:
-        bad(f"sim_duration must be > 0 ms (got {cfg.sim_duration})")
+    # Any two positions lie within ``extent`` of each other on both axes.
+    extent = cfg.road_length + cfg.lane_count * cfg.lane_width + abs(cfg.rsu_y)
+    if not math.isfinite(2.0 * extent * extent):
+        bad(f"road_length + lane_count * lane_width + |rsu_y| must keep squared "
+            f"distances finite (got {cfg.road_length} + {cfg.lane_count} * "
+            f"{cfg.lane_width} + |{cfg.rsu_y}|)")
     if cfg.warmup < 0:
         bad(f"warmup must be >= 0 ms (got {cfg.warmup})")
     if cfg.tau_mode not in ("fixed", "uniform"):
         bad(f"tau_mode must be 'fixed' or 'uniform' (got {cfg.tau_mode!r})")
-    if not (_channel.TAU_MIN_MS <= cfg.tau_low <= cfg.tau_high <= _channel.TAU_MAX_MS):
-        bad(
-            f"tau range must satisfy {_channel.TAU_MIN_MS} <= tau_low <= "
-            f"tau_high <= {_channel.TAU_MAX_MS} (got [{cfg.tau_low}, {cfg.tau_high}])"
-        )
-    if not (_channel.TAU_MIN_MS <= cfg.tau_fixed <= _channel.TAU_MAX_MS):
-        bad(
-            f"tau_fixed must lie in [{_channel.TAU_MIN_MS}, {_channel.TAU_MAX_MS}] ms "
-            f"(got {cfg.tau_fixed})"
-        )
+    lo, hi = _channel.TAU_MIN_MS, _channel.TAU_MAX_MS
+    if not lo <= cfg.tau_low <= cfg.tau_high <= hi:
+        bad(f"tau range must satisfy {lo} <= tau_low <= tau_high <= {hi} "
+            f"(got [{cfg.tau_low}, {cfg.tau_high}])")
+    if not lo <= cfg.tau_fixed <= hi:
+        bad(f"tau_fixed must lie in [{lo}, {hi}] ms (got {cfg.tau_fixed})")
     if cfg.bsm_probe_count < 1:
         bad(f"bsm_probe_count must be >= 1 (got {cfg.bsm_probe_count})")
     if cfg.rng_seed < 0:
@@ -186,85 +185,84 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
     return violations
 
 
-def _coerce(key: str, raw: str, lineno: int) -> int | float | str:
-    kind = _FIELD_TYPES[key]
-    try:
-        return kind(raw)
-    except ValueError:
-        expected = "an integer" if kind is int else "a number"
-        raise ConfigError(
-            f"line {lineno}: field {key} expects {expected}, got {raw!r}"
-        ) from None
+def raise_violations(violations: list[str]) -> None:
+    """Raise one ``ConfigError`` listing every violation; no-op when empty."""
+    if violations:
+        raise ConfigError("invalid configuration:\n  " + "\n  ".join(violations))
+
+
+def replace_config(cfg: ScenarioConfig, **changes) -> ScenarioConfig:
+    """``dataclasses.replace`` that raises ``ConfigError`` unless the result is valid."""
+    new = dataclasses.replace(cfg, **changes)
+    raise_violations(validate_config(new))
+    return new
+
+
+def _parse_assignments(items: Iterable[tuple[str, str]]) -> dict[str, int | float | str]:
+    """Typed field values from ``(where, "key = value")`` items.
+
+    Config-file lines and command-line overrides share these rules: unknown
+    keys, duplicate keys and empty values are errors, and each error starts
+    with the item's ``where`` (a file line or the override itself).
+    """
+    values: dict[str, int | float | str] = {}
+    for where, text in items:
+        key, eq, raw = text.partition("=")
+        key = key.strip()
+        raw = raw.strip()
+        if not eq:
+            raise ConfigError(f"{where}: expected 'key = value', got {text!r}")
+        if key not in _FIELD_TYPES:
+            raise ConfigError(f"{where}: unknown key {key!r}")
+        if key in values:
+            raise ConfigError(f"{where}: duplicate key {key!r}")
+        if not raw:
+            raise ConfigError(f"{where}: empty value for {key!r}")
+        kind = _FIELD_TYPES[key]
+        try:
+            values[key] = kind(raw)
+        except ValueError:
+            expected = "an integer" if kind is int else "a number"
+            raise ConfigError(
+                f"{where}: field {key} expects {expected}, got {raw!r}"
+            ) from None
+    return values
 
 
 def parse_config(text: str, base_dir: str = ".") -> ScenarioConfig:
     """Parse flat ``key = value`` configuration text.
 
-    Omitted fields keep their defaults; unknown or duplicate keys are errors.
-    Relative per_curve paths are resolved against ``base_dir``.
+    Omitted fields keep their defaults; ``#`` starts a comment. Relative
+    per_curve paths are resolved against ``base_dir``.
     """
-    values: dict[str, int | float | str] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
-        key, _, raw = stripped.partition("=")
-        key = key.strip()
-        raw = raw.strip()
-        if key not in _FIELD_TYPES:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        if key in values:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        if not raw:
-            raise ConfigError(f"line {lineno}: empty value for {key!r}")
-        values[key] = _coerce(key, raw, lineno)
-
+    lines = ((f"line {lineno}", line.split("#", 1)[0].strip())
+             for lineno, line in enumerate(text.splitlines(), start=1))
+    values = _parse_assignments((where, text) for where, text in lines if text)
     curve_ref = values.get("per_curve")
     if isinstance(curve_ref, str) and curve_ref != "default" \
             and not os.path.isabs(curve_ref):
         values["per_curve"] = os.path.normpath(os.path.join(base_dir, curve_ref))
-    cfg = ScenarioConfig(**values)
-    violations = validate_config(cfg)
-    if violations:
-        raise ConfigError(
-            "invalid configuration:\n  " + "\n  ".join(violations)
-        )
-    return cfg
+    return replace_config(ScenarioConfig(), **values)
 
 
 def override_config(cfg: ScenarioConfig, assignments: list[str]) -> ScenarioConfig:
     """Apply ``key=value`` overrides on top of an existing config, revalidating."""
-    updates: dict[str, int | float | str] = {}
-    for i, item in enumerate(assignments, start=1):
-        if "=" not in item:
-            raise ConfigError(f"override {item!r}: expected key=value")
-        key, _, raw = item.partition("=")
-        key = key.strip()
-        raw = raw.strip()
-        if key not in _FIELD_TYPES:
-            raise ConfigError(f"override: unknown key {key!r}")
-        updates[key] = _coerce(key, raw, i)
-    new = dataclasses.replace(cfg, **updates)
-    violations = validate_config(new)
-    if violations:
-        raise ConfigError("invalid configuration:\n  " + "\n  ".join(violations))
-    return new
+    return replace_config(
+        cfg, **_parse_assignments((f"override {item!r}", item) for item in assignments))
 
 
 def load_config(path: str) -> ScenarioConfig:
-    """Load and validate a scenario configuration file."""
+    """Load and validate a scenario configuration file.
+
+    The calibration file named by ``per_curve`` is not read here; it is
+    resolved by ``ScenarioConfig.channel()``.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    cfg = parse_config(text, base_dir=os.path.dirname(os.path.abspath(path)))
-    if cfg.per_curve != "default":
-        # Fail at load time if the referenced calibration is unusable.
-        _channel.load_per_curve(cfg.per_curve)
-    return cfg
+    return parse_config(text, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
 def dumps_config(cfg: ScenarioConfig) -> str:

@@ -36,8 +36,8 @@ from . import channel as chan
 from . import mobility as mob
 from . import protocol as proto
 from .core import (
-    ConfigError, Message, MessageKind, RSU_ID, ScenarioConfig, TimeMs,
-    ceil_ms, validate_config,
+    Message, MessageKind, RSU_ID, ScenarioConfig, TimeMs, ceil_ms,
+    raise_violations, validate_config,
 )
 from .metrics import (
     CompletionRecord, OUTCOME_COMPLETE, OUTCOME_DESPAWN, OUTCOME_SIMEND,
@@ -126,9 +126,7 @@ TraceFn = Callable[[TimeMs, str, str, str, str], None]
 
 class _Simulation:
     def __init__(self, cfg: ScenarioConfig, trace: TraceFn | None = None):
-        violations = validate_config(cfg)
-        if violations:
-            raise ConfigError("invalid configuration:\n  " + "\n  ".join(violations))
+        raise_violations(validate_config(cfg))
         self.cfg = cfg
         self.trace = trace
         self.rng = np.random.default_rng(cfg.rng_seed)
@@ -138,7 +136,7 @@ class _Simulation:
         self.density = cfg.flow_rate
         self.queue = EventQueue()
 
-        self.vehicles: dict[int, mob.VehicleKinematics] = {}
+        # Vehicles between spawn and despawn: every position lookup is for one.
         self.active: dict[int, mob.VehicleKinematics] = {}
         self.awaiting_sam: dict[int, None] = {}
         self.obu: dict[int, proto.ObuState] = {}
@@ -186,7 +184,7 @@ class _Simulation:
         return ceil_ms(chan.sample_tau(self.rng, self.tau) / 2.0)
 
     def _obu_position(self, vid: int, t: TimeMs) -> tuple[float, float]:
-        return mob.position_at(self.vehicles[vid], t)
+        return mob.position_at(self.active[vid], t)
 
     def _apply_output(self, sender: int, now: TimeMs, out: proto.ProtocolOutput) -> None:
         for msg in out.transmissions:
@@ -238,7 +236,7 @@ class _Simulation:
             else outcome_if_incomplete
         self.records.append(CompletionRecord(
             vehicle_id=vid,
-            direction=self.vehicles[vid].direction,
+            direction=self.active[vid].direction,
             sam_rx_time=state.sam_rx_time,
             first_sum_tx_time=state.first_sum_tx_time,
             ack_rx_time=state.ack_rx_time,
@@ -249,7 +247,6 @@ class _Simulation:
     # -- event handlers ----------------------------------------------------
 
     def _on_spawn(self, now: TimeMs, v: mob.VehicleKinematics) -> None:
-        self.vehicles[v.vehicle_id] = v
         self.active[v.vehicle_id] = v
         self.awaiting_sam[v.vehicle_id] = None
         self.obu[v.vehicle_id] = proto.ObuState(vehicle_id=v.vehicle_id, t_sum=self.cfg.t_sum)

@@ -76,10 +76,6 @@ def _sorted_scts(recs: list[CompletionRecord]) -> list[TimeMs]:
     return scts
 
 
-def complete_sorted_scts(summary: RunSummary) -> list[TimeMs]:
-    return _sorted_scts(measured_records(summary))
-
-
 def _nearest_rank(scts: list[TimeMs], q: float) -> TimeMs | None:
     if not 0.0 < q <= 100.0:
         raise ValueError(f"percentile must lie in (0, 100] (got {q})")
@@ -94,7 +90,7 @@ def sct_percentile(summary: RunSummary, q: float) -> TimeMs | None:
 
     q must lie in (0, 100]. Returns None when no complete record exists.
     """
-    return _nearest_rank(complete_sorted_scts(summary), q)
+    return _nearest_rank(_sorted_scts(measured_records(summary)), q)
 
 
 def _mean_attempts(recs: list[CompletionRecord]) -> float | None:

@@ -67,7 +67,9 @@ def generate_arrivals(proc: ArrivalProcess, cfg: ScenarioConfig,
     Inter-arrival gaps are exponential with mean 1/rate; lanes are uniform
     over the direction's lanes. Spawn instants land on the 1 ms grid and are
     strictly increasing (simultaneous arrivals are pushed apart by 1 ms).
-    Deterministic for a given rng state.
+    Deterministic for a given rng state. The stream stops at the first
+    arrival past the horizon, before that arrival's time is rounded to whole
+    milliseconds, so a very long (even infinite) gap ends it cleanly.
     """
     if proc.rate <= 0:
         raise MobilityError(f"arrival rate must be > 0 (got {proc.rate})")
@@ -78,6 +80,9 @@ def generate_arrivals(proc: ArrivalProcess, cfg: ScenarioConfig,
     prev_ms = 0
     while True:
         t_s += rng.exponential(1.0 / proc.rate)
+        # ceil_ms(x) > horizon exactly when x - 1e-9 > horizon (an integer).
+        if t_s * 1000.0 - 1e-9 > proc.horizon:
+            break
         t_ms = max(ceil_ms(t_s * 1000.0), prev_ms + 1)
         if t_ms > proc.horizon:
             break

@@ -16,6 +16,7 @@ import numpy as np
 
 from .analytic import AnalyticParams, attempt_distances, first_success_pmf
 from .channel import per
+from .core import ConfigError
 
 
 def mc_first_success_counts(params: AnalyticParams, trials: int,
@@ -53,7 +54,7 @@ def check_against_pmf(params: AnalyticParams, trials: int,
                       rng: np.random.Generator, n_check: int = 6) -> list[BinCheck]:
     """Per-attempt binomial 3-sigma comparison for attempts 0..n_check-1."""
     if trials < 10_000:
-        raise ValueError(f"trials must be >= 10000 for a meaningful check (got {trials})")
+        raise ConfigError(f"trials must be >= 10000 for a meaningful check (got {trials})")
     pmf = first_success_pmf(params)
     pmf = pmf + [0.0] * max(0, n_check - len(pmf))
     counts = mc_first_success_counts(params, trials, rng, n_check)

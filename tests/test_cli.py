@@ -26,18 +26,43 @@ def test_unknown_override_key_rejected(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+# TMP in a case stands for the test's temporary directory.
 @pytest.mark.parametrize("command, bad, field", [
     ("simulate", "--set d_t=nan", "d_t"),
     ("simulate", "--set lane_width=nan", "lane_width"),
     ("simulate", "--set flow_rate=inf", "flow_rate"),
     ("simulate", "--seed -1", "rng_seed"),
     ("validate", "--seed -1", "rng_seed"),
+    ("sweep", "--d-t 5000 --flows 10", "d_t"),
+    ("sweep", "--set per_curve=TMP/missing.per", "TMP/missing.per"),
+    ("analytic", "--densities nan", "flow_rate"),
+    ("analytic", "--densities 0", "flow_rate"),
+    ("analytic", "--d-min nan", "--d-min"),
+    ("analytic", "--d-min 10 --d-max 0", "--d-max"),
+    ("validate", "--point nan:10", "d_t"),
+    ("validate", "--point 0:0", "flow_rate"),
+    ("simulate", "--set d_t=1 --set d_t=2", "duplicate key 'd_t'"),
+    ("simulate", "--set b_ack=x", "b_ack=x"),
+    ("trace", "--set mean_speed=1e-320", "mean_speed"),
 ])
 def test_non_finite_value_or_negative_seed_exits_2_naming_field(
         tmp_path, capsys, command, bad, field):
-    out = ["--out", str(tmp_path / "o")] if command == "simulate" else []
+    bad, field = (text.replace("TMP", str(tmp_path)) for text in (bad, field))
+    out = [] if command == "validate" else ["--out", str(tmp_path / "o")]
     assert main([command, *out, *FAST, *bad.split()]) == 2
-    assert field in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert field in err
+    assert "line 1" not in err
+
+
+def test_trigger_outside_stretch_still_accepted_by_model_commands(tmp_path, capsys):
+    """The closed form has no stretch: analytic and validate accept any finite d_t."""
+    out = tmp_path / "ana.csv"
+    assert main(["analytic", "--out", str(out), "--d-min", "1900", "--d-max", "2000",
+                 "--densities", "10"]) == 0
+    assert len(out.read_text().splitlines()) == 1 + 6
+    assert main(["validate", "--trials", "10000", "--point", "2000:10"]) == 0
+    assert "d_t=2000 flow=10 n=0" in capsys.readouterr().out
 
 
 def test_simulate_writes_tables(tmp_path):
@@ -156,7 +181,7 @@ def test_validate_bad_point_spec(capsys):
 
 def test_trace_writes_transition_lines(tmp_path):
     out = tmp_path / "t.trace"
-    assert main(["trace", "--out", str(out), "--duration", "20000",
+    assert main(["trace", "--out", str(out), "--set", "sim_duration=20000",
                  "--set", "warmup=0", "--set", "flow_rate=3",
                  "--set", "bsm_period=1000"]) == 0
     lines = out.read_text().splitlines()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import pytest
 
@@ -50,10 +51,22 @@ def test_validation_reports_all_violations_without_raising():
     ("d_t", math.nan), ("flow_rate", math.inf), ("mean_speed", math.nan),
     ("road_length", math.inf), ("lane_width", math.nan), ("rsu_x", -math.inf),
     ("rsu_y", math.nan), ("rng_seed", -1),
+    # Finite, but the transit time, a per-direction rate or a squared
+    # distance overflows or underflows.
+    ("mean_speed", 1e-320), ("road_length", 1e308), ("flow_rate", 5e-324),
+    ("lane_width", 1e308), ("rsu_y", 1e200),
 ])
 def test_non_finite_float_or_negative_seed_rejected_naming_field(field, value):
     violations = validate_config(ScenarioConfig(**{field: value}))
     assert violations and all(field in msg for msg in violations)
+
+
+def test_trigger_line_must_lie_inside_stretch_in_both_directions():
+    # With the RSU off-center, one direction's trigger line moves outward.
+    assert validate_config(ScenarioConfig(rsu_x=1000.0, d_t=-400.0)) == []
+    for rsu_x, d_t in ((1400.0, -1400.0), (-1400.0, 1400.0), (200.0, 1400.0)):
+        violations = validate_config(ScenarioConfig(rsu_x=rsu_x, d_t=d_t))
+        assert len(violations) == 1 and "d_t" in violations[0]
 
 
 def test_load_partial_file_fills_defaults(tmp_path):
@@ -129,6 +142,22 @@ def test_override_config_applies_and_revalidates():
         override_config(ScenarioConfig(), ["bogus=1"])
     with pytest.raises(ConfigError, match="b_ack"):
         override_config(ScenarioConfig(), ["b_ack=0"])
+
+
+@pytest.mark.parametrize("items, message", [
+    (["d_t=1", "d_t=2"], "override 'd_t=2': duplicate key 'd_t'"),
+    (["per_curve="], "override 'per_curve=': empty value for 'per_curve'"),
+    (["b_ack=x"], "override 'b_ack=x': field b_ack expects an integer"),
+    (["b_ack"], "override 'b_ack': expected 'key = value'"),
+])
+def test_override_errors_follow_file_rules_and_name_the_item(items, message):
+    with pytest.raises(ConfigError) as info:
+        override_config(ScenarioConfig(), items)
+    assert str(info.value).startswith(message)
+    # The same items as file lines, after a comment line: the last one fails.
+    where = f"line {len(items) + 1}: "
+    with pytest.raises(ConfigError, match=re.escape(where + message.split(": ", 1)[1])):
+        parse_config("\n".join(["# header", *items]) + "\n")
 
 
 def test_tau_range_validated():

@@ -174,6 +174,11 @@ def test_invalid_config_rejected():
         run(short_cfg(b_ack=0))
 
 
+def test_flow_too_low_for_any_arrival_runs_empty():
+    summary = run(short_cfg(flow_rate=1e-307))
+    assert summary.records == () and summary.bsm_tx_count == 0
+
+
 # -- behavior ------------------------------------------------------------
 
 

@@ -117,6 +117,14 @@ def test_rate_must_be_positive():
         generate_arrivals(proc, CFG, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("rate", [1e-307, 1e-320])
+def test_arrival_gap_past_any_horizon_ends_the_stream(rate):
+    # A mean gap of 1e307 s overflows once converted to ms; 1/1e-320 is inf.
+    proc = ArrivalProcess(rate=rate, horizon=10**12, direction=Direction.EAST)
+    for seed in range(20):
+        assert generate_arrivals(proc, CFG, np.random.default_rng(seed)) == []
+
+
 def test_stretch_window_matches_in_stretch():
     rng = np.random.default_rng(5)
     proc = ArrivalProcess(rate=20.0, horizon=150_000, direction=Direction.EAST)
