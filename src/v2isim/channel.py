@@ -90,7 +90,8 @@ class PerCurve:
             hi = bisect.bisect_right(levels, density)
             lo = hi - 1
             w = (density - levels[lo]) / (levels[hi] - levels[lo])
-            blend = (float(w), knots[lo], knots[hi])
+            # At a level exactly the upper table has no weight: skip it.
+            blend = (0.0, knots[lo], None) if w == 0 else (float(w), knots[lo], knots[hi])
         if len(self._blends) >= _BLEND_CACHE_SIZE:
             self._blends.clear()
         self._blends[density] = blend

@@ -31,6 +31,11 @@ from .core import (
 from .validation import check_against_pmf
 
 
+# The analytic grid costs one pmf per point and density; a 5 cm step across
+# the whole default stretch (60,001 points) fits.
+MAX_ANALYTIC_POINTS = 100_000
+
+
 def derive_cell_seed(base_seed: int, d_t: float, flow: float) -> int:
     """Stable per-cell seed: base xor a hash of the cell key."""
     digest = hashlib.sha256(f"d_t={d_t!r},flow={flow!r}".encode()).digest()
@@ -109,6 +114,12 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
         bad.append(f"--d-step must be > 0 (got {args.d_step})")
     if args.d_min > args.d_max:
         bad.append(f"--d-min must not exceed --d-max (got {args.d_min} > {args.d_max})")
+    if not bad:
+        # The length of the np.arange grid below; inf when its stop overflows.
+        points = (args.d_max + args.d_step / 2 - args.d_min) / args.d_step
+        if not points <= MAX_ANALYTIC_POINTS:
+            bad.append(f"--d-min, --d-max and --d-step must give at most "
+                       f"{MAX_ANALYTIC_POINTS} points per density (got {points:.3g})")
     raise_violations(bad)
     cells = [replace_config(cfg, flow_rate=rho) for rho in _floats(args.densities)]
     d_values = list(np.arange(args.d_min, args.d_max + args.d_step / 2, args.d_step))

@@ -1,8 +1,10 @@
 """Deterministic discrete-event core: queue, clock, delivery, orchestration.
 
 Every run is a pure function of (config, seed): events are totally ordered by
-(time, insertion sequence), the clock never moves backward, and all
-randomness flows through one per-run generator consumed in event order.
+(time, insertion sequence) and the clock never moves backward. Randomness
+comes from two streams of the seed. Arrivals and the protocol draw from
+``default_rng(seed)`` in event order; the BSM pass draws from the first child
+of ``SeedSequence(seed)``, so no BSM setting moves a protocol outcome.
 
 Events are named tuples ``(time, seq, kind, payload)`` on a ``heapq`` heap,
 so the heap orders them with C tuple comparison. ``seq`` is unique, so a
@@ -16,10 +18,11 @@ its Euclidean distance from the transmit position, receiver position taken at
 arrival time. Senders never receive their own transmissions.
 
 Background safety broadcasts (BSMs) only feed the reception-rate metric and
-have no protocol effect, so they are processed in vectorized per-period
-batches: every in-stretch vehicle transmits each period, and reception is
-sampled toward a bounded random probe set per transmission (an unbiased
-estimate of the same packet error rate at a fraction of the cost of
+have no protocol effect, and positions are closed-form, so they are not
+events: one pass after the event loop (``bsm_counters``) handles every BSM
+tick in vectorized form. Every in-stretch vehicle transmits each tick, and
+reception is sampled toward a bounded random probe set per transmission (an
+unbiased estimate of the same packet error rate at a fraction of the cost of
 enumerating every in-stretch receiver).
 """
 
@@ -57,6 +60,8 @@ class EventKind(Enum):
     SAM_TIMER = "sam_timer"
     MSG_ARRIVAL = "msg_arrival"
     VEHICLE_DESPAWN = "vehicle_despawn"
+    # Never scheduled (bsm_counters runs after the loop); kept so per-kind
+    # event counts keep their names.
     BSM_TICK = "bsm_tick"
     SIM_END = "sim_end"
 
@@ -121,6 +126,55 @@ def deliver_broadcast(msg: Message,
     return received
 
 
+def bsm_counters(cfg: ScenarioConfig, curve: chan.PerCurve,
+                 by_direction: dict[mob.Direction, list[mob.VehicleKinematics]],
+                 ) -> tuple[int, int, int]:
+    """BSM transmissions, receptions and expected receptions over one run.
+
+    Ticks fall at every positive multiple of ``bsm_period`` before
+    ``sim_duration``. At a tick each of the n in-stretch vehicles transmits
+    once and is heard, or not, by min(bsm_probe_count, n - 1) other
+    in-stretch vehicles drawn uniformly (a probe may repeat). Draws come
+    from the seed's BSM stream, which is not built when there is no tick.
+    """
+    ticks = np.arange(cfg.bsm_period, cfg.sim_duration, cfg.bsm_period, dtype=np.int64)
+    if len(ticks) == 0:
+        return 0, 0, 0
+    transit = mob.transit_ms(cfg.road_length, cfg.mean_speed)
+    sides = []
+    counts = np.zeros(len(ticks), dtype=np.int64)
+    for direction, vehicles in by_direction.items():
+        spawns = np.array([v.spawn_time for v in vehicles], dtype=np.int64)
+        ys = np.array([v.y for v in vehicles], dtype=float)
+        lo, hi = mob.stretch_window(spawns, ticks, transit)
+        counts += hi - lo
+        sides.append((direction, spawns, ys, lo.tolist(), hi.tolist()))
+    probe_counts = np.minimum(cfg.bsm_probe_count, counts - 1)
+    heard = counts >= 2
+    expected = int(np.dot(counts[heard], probe_counts[heard]))
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.rng_seed).spawn(1)[0])
+    rows = np.arange(int(counts.max()))[:, None]
+    received = 0
+    for i in np.flatnonzero(heard).tolist():
+        t = int(ticks[i])
+        x = np.concatenate([
+            mob.positions_x(spawns[lo[i]:hi[i]], t, direction,
+                            cfg.road_length, cfg.mean_speed)
+            for direction, spawns, _, lo, hi in sides
+        ])
+        y = np.concatenate([ys[lo[i]:hi[i]] for _, _, ys, lo, hi in sides])
+        n = len(x)
+        probes = rng.integers(0, n - 1, size=(n, int(probe_counts[i])))
+        probes += probes >= rows[:n]  # skip self: shift indices at or past the sender
+        dx = x.take(probes) - x[:, None]
+        dy = y.take(probes) - y[:, None]
+        # Cheaper than np.hypot; validate_config keeps the squares finite.
+        dist = np.sqrt(np.square(dx, out=dx) + np.square(dy, out=dy))
+        received += int(np.count_nonzero(
+            chan.reception_mask(rng, curve, dist.ravel(), cfg.flow_rate)))
+    return int(counts.sum()), received, expected
+
+
 TraceFn = Callable[[TimeMs, str, str, str, str], None]
 
 
@@ -145,12 +199,8 @@ class _Simulation:
             b_ack=cfg.b_ack, t_ack=cfg.t_ack, sam_period=cfg.sam_period,
         )
         self.records: list[CompletionRecord] = []
-        self.bsm_tx = 0
-        self.bsm_rx = 0
-        self.bsm_expected = 0
 
-        # Arrivals are generated up front so per-direction spawn arrays can be
-        # sliced with searchsorted during vectorized BSM periods.
+        # Arrivals are generated up front; the BSM pass reads them after the run.
         east = mob.generate_arrivals(
             mob.ArrivalProcess(cfg.flow_rate / 2.0, cfg.sim_duration, mob.Direction.EAST),
             cfg, self.rng, id_start=0,
@@ -160,19 +210,8 @@ class _Simulation:
             cfg, self.rng, id_start=len(east),
         )
         self.by_direction = {mob.Direction.EAST: east, mob.Direction.WEST: west}
-        self.spawn_arrays = {
-            d: np.array([v.spawn_time for v in arr], dtype=np.int64)
-            for d, arr in self.by_direction.items()
-        }
-        self.y_arrays = {
-            d: np.array([v.y for v in arr], dtype=float)
-            for d, arr in self.by_direction.items()
-        }
-        self.transit = mob.transit_ms(cfg.road_length, cfg.mean_speed)
 
         self.queue.push(0, EventKind.SAM_TIMER)
-        if cfg.bsm_period <= cfg.sim_duration:
-            self.queue.push(cfg.bsm_period, EventKind.BSM_TICK)
         self.queue.push(cfg.sim_duration, EventKind.SIM_END)
         for arr in self.by_direction.values():
             for v in arr:
@@ -299,31 +338,6 @@ class _Simulation:
         self.active.pop(vid, None)
         self.awaiting_sam.pop(vid, None)
 
-    def _on_bsm_tick(self, now: TimeMs, _payload: None) -> None:
-        xs, ys = [], []
-        for direction in (mob.Direction.EAST, mob.Direction.WEST):
-            spawns = self.spawn_arrays[direction]
-            lo, hi = mob.stretch_window(spawns, now, self.transit)
-            if hi > lo:
-                xs.append(mob.positions_x(spawns[lo:hi], now, direction,
-                                          self.cfg.road_length, self.cfg.mean_speed))
-                ys.append(self.y_arrays[direction][lo:hi])
-        n = sum(len(x) for x in xs)
-        self.bsm_tx += n
-        if n >= 2:
-            x = np.concatenate(xs)
-            y = np.concatenate(ys)
-            k = min(self.cfg.bsm_probe_count, n - 1)
-            probes = self.rng.integers(0, n - 1, size=(n, k))
-            probes += probes >= np.arange(n)[:, None]
-            dist = np.hypot(x[probes] - x[:, None], y[probes] - y[:, None])
-            mask = chan.reception_mask(self.rng, self.curve, dist.ravel(), self.density)
-            self.bsm_rx += int(mask.sum())
-            self.bsm_expected += n * k
-        nxt = now + self.cfg.bsm_period
-        if nxt <= self.cfg.sim_duration:
-            self.queue.push(nxt, EventKind.BSM_TICK)
-
     # -- main loop ---------------------------------------------------------
 
     def run(self) -> RunSummary:
@@ -335,7 +349,6 @@ class _Simulation:
             EventKind.SAM_TIMER: self._on_sam_timer,
             EventKind.MSG_ARRIVAL: self._on_msg_arrival,
             EventKind.VEHICLE_DESPAWN: self._on_despawn,
-            EventKind.BSM_TICK: self._on_bsm_tick,
         }
         queue = self.queue
         while queue:
@@ -348,12 +361,13 @@ class _Simulation:
             handler(now, payload)
         for vid in list(self.active):
             self._finalize(vid, OUTCOME_SIMEND)
+        bsm_tx, bsm_rx, bsm_expected = bsm_counters(self.cfg, self.curve, self.by_direction)
         return RunSummary(
             cfg=self.cfg,
             records=tuple(self.records),
-            bsm_tx_count=self.bsm_tx,
-            bsm_rx_count=self.bsm_rx,
-            bsm_expected_rx_count=self.bsm_expected,
+            bsm_tx_count=bsm_tx,
+            bsm_rx_count=bsm_rx,
+            bsm_expected_rx_count=bsm_expected,
             seed=self.cfg.rng_seed,
         )
 
@@ -388,7 +402,9 @@ def run_batch(cfgs: Sequence[ScenarioConfig], parallelism: int = 1) -> list[RunS
 
     Cells are isolated: a failing cell does not abort its siblings, and all
     failures are reported together in a BatchError. Results are identical
-    whether the batch executes serially or in parallel.
+    whether the batch executes serially or in parallel. A pool gets the
+    heaviest cells (by ``flow_rate * sim_duration``) first, which shortens
+    the makespan.
     """
     if not cfgs:
         return []
@@ -397,8 +413,10 @@ def run_batch(cfgs: Sequence[ScenarioConfig], parallelism: int = 1) -> list[RunS
     if parallelism > 1 and len(cfgs) > 1:
         try:
             with ProcessPoolExecutor(max_workers=parallelism) as pool:
-                futures = [pool.submit(run, cfg) for cfg in cfgs]
-                for i, fut in enumerate(futures):
+                order = sorted(range(len(cfgs)), reverse=True,
+                               key=lambda i: cfgs[i].flow_rate * cfgs[i].sim_duration)
+                futures = {i: pool.submit(run, cfgs[i]) for i in order}
+                for i, fut in futures.items():
                     try:
                         results[i] = fut.result()
                     except Exception as exc:  # noqa: BLE001 - reported per index

@@ -146,8 +146,12 @@ def positions_x(spawn_times: np.ndarray, t: TimeMs, direction: Direction,
     return x0 + direction.sign * speed * (t - spawn_times) / 1000.0
 
 
-def stretch_window(spawn_times: np.ndarray, t: TimeMs, transit: TimeMs) -> tuple[int, int]:
-    """Index window [lo, hi) of vehicles in-stretch at t (spawn-sorted input)."""
-    lo = int(np.searchsorted(spawn_times, t - transit, side="right"))
-    hi = int(np.searchsorted(spawn_times, t, side="right"))
-    return lo, hi
+def stretch_window(spawn_times: np.ndarray, t: TimeMs | np.ndarray,
+                   transit: TimeMs) -> tuple[np.ndarray, np.ndarray]:
+    """Index window [lo, hi) of vehicles in-stretch at t (spawn-sorted input).
+
+    ``t`` is one instant or an array of instants; ``lo`` and ``hi`` follow
+    its shape.
+    """
+    return (np.searchsorted(spawn_times, t - transit, side="right"),
+            np.searchsorted(spawn_times, t, side="right"))

@@ -176,6 +176,14 @@ def test_scalar_per_bit_identical_to_per_many(name):
             assert type(got) is float
             # hex() compares bits: it tells -0.0 from 0.0 and matches NaN.
             assert got.hex() == want.hex(), (dist, rho)
+    # At exactly an interior level (20 veh/s on the default curve) only that
+    # level's table is read; the result has the bits of the zero-weight blend.
+    for i, rho in enumerate(curve.levels[1:-1], start=1):
+        own, upper = (PerCurve(levels=(rho,), tables=(curve.tables[j],)) for j in (i, i + 1))
+        for dist in _bit_probe_distances(curve):
+            blend = 1.0 * per(own, dist, rho) + 0.0 * per(upper, dist, rho)
+            for got in (per(curve, dist, rho), float(per_many(curve, [dist], rho)[0])):
+                assert got.hex() == per(own, dist, rho).hex() == blend.hex(), (dist, rho)
 
 
 @pytest.mark.parametrize("name", sorted(BIT_CURVES))

@@ -39,6 +39,8 @@ def test_unknown_override_key_rejected(tmp_path, capsys):
     ("analytic", "--densities 0", "flow_rate"),
     ("analytic", "--d-min nan", "--d-min"),
     ("analytic", "--d-min 10 --d-max 0", "--d-max"),
+    ("analytic", "--d-step 1e-300", "--d-step"),
+    ("analytic", "--d-min=-1e308 --d-max=1e308", "--d-max"),
     ("validate", "--point nan:10", "d_t"),
     ("validate", "--point 0:0", "flow_rate"),
     ("simulate", "--set d_t=1 --set d_t=2", "duplicate key 'd_t'"),

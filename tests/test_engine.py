@@ -8,13 +8,16 @@ import math
 import numpy as np
 import pytest
 
-from v2isim.channel import default_calibration, constant_per_curve
+from v2isim.channel import default_calibration, constant_per_curve, dumps_per_curve
 from v2isim.core import ConfigError, Message, MessageKind, RSU_ID, ScenarioConfig
 from v2isim.engine import (
     BatchError, EngineError, EventKind, EventQueue, deliver_broadcast, run,
     run_batch,
 )
 from v2isim.metrics import OUTCOME_SIMEND
+from v2isim.mobility import (
+    ArrivalProcess, Direction, entry_x, generate_arrivals, position_at,
+)
 
 
 def short_cfg(**overrides) -> ScenarioConfig:
@@ -148,6 +151,19 @@ def test_run_batch_matches_input_order_and_serial_parallel_agree():
     assert serial == parallel
 
 
+def test_run_batch_heaviest_first_keeps_input_order_and_serial_parallel_agree():
+    # flow_rate * sim_duration ranks the cells; the input order is shuffled.
+    loads = [(2.0, 40_000), (8.0, 30_000), (1.0, 20_000), (6.0, 40_000), (4.0, 10_000)]
+    cfgs = [short_cfg(flow_rate=f, sim_duration=d, rng_seed=70 + i)
+            for i, (f, d) in enumerate(loads)]
+    order = [3, 0, 4, 1, 2]
+    shuffled = [cfgs[i] for i in order]
+    serial = run_batch(shuffled, parallelism=1)
+    parallel = run_batch(shuffled, parallelism=2)
+    assert [s.cfg for s in parallel] == shuffled
+    assert serial == parallel
+
+
 def test_run_batch_empty():
     assert run_batch([]) == []
 
@@ -217,6 +233,65 @@ def test_bsm_counters_consistent():
     assert 0 < summary.bsm_rx_count <= summary.bsm_expected_rx_count
     assert summary.bsm_expected_rx_count <= summary.bsm_tx_count * summary.cfg.bsm_probe_count
     assert 0.0 <= summary.bsm_per <= 1.0
+
+
+def _brute_force_bsm_counts(cfg: ScenarioConfig) -> tuple[int, int]:
+    """BSM transmissions and expected receptions, one position_at call per
+    vehicle and tick, over the same arrivals as the engine."""
+    rng = np.random.default_rng(cfg.rng_seed)
+    vehicles = []
+    for direction in (Direction.EAST, Direction.WEST):
+        proc = ArrivalProcess(cfg.flow_rate / 2.0, cfg.sim_duration, direction)
+        vehicles += generate_arrivals(proc, cfg, rng, id_start=len(vehicles))
+    tx = expected = 0
+    for t in range(cfg.bsm_period, cfg.sim_duration, cfg.bsm_period):
+        n = 0
+        for v in vehicles:
+            if v.spawn_time > t:
+                continue
+            x, _ = position_at(v, t)
+            progress = v.direction.sign * (x - entry_x(v.direction, cfg.road_length))
+            n += 0.0 <= progress < cfg.road_length
+        tx += n
+        if n >= 2:
+            expected += n * min(cfg.bsm_probe_count, n - 1)
+    return tx, expected
+
+
+@pytest.mark.parametrize("flow, period, probes, duration", [
+    (4.0, 100, 4, 30_000),
+    (0.5, 250, 3, 30_000),      # sparse: ticks with n < 2 and with n - 1 < probes
+    (2.0, 1000, 2, 130_000),    # past one transit: vehicles leave the stretch
+    (4.0, 30_000, 4, 30_000),   # a tick at the end instant is outside the run
+])
+def test_bsm_counts_match_brute_force_positions(flow, period, probes, duration):
+    cfg = short_cfg(flow_rate=flow, bsm_period=period, bsm_probe_count=probes,
+                    sim_duration=duration)
+    summary = run(cfg)
+    tx, expected = _brute_force_bsm_counts(cfg)
+    assert (summary.bsm_tx_count, summary.bsm_expected_rx_count) == (tx, expected)
+
+
+def test_bsm_reception_rate_matches_constant_per(tmp_path):
+    per_value = 0.3
+    curve_path = tmp_path / "const.per"
+    curve_path.write_text(dumps_per_curve(constant_per_curve(per_value)))
+    summary = run(short_cfg(flow_rate=10.0, per_curve=str(curve_path), bsm_period=100))
+    n = summary.bsm_expected_rx_count
+    assert n > 100_000
+    sigma = math.sqrt(per_value * (1.0 - per_value) / n)
+    assert abs(summary.bsm_rx_count / n - (1.0 - per_value)) <= 4 * sigma
+
+
+def test_bsm_sender_never_probes_itself(tmp_path):
+    # Lossless only within 1 cm: no two vehicles are that close (same-direction
+    # spawns are >= 1 ms apart, directions are lanes apart), so only a probe of
+    # the sender itself could be received.
+    curve_path = tmp_path / "touch.per"
+    curve_path.write_text("density 10\n0 0\n0.01 1\n")
+    summary = run(short_cfg(flow_rate=10.0, per_curve=str(curve_path), bsm_period=100))
+    assert summary.bsm_expected_rx_count > 0
+    assert summary.bsm_rx_count == 0
 
 
 def test_trace_file_records_transitions(tmp_path):
