@@ -6,18 +6,28 @@ tau covers the intra-layer and scheduling latency between a request reaching
 the RSU and the matching acknowledgment reaching the vehicle; samples always
 fall inside [8, 200] ms.
 
-PER has two lookup paths over the same knots. ``per_many`` is the vector
+PER has three lookup paths over the same knots. ``per_many`` is the vector
 path and calls ``np.interp``. ``per`` is the scalar path used per packet by
 the engine and per attempt by the closed form: a ``bisect`` over cached
 Python lists that repeats ``np.interp``'s arithmetic step for step, so it is
 bit-identical to ``per_many`` on the same distance and returns a plain
 ``float``. Both paths pick the density level(s) and blend weight once per
 (curve, density) and reuse that choice.
+
+``per_table`` is the third path, for the BSM pass's millions of probes: one
+density's ``per_many``, evaluated once at the midpoints of equal cells over
+``[0, last knot]`` (1 cm wide, or wider when 1 cm cells would take more
+than ``PER_TABLE_MAX_CELLS`` entries) and read back by cell index with one
+``take``. PER is piecewise linear in distance, so a lookup is off by at most
+the steepest knot segment's slope times half a cell (1.8e-5 on the default
+curve); at and past the last knot it returns ``per_many``'s clamped value
+bit for bit.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -107,6 +117,8 @@ def validate_per_curve(curve: PerCurve) -> list[str]:
     violations: list[str] = []
     if not curve.levels:
         return ["calibration must define at least one density level"]
+    if not all(math.isfinite(level) for level in curve.levels):
+        return ["density levels must be finite"]
     if list(curve.levels) != sorted(curve.levels):
         violations.append("density levels must be sorted ascending")
     if len(set(curve.levels)) != len(curve.levels):
@@ -120,7 +132,9 @@ def validate_per_curve(curve: PerCurve) -> list[str]:
             continue
         dists = [d for d, _ in tab]
         pers = [p for _, p in tab]
-        if any(d < 0 for d in dists):
+        if not all(math.isfinite(d) for d in dists):
+            violations.append(f"density {level}: knot distances must be finite")
+        elif any(d < 0 for d in dists):
             violations.append(f"density {level}: knot distances must be >= 0")
         if dists != sorted(dists) or len(set(dists)) != len(dists):
             violations.append(f"density {level}: knot distances must be strictly increasing")
@@ -197,6 +211,42 @@ def per_many(curve: PerCurve, distances: np.ndarray, density: float) -> np.ndarr
         + w * np.interp(abs_dist, hi.dist_array, hi.per_array)
 
 
+# Cells per metre, and the most entries (cells plus the clamp entry) a table
+# may hold: 2**17 float64s is 1 MiB.
+PER_TABLE_CELLS_PER_M = 100.0
+PER_TABLE_MAX_CELLS = 2 ** 17
+
+
+class PerTable(NamedTuple):
+    """``per_many`` at one density, tabulated for lookup by distance.
+
+    ``values[i]`` is the PER at the midpoint of cell i, the distances
+    ``[i, i + 1) / cells_per_m``; the last entry is the PER at and past the
+    last knot.
+    """
+
+    values: np.ndarray
+    cells_per_m: float
+
+    def lookup(self, distances: np.ndarray) -> np.ndarray:
+        """PER at each non-negative distance (m)."""
+        cells = np.multiply(distances, self.cells_per_m)
+        # Clamp as floats: casting a huge float to an integer is undefined.
+        np.minimum(cells, len(self.values) - 1, out=cells)
+        return self.values.take(cells.astype(np.intp))
+
+
+def per_table(curve: PerCurve, density: float) -> PerTable:
+    """Tabulate ``per_many(curve, ., density)`` over ``[0, last knot]``."""
+    last = curve.max_knot_distance
+    cells = math.ceil(min(last * PER_TABLE_CELLS_PER_M, PER_TABLE_MAX_CELLS - 1))
+    cells_per_m = cells / last if cells else 1.0   # no cell: every knot at 0 m
+    if last * cells_per_m < cells:   # so that every distance >= last clamps
+        cells_per_m = float(np.nextafter(cells_per_m, math.inf))
+    mids = (np.arange(cells) + 0.5) / cells_per_m
+    return PerTable(per_many(curve, np.append(mids, last), density), cells_per_m)
+
+
 def sample_reception(rng: np.random.Generator, curve: PerCurve,
                      distance: float, density: float) -> bool:
     """One Bernoulli reception draw: true with probability 1 - per.
@@ -207,11 +257,10 @@ def sample_reception(rng: np.random.Generator, curve: PerCurve,
     return bool(rng.random() >= per(curve, distance, density))
 
 
-def reception_mask(rng: np.random.Generator, curve: PerCurve,
-                   distances: np.ndarray, density: float) -> np.ndarray:
-    """Vectorized reception sampling, one draw per candidate distance."""
-    pers = per_many(curve, distances, density)
-    return rng.random(len(pers)) >= pers
+def reception_mask(rng: np.random.Generator, table: PerTable,
+                   distances: np.ndarray) -> np.ndarray:
+    """Vectorized reception sampling, one draw per non-negative distance."""
+    return rng.random(len(distances)) >= table.lookup(distances)
 
 
 @dataclass(eq=True)

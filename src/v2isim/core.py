@@ -39,7 +39,6 @@ def ceil_ms(value_ms: float) -> TimeMs:
 
 
 class MessageKind(Enum):
-    BSM = "bsm"
     SAM = "sam"
     SUM = "sum"
     ACK = "ack"

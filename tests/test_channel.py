@@ -9,8 +9,9 @@ import pytest
 
 from v2isim.channel import (
     CurveError, PerCurve, TauModel, constant_per_curve, default_calibration,
-    dumps_per_curve, load_per_curve, parse_per_curve, per, per_many,
-    sample_reception, sample_tau, validate_per_curve,
+    PER_TABLE_MAX_CELLS, dumps_per_curve, load_per_curve, parse_per_curve,
+    per, per_many, per_table, reception_mask, sample_reception, sample_tau,
+    validate_per_curve,
 )
 
 CAL = default_calibration()
@@ -127,6 +128,11 @@ def test_parse_errors():
         parse_per_curve("density 10\n0 1.5\n")
     with pytest.raises(CurveError, match="non-decreasing in density"):
         parse_per_curve("density 10\n0 0.5\n100 0.6\ndensity 20\n0 0.1\n100 0.2\n")
+    for bad in ("inf", "nan"):
+        with pytest.raises(CurveError, match="knot distances must be finite"):
+            parse_per_curve(f"density 10\n0 0.1\n{bad} 0.5\n")
+        with pytest.raises(CurveError, match="density levels must be finite"):
+            parse_per_curve(f"density 10\n0 0.1\ndensity {bad}\n0 0.2\n")
 
 
 def test_load_missing_calibration_names_path(tmp_path):
@@ -201,3 +207,66 @@ def test_scalar_per_accepts_numpy_scalars():
     got = per(CAL, np.float64(-212.5), np.float64(17.0))
     assert type(got) is float
     assert got == per(CAL, 212.5, 17.0)
+
+
+# The BSM pass reads PER from a per-run table of cell midpoints.
+TABLE_CURVES = {
+    **BIT_CURVES,
+    # Past the 2**17-cell cap, and 1316 * (cells / 1316) rounds below the
+    # cell count: per_table must still clamp at exactly the last knot.
+    "far": PerCurve(levels=(10.0,), tables=(((0.0, 0.0), (1316.0, 1.0)),)),
+    "touch": parse_per_curve("density 10\n0 0\n0.01 1\n"),
+    "zero_span": PerCurve(levels=(10.0,), tables=(((0.0, 0.2),),)),
+}
+
+
+def _max_slope(curve: PerCurve) -> float:
+    # A density blend's slope lies between its two levels' slopes.
+    return max((abs(p1 - p0) / (d1 - d0) for tab in curve.tables
+                for (d0, p0), (d1, p1) in zip(tab, tab[1:])), default=0.0)
+
+
+@pytest.mark.parametrize("flow", (10.0, 15.0, 20.0, 30.0))
+def test_per_table_within_half_a_cell_of_per_many(flow):
+    table = per_table(CAL, flow)
+    assert table.cells_per_m == 100.0 and len(table.values) == 50_001
+    d = np.random.default_rng(5).uniform(0.0, 700.0, size=100_000)
+    err = np.abs(table.lookup(d) - per_many(CAL, d, flow))
+    # 1e-15 absorbs rounding at cell edges, far below the 1.8e-5 bound.
+    assert err.max() <= _max_slope(CAL) * 0.01 / 2 + 1e-15
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_CURVES))
+def test_per_table_bound_holds_and_is_bit_exact_past_the_last_knot(name):
+    curve = TABLE_CURVES[name]
+    last = curve.max_knot_distance
+    inside = np.random.default_rng(6).uniform(0.0, last, size=10_000)
+    past = np.array([last, np.nextafter(last, math.inf), last + 0.004,
+                     1.5 * last + 1.0, 1e6, 1e150])
+    for rho in BIT_DENSITIES:
+        table = per_table(curve, rho)
+        assert len(table.values) <= PER_TABLE_MAX_CELLS
+        err = np.abs(table.lookup(inside) - per_many(curve, inside, rho))
+        assert err.max() <= _max_slope(curve) / table.cells_per_m / 2 + 1e-15, rho
+        want = per_many(curve, past, rho)
+        assert np.array_equal(table.lookup(past).view(np.uint64), want.view(np.uint64)), rho
+
+
+def test_per_table_cell_cap_bounds_its_size():
+    # The 10 km knot of constant_per_curve would need 1e6 cells of 1 cm.
+    for curve in (constant_per_curve(0.3), TABLE_CURVES["far"]):
+        table = per_table(curve, 10.0)
+        assert len(table.values) == PER_TABLE_MAX_CELLS
+        assert table.values.nbytes <= 2 ** 20
+    huge = PerCurve(levels=(10.0,), tables=(((0.0, 0.1), (1e300, 0.9)),))
+    assert validate_per_curve(huge) == []
+    assert len(per_table(huge, 10.0).values) == PER_TABLE_MAX_CELLS
+
+
+def test_reception_mask_draws_one_uniform_per_distance():
+    table = per_table(CAL, 17.0)
+    d = np.random.default_rng(8).uniform(0.0, 700.0, size=1000)
+    rng, twin = np.random.default_rng(9), np.random.default_rng(9)
+    mask = reception_mask(rng, table, d)
+    assert np.array_equal(mask, twin.random(len(d)) >= table.lookup(d))
+    assert rng.random() == twin.random()

@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
-from v2isim.channel import default_calibration, constant_per_curve, dumps_per_curve
+from v2isim import engine
+from v2isim.channel import (
+    constant_per_curve, default_calibration, dumps_per_curve, per_many,
+)
 from v2isim.core import ConfigError, Message, MessageKind, RSU_ID, ScenarioConfig
 from v2isim.engine import (
     BatchError, EngineError, EventKind, EventQueue, deliver_broadcast, run,
@@ -164,6 +168,34 @@ def test_run_batch_heaviest_first_keeps_input_order_and_serial_parallel_agree():
     assert serial == parallel
 
 
+def test_run_batch_pool_is_no_larger_than_the_batch(monkeypatch):
+    """Under fork a pool starts every worker at its first submit, so the pool
+    is sized by the batch. An inline stand-in records the size and starts no
+    process."""
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", InlinePool)
+    cfgs = [short_cfg(sim_duration=5_000, rng_seed=80 + i) for i in range(3)]
+    assert run_batch(cfgs, parallelism=5000) == run_batch(cfgs, parallelism=1)
+    run_batch(cfgs[:2], parallelism=2)
+    assert sizes == [3, 2]
+
+
 def test_run_batch_empty():
     assert run_batch([]) == []
 
@@ -235,23 +267,31 @@ def test_bsm_counters_consistent():
     assert 0.0 <= summary.bsm_per <= 1.0
 
 
-def _brute_force_bsm_counts(cfg: ScenarioConfig) -> tuple[int, int]:
-    """BSM transmissions and expected receptions, one position_at call per
+def _in_stretch_positions(cfg: ScenarioConfig):
+    """Yield each BSM tick's in-stretch positions, one position_at call per
     vehicle and tick, over the same arrivals as the engine."""
     rng = np.random.default_rng(cfg.rng_seed)
     vehicles = []
     for direction in (Direction.EAST, Direction.WEST):
         proc = ArrivalProcess(cfg.flow_rate / 2.0, cfg.sim_duration, direction)
         vehicles += generate_arrivals(proc, cfg, rng, id_start=len(vehicles))
-    tx = expected = 0
     for t in range(cfg.bsm_period, cfg.sim_duration, cfg.bsm_period):
-        n = 0
+        positions = []
         for v in vehicles:
             if v.spawn_time > t:
                 continue
-            x, _ = position_at(v, t)
+            x, y = position_at(v, t)
             progress = v.direction.sign * (x - entry_x(v.direction, cfg.road_length))
-            n += 0.0 <= progress < cfg.road_length
+            if 0.0 <= progress < cfg.road_length:
+                positions.append((x, y))
+        yield positions
+
+
+def _brute_force_bsm_counts(cfg: ScenarioConfig) -> tuple[int, int]:
+    """BSM transmissions and expected receptions from per-vehicle positions."""
+    tx = expected = 0
+    for positions in _in_stretch_positions(cfg):
+        n = len(positions)
         tx += n
         if n >= 2:
             expected += n * min(cfg.bsm_probe_count, n - 1)
@@ -281,6 +321,36 @@ def test_bsm_reception_rate_matches_constant_per(tmp_path):
     assert n > 100_000
     sigma = math.sqrt(per_value * (1.0 - per_value) / n)
     assert abs(summary.bsm_rx_count / n - (1.0 - per_value)) <= 4 * sigma
+
+
+def test_bsm_receptions_match_all_pairs_expectation():
+    """The probe estimator against the exact all-pairs reference.
+
+    Sender i's k_t probes are uniform over the other in-stretch vehicles, so
+    each is received with probability p_i = mean_{j != i}(1 - per(d_ij)):
+    E[rx] = sum_t k_t sum_i p_i and Var[rx] = sum_t k_t sum_i p_i (1 - p_i).
+    A 1 km stretch keeps most pairs on the curve's slope; 15 veh/s blends
+    two density levels.
+    """
+    cfg = short_cfg(flow_rate=15.0, road_length=1000.0, sim_duration=40_000,
+                    bsm_period=250)
+    curve = default_calibration()
+    mean = var = 0.0
+    for positions in _in_stretch_positions(cfg):
+        n = len(positions)
+        if n < 2:
+            continue
+        xy = np.array(positions)
+        dist = np.hypot(*(xy[:, None, :] - xy[None, :, :]).transpose(2, 0, 1))
+        hear = 1.0 - per_many(curve, dist, cfg.flow_rate)
+        np.fill_diagonal(hear, 0.0)
+        p = hear.sum(axis=1) / (n - 1)
+        k = min(cfg.bsm_probe_count, n - 1)
+        mean += k * p.sum()
+        var += k * (p * (1.0 - p)).sum()
+    summary = run(cfg)
+    assert var > 1000.0
+    assert abs(summary.bsm_rx_count - mean) <= 4.0 * math.sqrt(var), (summary.bsm_rx_count, mean)
 
 
 def test_bsm_sender_never_probes_itself(tmp_path):
