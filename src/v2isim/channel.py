@@ -3,8 +3,9 @@
 Packet error rate (PER) is a data-driven interpolation table indexed by
 traffic density (veh/s) and absolute Tx-Rx distance (m). The exchange delay
 tau covers the intra-layer and scheduling latency between a request reaching
-the RSU and the matching acknowledgment reaching the vehicle; samples always
-fall inside [8, 200] ms.
+the RSU and the matching acknowledgment reaching the vehicle; it is drawn
+from the config's inclusive ``tau_range``, which ``validate_config`` keeps
+inside [8, 200] ms.
 
 PER has three lookup paths over the same knots. ``per_many`` is the vector
 path and calls ``np.interp``. ``per`` is the scalar path used per packet by
@@ -247,49 +248,18 @@ def per_table(curve: PerCurve, density: float) -> PerTable:
     return PerTable(per_many(curve, np.append(mids, last), density), cells_per_m)
 
 
-def sample_reception(rng: np.random.Generator, curve: PerCurve,
-                     distance: float, density: float) -> bool:
-    """One Bernoulli reception draw: true with probability 1 - per.
-
-    Consumes exactly one uniform draw from ``rng``; per = 0 always receives
-    and per = 1 never does (draws lie in [0, 1)).
-    """
-    return bool(rng.random() >= per(curve, distance, density))
-
-
 def reception_mask(rng: np.random.Generator, table: PerTable,
                    distances: np.ndarray) -> np.ndarray:
     """Vectorized reception sampling, one draw per non-negative distance."""
     return rng.random(len(distances)) >= table.lookup(distances)
 
 
-@dataclass(eq=True)
-class TauModel:
-    """Exchange-delay model: a fixed value or an integer-uniform range."""
-
-    mode: str = "uniform"            # "fixed" | "uniform"
-    fixed_ms: int = 104
-    low_ms: int = TAU_MIN_MS
-    high_ms: int = TAU_MAX_MS
-
-    def effective_ms(self) -> int:
-        """Single effective value used by the closed-form model."""
-        if self.mode == "fixed":
-            return self.fixed_ms
-        return (self.low_ms + self.high_ms) // 2
-
-
-def sample_tau(rng: np.random.Generator, model: TauModel) -> int:
-    """Sample the exchange delay in ms; always within [8, 200]."""
-    if model.mode == "fixed":
-        return model.fixed_ms
-    return int(rng.integers(model.low_ms, model.high_ms + 1))
-
-
-@dataclass(eq=True)
-class ChannelModel:
-    curve: PerCurve
-    tau: TauModel
+def sample_tau(rng: np.random.Generator, tau_range: tuple[int, int]) -> int:
+    """Exchange delay (ms), uniform on the inclusive range; no draw if low == high."""
+    low, high = tau_range
+    if low == high:
+        return low
+    return int(rng.integers(low, high + 1))
 
 
 # Default calibration. The published propagation measurements behind the

@@ -48,7 +48,6 @@ class Message(NamedTuple):
     """A single in-simulator transmission.
 
     ``recipients`` is non-empty only for ACKs (the addressed vehicle ids).
-    ``seq`` is a per-sender counter; for SUMs it equals the attempt number.
     ``tx_position`` is stamped by the engine when the transmission is
     scheduled (protocol state machines do not know geometry).
     """
@@ -58,7 +57,6 @@ class Message(NamedTuple):
     tx_time: TimeMs
     tx_position: tuple[float, float] | None = None
     recipients: tuple[int, ...] = ()
-    seq: int = 0
 
 
 class ConfigError(ValueError):
@@ -103,26 +101,26 @@ class ScenarioConfig:
     def rsu_position(self) -> tuple[float, float]:
         return (self.rsu_x, self.rsu_y)
 
-    def tau_model(self) -> _channel.TauModel:
-        mode = "fixed" if self.tau_mode == "fixed" else "uniform"
-        return _channel.TauModel(
-            mode=mode,
-            fixed_ms=self.tau_fixed,
-            low_ms=self.tau_low,
-            high_ms=self.tau_high,
-        )
+    @property
+    def tau_range(self) -> tuple[TimeMs, TimeMs]:
+        """Inclusive ``(low, high)`` exchange-delay range; fixed mode is one value."""
+        if self.tau_mode == "fixed":
+            return (self.tau_fixed, self.tau_fixed)
+        return (self.tau_low, self.tau_high)
 
-    def channel(self) -> _channel.ChannelModel:
-        """Resolve the PER calibration and tau model for this scenario."""
+    def channel(self) -> _channel.PerCurve:
+        """Resolve the PER calibration for this scenario."""
         if self.per_curve == "default":
-            curve = _channel.default_calibration()
-        else:
-            curve = _channel.load_per_curve(self.per_curve)
-        return _channel.ChannelModel(curve=curve, tau=self.tau_model())
+            return _channel.default_calibration()
+        return _channel.load_per_curve(self.per_curve)
 
 
 # Field name -> int, float or str, in declaration order.
 _FIELD_TYPES: dict[str, type] = get_type_hints(ScenarioConfig)
+
+# Arrivals and BSM ticks are built before a run starts. A run peaks near 760 B
+# per arrival (1e5 arrivals at 30 veh/s), so this many stay under 1 GB.
+MAX_UPFRONT_ITEMS = 1_000_000
 
 # Fields that must be > 0, with their units.
 _POSITIVE_FIELDS = {
@@ -143,6 +141,9 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
         value = getattr(cfg, name)
         if kind is float and not math.isfinite(value):
             bad(f"{name} must be a finite number (got {value})")
+        elif kind is int and not -2**63 <= value < 2**63:
+            # The checks below take ints as floats, and numpy takes them as int64.
+            return [f"{name} must fit in a signed 64-bit integer (got {value})"]
     if cfg.b_ack < 1:
         bad(f"b_ack must be >= 1 (got {cfg.b_ack})")
     for name, unit in _POSITIVE_FIELDS.items():
@@ -152,6 +153,12 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
     # Each direction gets half the flow; that half must not underflow to 0.
     if cfg.flow_rate > 0 and cfg.flow_rate / 2.0 == 0:
         bad(f"flow_rate must be > 0 veh/s in each direction (got {cfg.flow_rate})")
+    if cfg.flow_rate * cfg.sim_duration / 1000.0 > MAX_UPFRONT_ITEMS:
+        bad(f"flow_rate * sim_duration must expect at most {MAX_UPFRONT_ITEMS} arrivals "
+            f"(got {cfg.flow_rate} veh/s * {cfg.sim_duration} ms)")
+    if cfg.bsm_period > 0 and cfg.sim_duration / cfg.bsm_period > MAX_UPFRONT_ITEMS:
+        bad(f"sim_duration / bsm_period must be at most {MAX_UPFRONT_ITEMS} BSM ticks "
+            f"(got {cfg.sim_duration} / {cfg.bsm_period})")
     if abs(cfg.d_t) + abs(cfg.rsu_x) >= cfg.road_length / 2:
         bad(f"d_t and rsu_x must satisfy |d_t| + |rsu_x| < road_length/2 so the "
             f"trigger line lies inside the stretch in both directions (got d_t="
@@ -268,8 +275,3 @@ def dumps_config(cfg: ScenarioConfig) -> str:
     """Serialize a config so that parsing it back yields an identical value."""
     lines = [f"{name} = {getattr(cfg, name)}" for name in _FIELD_TYPES]
     return "\n".join(lines) + "\n"
-
-
-def dump_config(cfg: ScenarioConfig, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dumps_config(cfg))

@@ -12,7 +12,7 @@ comparison is settled by ``(time, seq)`` and never reaches ``kind`` or
 ``payload``. The main loop dispatches on ``kind`` through a dict of handlers.
 
 Transmission latency: each radio leg takes ceil(tau/2) ms, where tau is one
-exchange-delay draw per transmission, so an unbatched request/acknowledgment
+``tau_range`` draw per transmission, so an unbatched request/acknowledgment
 round trip spans a single tau. Reception is sampled per candidate receiver at
 its Euclidean distance from the transmit position, receiver position taken at
 arrival time. Senders never receive their own transmissions.
@@ -113,8 +113,8 @@ def deliver_broadcast(msg: Message,
                       rng: np.random.Generator) -> set[int]:
     """Sample which candidate receivers pick up one broadcast transmission.
 
-    Each candidate draws independently at its Euclidean distance from the
-    transmit position; the sender is excluded even at distance zero.
+    Each candidate but the sender (excluded even at distance zero) takes one
+    uniform draw and receives when it is >= the PER at its Euclidean distance.
     """
     if msg.tx_position is None:
         raise EngineError(f"{msg.kind.value} transmission was never position-stamped")
@@ -124,7 +124,7 @@ def deliver_broadcast(msg: Message,
         if entity_id == msg.sender:
             continue
         dist = ((rx - tx) ** 2 + (ry - ty) ** 2) ** 0.5
-        if chan.sample_reception(rng, curve, dist, density):
+        if rng.random() >= chan.per(curve, dist, density):
             received.add(entity_id)
     return received
 
@@ -187,9 +187,8 @@ class _Simulation:
         self.cfg = cfg
         self.trace = trace
         self.rng = np.random.default_rng(cfg.rng_seed)
-        model = cfg.channel()
-        self.curve = model.curve
-        self.tau = model.tau
+        self.curve = cfg.channel()
+        self.tau_range = cfg.tau_range
         self.density = cfg.flow_rate
         self.queue = EventQueue()
 
@@ -204,14 +203,8 @@ class _Simulation:
         self.records: list[CompletionRecord] = []
 
         # Arrivals are generated up front; the BSM pass reads them after the run.
-        east = mob.generate_arrivals(
-            mob.ArrivalProcess(cfg.flow_rate / 2.0, cfg.sim_duration, mob.Direction.EAST),
-            cfg, self.rng, id_start=0,
-        )
-        west = mob.generate_arrivals(
-            mob.ArrivalProcess(cfg.flow_rate / 2.0, cfg.sim_duration, mob.Direction.WEST),
-            cfg, self.rng, id_start=len(east),
-        )
+        east = mob.generate_arrivals(cfg, mob.Direction.EAST, self.rng, id_start=0)
+        west = mob.generate_arrivals(cfg, mob.Direction.WEST, self.rng, id_start=len(east))
         self.by_direction = {mob.Direction.EAST: east, mob.Direction.WEST: west}
 
         self.queue.push(0, EventKind.SAM_TIMER)
@@ -222,22 +215,16 @@ class _Simulation:
 
     # -- helpers ---------------------------------------------------------
 
-    def _flight_ms(self) -> TimeMs:
-        return ceil_ms(chan.sample_tau(self.rng, self.tau) / 2.0)
-
-    def _obu_position(self, vid: int, t: TimeMs) -> tuple[float, float]:
-        return mob.position_at(self.active[vid], t)
-
     def _apply_output(self, sender: int, now: TimeMs, out: proto.ProtocolOutput) -> None:
         for msg in out.transmissions:
             if msg.sender == RSU_ID:
                 pos = self.cfg.rsu_position
             else:
-                pos = self._obu_position(msg.sender, now)
+                pos = mob.position_at(self.active[msg.sender], now)
                 if msg.kind is MessageKind.SUM:
                     self.sum_tx_count[msg.sender] = self.sum_tx_count.get(msg.sender, 0) + 1
-            self.queue.push(now + self._flight_ms(), EventKind.MSG_ARRIVAL,
-                            msg._replace(tx_position=pos))
+            flight = ceil_ms(chan.sample_tau(self.rng, self.tau_range) / 2.0)
+            self.queue.push(now + flight, EventKind.MSG_ARRIVAL, msg._replace(tx_position=pos))
         for deadline, kind in out.timers:
             if kind is proto.TimerKind.RETRY:
                 self.queue.push(deadline, EventKind.RETRY_TIMER, sender)
@@ -312,7 +299,7 @@ class _Simulation:
                 self._rsu_transition(now, "sum_rx", proto.rsu_on_sum, msg.sender)
         elif msg.kind is MessageKind.ACK:
             receivers = [
-                (vid, self._obu_position(vid, now))
+                (vid, mob.position_at(self.active[vid], now))
                 for vid in msg.recipients if vid in self.active
             ]
             for vid in sorted(deliver_broadcast(msg, receivers, self.curve,
@@ -321,7 +308,7 @@ class _Simulation:
         elif msg.kind is MessageKind.SAM:
             # Only vehicles still waiting on an advertisement can change state.
             receivers = [
-                (vid, self._obu_position(vid, now)) for vid in self.awaiting_sam
+                (vid, mob.position_at(self.active[vid], now)) for vid in self.awaiting_sam
             ]
             for vid in sorted(deliver_broadcast(msg, receivers, self.curve,
                                                 self.density, self.rng)):
@@ -371,7 +358,6 @@ class _Simulation:
             bsm_tx_count=bsm_tx,
             bsm_rx_count=bsm_rx,
             bsm_expected_rx_count=bsm_expected,
-            seed=self.cfg.rng_seed,
         )
 
 

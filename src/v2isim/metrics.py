@@ -56,7 +56,6 @@ class RunSummary:
     bsm_tx_count: int
     bsm_rx_count: int
     bsm_expected_rx_count: int
-    seed: int
 
     @property
     def bsm_per(self) -> float | None:
@@ -141,7 +140,7 @@ def summary_row(summary: RunSummary) -> dict[str, object]:
     return {
         "d_t": summary.cfg.d_t,
         "flow_rate": summary.cfg.flow_rate,
-        "seed": summary.seed,
+        "seed": summary.cfg.rng_seed,
         "records": len(recs),
         "complete": sum(1 for r in recs if r.complete),
         "completion_rate": _completion_rate(recs),
@@ -193,6 +192,6 @@ def write_metadata(summary: RunSummary, path: str) -> None:
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(dumps_config(summary.cfg))
-            fh.write(f"# effective_seed = {summary.seed}\n")
+            fh.write(f"# effective_seed = {summary.cfg.rng_seed}\n")
     except OSError as exc:
         raise ExportError(f"cannot write {path}: {exc}") from exc

@@ -35,66 +35,53 @@ class VehicleKinematics:
 
     vehicle_id: int
     direction: Direction
-    lane: int
     spawn_time: TimeMs
     spawn_x: float
     y: float
     speed: float
 
 
-@dataclass(frozen=True)
-class ArrivalProcess:
-    """Poisson arrival stream for one driving direction."""
-
-    rate: float          # veh/s for this direction
-    horizon: TimeMs
-    direction: Direction
-
-
 def entry_x(direction: Direction, road_length: float) -> float:
     return -direction.sign * road_length / 2.0
 
 
-def lane_offset_y(direction: Direction, lane: int, lane_width: float) -> float:
-    # Eastbound lanes on +y, westbound on -y; lane 0 borders the median.
-    return direction.sign * (lane + 0.5) * lane_width
-
-
-def generate_arrivals(proc: ArrivalProcess, cfg: ScenarioConfig,
+def generate_arrivals(cfg: ScenarioConfig, direction: Direction,
                       rng: np.random.Generator, id_start: int = 0) -> list[VehicleKinematics]:
-    """Generate the direction's arrivals over the horizon, spawn-time ordered.
+    """Generate the direction's arrivals over the run, spawn-time ordered.
 
-    Inter-arrival gaps are exponential with mean 1/rate; lanes are uniform
-    over the direction's lanes. Spawn instants land on the 1 ms grid and are
-    strictly increasing (simultaneous arrivals are pushed apart by 1 ms).
-    Deterministic for a given rng state. The stream stops at the first
-    arrival past the horizon, before that arrival's time is rounded to whole
-    milliseconds, so a very long (even infinite) gap ends it cleanly.
+    Inter-arrival gaps are exponential at half of ``flow_rate``, up to the
+    ``sim_duration`` horizon; lanes are uniform over the direction's lanes.
+    Spawn instants land on the 1 ms grid and are strictly increasing
+    (simultaneous arrivals are pushed apart by 1 ms). Deterministic for a
+    given rng state. The stream stops at the first arrival past the horizon,
+    before that arrival's time is rounded to whole milliseconds, so a very
+    long (even infinite) gap ends it cleanly.
     """
-    if proc.rate <= 0:
-        raise MobilityError(f"arrival rate must be > 0 (got {proc.rate})")
+    rate = cfg.flow_rate / 2.0
+    if rate <= 0:
+        raise MobilityError(f"arrival rate must be > 0 (got {rate})")
     lanes = cfg.lane_count // 2
-    x0 = entry_x(proc.direction, cfg.road_length)
+    x0 = entry_x(direction, cfg.road_length)
     out: list[VehicleKinematics] = []
     t_s = 0.0
     prev_ms = 0
     while True:
-        t_s += rng.exponential(1.0 / proc.rate)
+        t_s += rng.exponential(1.0 / rate)
         # ceil_ms(x) > horizon exactly when x - 1e-9 > horizon (an integer).
-        if t_s * 1000.0 - 1e-9 > proc.horizon:
+        if t_s * 1000.0 - 1e-9 > cfg.sim_duration:
             break
         t_ms = max(ceil_ms(t_s * 1000.0), prev_ms + 1)
-        if t_ms > proc.horizon:
+        if t_ms > cfg.sim_duration:
             break
         lane = int(rng.integers(lanes))
         out.append(
             VehicleKinematics(
                 vehicle_id=id_start + len(out),
-                direction=proc.direction,
-                lane=lane,
+                direction=direction,
                 spawn_time=t_ms,
                 spawn_x=x0,
-                y=lane_offset_y(proc.direction, lane, cfg.lane_width),
+                # Eastbound lanes on +y, westbound on -y; lane 0 borders the median.
+                y=direction.sign * (lane + 0.5) * cfg.lane_width,
                 speed=cfg.mean_speed,
             )
         )
@@ -132,7 +119,7 @@ def trigger_crossing_time(v: VehicleKinematics, d_t: SignedMeters,
 
 def exit_time(v: VehicleKinematics, road_length: float) -> TimeMs:
     """Despawn instant: when the vehicle reaches the exit edge."""
-    return v.spawn_time + ceil_ms(road_length / v.speed * 1000.0)
+    return v.spawn_time + transit_ms(road_length, v.speed)
 
 
 def transit_ms(road_length: float, speed: float) -> TimeMs:

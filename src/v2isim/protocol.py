@@ -74,8 +74,7 @@ def _send_sum(state: ObuState, now: TimeMs, attempts: int,
     """Transmit SUM number ``attempts`` and arm its retry timer."""
     deadline = now + state.t_sum
     new = state._replace(attempts=attempts, retry_deadline=deadline, **changes)
-    sum_msg = Message(kind=MessageKind.SUM, sender=state.vehicle_id, tx_time=now,
-                      seq=attempts)
+    sum_msg = Message(kind=MessageKind.SUM, sender=state.vehicle_id, tx_time=now)
     return new, ProtocolOutput((sum_msg,), ((deadline, TimerKind.RETRY),))
 
 
@@ -141,9 +140,6 @@ class RsuState(NamedTuple):
     pending: tuple[int, ...] = ()
     ack_deadline: TimeMs | None = None
     next_sam_time: TimeMs = 0
-    served_total: int = 0
-    sam_seq: int = 0
-    ack_seq: int = 0
 
 
 def _flush_ack(state: RsuState, now: TimeMs,
@@ -151,11 +147,8 @@ def _flush_ack(state: RsuState, now: TimeMs,
     """ACK ``recipients`` (the full pending batch) and empty the batch."""
     if not (1 <= len(recipients) <= state.b_ack):
         raise ProtocolError(f"ACK batch of {len(recipients)} violates b_ack={state.b_ack}")
-    ack_seq = state.ack_seq + 1
-    new = state._replace(pending=(), ack_deadline=None, ack_seq=ack_seq,
-                         served_total=state.served_total + len(recipients))
-    ack = Message(kind=MessageKind.ACK, sender=RSU_ID, tx_time=now,
-                  recipients=recipients, seq=ack_seq)
+    new = state._replace(pending=(), ack_deadline=None)
+    ack = Message(kind=MessageKind.ACK, sender=RSU_ID, tx_time=now, recipients=recipients)
     return new, ProtocolOutput((ack,))
 
 
@@ -191,6 +184,6 @@ def rsu_on_sam_timer(state: RsuState, now: TimeMs) -> tuple[RsuState, ProtocolOu
         raise ProtocolError(
             f"SAM timer fired at {now} but next_sam_time is {state.next_sam_time}"
         )
-    new = state._replace(next_sam_time=now + state.sam_period, sam_seq=state.sam_seq + 1)
-    sam = Message(kind=MessageKind.SAM, sender=RSU_ID, tx_time=now, seq=new.sam_seq)
+    new = state._replace(next_sam_time=now + state.sam_period)
+    sam = Message(kind=MessageKind.SAM, sender=RSU_ID, tx_time=now)
     return new, ProtocolOutput((sam,), ((new.next_sam_time, TimerKind.SAM),))

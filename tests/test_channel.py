@@ -7,12 +7,13 @@ import math
 import numpy as np
 import pytest
 
+from v2isim.analytic import params_from_config
 from v2isim.channel import (
-    CurveError, PerCurve, TauModel, constant_per_curve, default_calibration,
+    CurveError, PerCurve, constant_per_curve, default_calibration,
     PER_TABLE_MAX_CELLS, dumps_per_curve, load_per_curve, parse_per_curve,
-    per, per_many, per_table, reception_mask, sample_reception, sample_tau,
-    validate_per_curve,
+    per, per_many, per_table, reception_mask, sample_tau, validate_per_curve,
 )
+from v2isim.core import ScenarioConfig
 
 CAL = default_calibration()
 
@@ -65,52 +66,34 @@ def test_shipped_calibration_all_knot_pairs_non_decreasing():
     assert per(CAL, 100.0, 10.0) < per(CAL, 300.0, 10.0)
 
 
-def test_sample_reception_degenerate_channels():
-    rng = np.random.default_rng(0)
-    lossless = constant_per_curve(0.0)
-    blocked = constant_per_curve(1.0)
-    assert all(sample_reception(rng, lossless, 123.0, 10.0) for _ in range(1000))
-    assert not any(sample_reception(rng, blocked, 123.0, 10.0) for _ in range(1000))
-
-
-def test_sample_reception_binomial_3sigma():
-    value = 0.3
-    n = 100_000
-    curve = constant_per_curve(value)
-    rng = np.random.default_rng(42)
-    hits = sum(sample_reception(rng, curve, 50.0, 10.0) for _ in range(n))
-    expected = n * (1 - value)
-    sigma = math.sqrt(n * value * (1 - value))
-    assert abs(hits - expected) <= 3 * sigma
-
-
-def test_sample_reception_consumes_exactly_one_draw():
-    curve = constant_per_curve(0.3)
-    rng = np.random.default_rng(7)
-    got = [sample_reception(rng, curve, 10.0, 10.0) for _ in range(16)]
-    ref = np.random.default_rng(7).random(16) >= 0.3
-    assert got == list(ref)
-
-
 def test_sample_tau_fixed_and_degenerate():
     rng = np.random.default_rng(1)
-    assert sample_tau(rng, TauModel(mode="fixed", fixed_ms=100)) == 100
-    degenerate = TauModel(mode="uniform", low_ms=50, high_ms=50)
+    state = rng.bit_generator.state
+    fixed = ScenarioConfig(tau_mode="fixed", tau_fixed=100).tau_range
+    assert fixed == (100, 100)
+    assert sample_tau(rng, fixed) == 100
+    # A one-value range, fixed or uniform, leaves the generator untouched.
+    degenerate = ScenarioConfig(tau_low=50, tau_high=50).tau_range
     assert all(sample_tau(rng, degenerate) == 50 for _ in range(100))
+    assert rng.bit_generator.state == state
 
 
 def test_sample_tau_uniform_bounds():
     rng = np.random.default_rng(5)
-    model = TauModel(mode="uniform", low_ms=8, high_ms=200)
-    samples = [sample_tau(rng, model) for _ in range(10_000)]
+    tau_range = ScenarioConfig().tau_range
+    assert tau_range == (8, 200)
+    samples = [sample_tau(rng, tau_range) for _ in range(10_000)]
     assert min(samples) >= 8 and max(samples) <= 200
     # Both endpoints are reachable (inclusive range).
     assert 8 in samples and 200 in samples
 
 
 def test_effective_tau():
-    assert TauModel(mode="fixed", fixed_ms=64).effective_ms() == 64
-    assert TauModel(mode="uniform", low_ms=8, high_ms=200).effective_ms() == 104
+    # The closed form's single tau is the midpoint of the config's range.
+    fixed = ScenarioConfig(tau_mode="fixed", tau_fixed=64, tau_low=8, tau_high=200)
+    assert fixed.tau_range == (64, 64)
+    assert params_from_config(fixed).tau_s == 0.064
+    assert params_from_config(ScenarioConfig(tau_low=8, tau_high=200)).tau_s == 0.104
 
 
 def test_parse_round_trip():

@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
-import pytest
+import contextlib
+import dataclasses
+import io
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from v2isim import ScenarioConfig, mobility
 from v2isim.cli import derive_cell_seed, main
 
 # Trigger near the entry edge so crossings start ~3 s in, keeping runs short.
@@ -37,6 +43,7 @@ def test_unknown_override_key_rejected(tmp_path, capsys):
     ("sweep", "--set per_curve=TMP/missing.per", "TMP/missing.per"),
     ("analytic", "--densities nan", "flow_rate"),
     ("analytic", "--densities 0", "flow_rate"),
+    ("analytic", "--densities 1e6", "flow_rate"),
     ("analytic", "--d-min nan", "--d-min"),
     ("analytic", "--d-min 10 --d-max 0", "--d-max"),
     ("analytic", "--d-step 1e-300", "--d-step"),
@@ -196,3 +203,64 @@ def test_derive_cell_seed_stable_and_distinct():
     assert a != derive_cell_seed(1, 0.0, 10.0)
     assert a != derive_cell_seed(2, 300.0, 10.0)
     assert 0 <= a < 2**63
+
+
+def test_flow_needing_too_many_arrivals_exits_2_before_generating_any(
+        tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("arrivals generated for a rejected config")
+    monkeypatch.setattr(mobility, "generate_arrivals", never)
+    assert main(["simulate", "--out", str(tmp_path / "o"), "--set", "flow_rate=1e6"]) == 2
+    assert "flow_rate * sim_duration" in capsys.readouterr().err
+
+
+# Drawn --set values. Every field mixes edge values (zero, negatives, non-finite,
+# huge, tiny, malformed text) with an in-range interval that keeps an accepted
+# run short on top of SHORT_RUN.
+_INT_EDGES = ["0", "-1", str(2**63 - 1), str(2**63), str(-2**63 - 1), "1" + "0" * 30,
+              "1" + "0" * 400, "1.5", "x", ""]
+_FLOAT_EDGES = ["0", "-0.0", "-1", "nan", "inf", "-inf", "1e300", "-1e300", "5e-324",
+                "1e-320", "1e6", "x", ""]
+_INT_RANGES = {
+    "b_ack": (1, 20), "t_sum": (50, 2000), "t_ack": (1, 2000), "sam_period": (1, 2000),
+    "bsm_period": (1, 3000), "lane_count": (1, 40), "sim_duration": (1, 3000),
+    "warmup": (0, 3000), "rng_seed": (0, 2**32), "tau_fixed": (0, 300),
+    "tau_low": (0, 300), "tau_high": (0, 300), "bsm_probe_count": (0, 10),
+}
+_FLOAT_RANGES = {
+    "d_t": (-1600.0, 1600.0), "flow_rate": (0.01, 100.0), "mean_speed": (1.0, 60.0),
+    "road_length": (100.0, 6000.0), "lane_width": (0.5, 10.0), "rsu_x": (-200.0, 200.0),
+    "rsu_y": (-50.0, 50.0),
+}
+_FIELD_VALUES = {
+    **{name: st.one_of(st.sampled_from(_INT_EDGES), st.integers(*bounds).map(str))
+       for name, bounds in _INT_RANGES.items()},
+    **{name: st.one_of(st.sampled_from(_FLOAT_EDGES), st.floats(*bounds).map(repr))
+       for name, bounds in _FLOAT_RANGES.items()},
+    "tau_mode": st.sampled_from(["fixed", "uniform", "gamma", "FIXED", ""]),
+    "per_curve": st.sampled_from(["default", "no/such/calibration.per", ""]),
+}
+SHORT_RUN = {"sim_duration": "2000", "warmup": "0"}
+
+
+def test_drawn_fields_cover_the_whole_config():
+    assert set(_FIELD_VALUES) == {f.name for f in dataclasses.fields(ScenarioConfig)}
+
+
+# At most two fields per example keeps every accepted run short on top of
+# SHORT_RUN: a huge sim_duration passes validation only together with both a
+# tiny flow_rate and a huge bsm_period, which takes three fields.
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(st.lists(st.sampled_from(sorted(_FIELD_VALUES)), min_size=1, max_size=2, unique=True)
+       .flatmap(lambda names: st.fixed_dictionaries({n: _FIELD_VALUES[n] for n in names})))
+def test_simulate_any_field_values_exit_0_or_2_with_a_reason(tmp_path_factory, drawn):
+    assignments = {**SHORT_RUN, **drawn}
+    argv = ["simulate", "--out", str(tmp_path_factory.mktemp("prop"))]
+    for key, value in assignments.items():
+        argv += ["--set", f"{key}={value}"]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code == 0 or (code == 2 and "v2isim simulate:" in err.getvalue()), (
+        drawn, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -9,7 +9,7 @@ import pytest
 
 from v2isim.core import (
     ConfigError, ScenarioConfig, ceil_ms,
-    dump_config, dumps_config, load_config, override_config, parse_config,
+    dumps_config, load_config, override_config, parse_config,
     validate_config,
 )
 
@@ -59,6 +59,27 @@ def test_validation_reports_all_violations_without_raising():
 def test_non_finite_float_or_negative_seed_rejected_naming_field(field, value):
     violations = validate_config(ScenarioConfig(**{field: value}))
     assert violations and all(field in msg for msg in violations)
+
+
+@pytest.mark.parametrize("overrides, field", [
+    ({"flow_rate": 1e6}, "flow_rate"),
+    ({"flow_rate": 10.0, "sim_duration": 100_000_001}, "flow_rate"),
+    ({"flow_rate": 1e-9, "sim_duration": 10**12}, "bsm_period"),
+    ({"flow_rate": 1e-3, "sim_duration": 1_000_001, "bsm_period": 1}, "bsm_period"),
+    ({"lane_count": 2**63}, "lane_count"),
+    ({"bsm_probe_count": 10**30}, "bsm_probe_count"),
+    ({"sim_duration": 10**400}, "sim_duration"),
+    ({"rng_seed": -2**63 - 1}, "rng_seed"),
+])
+def test_up_front_size_and_int64_range_rejected_naming_field(overrides, field):
+    violations = validate_config(ScenarioConfig(**overrides))
+    assert violations and any(field in msg for msg in violations)
+
+
+def test_up_front_size_bound_is_inclusive():
+    # Validation only: no run is started.
+    assert validate_config(ScenarioConfig(flow_rate=10.0, sim_duration=100_000_000,
+                                          bsm_period=100)) == []
 
 
 def test_trigger_line_must_lie_inside_stretch_in_both_directions():
@@ -124,7 +145,7 @@ def test_round_trip_is_field_identical(tmp_path):
     )
     cfg = load_config(str(src))
     out = tmp_path / "out.cfg"
-    dump_config(cfg, str(out))
+    out.write_text(dumps_config(cfg))
     assert load_config(str(out)) == cfg
     # Serializing the reparsed config reproduces the same bytes, too.
     assert dumps_config(load_config(str(out))) == dumps_config(cfg)

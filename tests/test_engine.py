@@ -20,7 +20,7 @@ from v2isim.engine import (
 )
 from v2isim.metrics import OUTCOME_SIMEND
 from v2isim.mobility import (
-    ArrivalProcess, Direction, entry_x, generate_arrivals, position_at,
+    Direction, entry_x, generate_arrivals, position_at,
 )
 
 
@@ -80,6 +80,19 @@ def test_deliver_binomial_3sigma():
                             np.random.default_rng(99))
     sigma = math.sqrt(1000 * 0.25)
     assert abs(len(got) - 500) <= 3 * sigma
+
+
+def test_deliver_draws_one_uniform_per_non_sender_candidate():
+    receivers = [(i, (float(i), 0.0)) for i in range(16)]   # 0 is the sender
+    rng = np.random.default_rng(7)
+    got = deliver_broadcast(_msg(sender=0), receivers, constant_per_curve(0.3), 10.0, rng)
+    ref_rng = np.random.default_rng(7)
+    ref = ref_rng.random(15) >= 0.3
+    assert got == {i for i, ok in enumerate(ref, start=1) if ok}
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    # Draws lie in [0, 1): PER 1 never receives.
+    assert deliver_broadcast(_msg(sender=0), receivers, constant_per_curve(1.0), 10.0,
+                             rng) == set()
 
 
 def test_unstamped_message_is_a_bug():
@@ -273,8 +286,7 @@ def _in_stretch_positions(cfg: ScenarioConfig):
     rng = np.random.default_rng(cfg.rng_seed)
     vehicles = []
     for direction in (Direction.EAST, Direction.WEST):
-        proc = ArrivalProcess(cfg.flow_rate / 2.0, cfg.sim_duration, direction)
-        vehicles += generate_arrivals(proc, cfg, rng, id_start=len(vehicles))
+        vehicles += generate_arrivals(cfg, direction, rng, id_start=len(vehicles))
     for t in range(cfg.bsm_period, cfg.sim_duration, cfg.bsm_period):
         positions = []
         for v in vehicles:

@@ -28,7 +28,7 @@ def record(vid, first_tx=0, sct=None, attempts=1, outcome=OUTCOME_COMPLETE):
 def summary(records, warmup=0, **cfg_overrides) -> RunSummary:
     cfg = dataclasses.replace(ScenarioConfig(), warmup=warmup, **cfg_overrides)
     return RunSummary(cfg=cfg, records=tuple(records), bsm_tx_count=10,
-                      bsm_rx_count=6, bsm_expected_rx_count=10, seed=cfg.rng_seed)
+                      bsm_rx_count=6, bsm_expected_rx_count=10)
 
 
 def test_single_record_any_percentile():
@@ -110,7 +110,7 @@ def test_bsm_per_from_counters():
     s = summary([])
     assert s.bsm_per == pytest.approx(0.4)
     empty = RunSummary(cfg=ScenarioConfig(), records=(), bsm_tx_count=0,
-                       bsm_rx_count=0, bsm_expected_rx_count=0, seed=1)
+                       bsm_rx_count=0, bsm_expected_rx_count=0)
     assert empty.bsm_per is None
 
 

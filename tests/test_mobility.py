@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 from v2isim.core import ScenarioConfig
 from v2isim.mobility import (
-    ArrivalProcess, Direction, MobilityError, VehicleKinematics, exit_time,
+    Direction, MobilityError, VehicleKinematics, exit_time,
     generate_arrivals, position_at, stretch_window, transit_ms,
     trigger_crossing_time,
 )
@@ -17,55 +18,57 @@ from v2isim.mobility import (
 CFG = ScenarioConfig()
 
 
-def _east_vehicle(spawn_time=0, lane=0) -> VehicleKinematics:
+def _arrival_cfg(rate: float, horizon: int) -> ScenarioConfig:
+    """CFG with ``rate`` veh/s in each direction over ``horizon`` ms."""
+    return dataclasses.replace(CFG, flow_rate=2.0 * rate, sim_duration=horizon)
+
+
+def _east_vehicle(spawn_time=0) -> VehicleKinematics:
     return VehicleKinematics(
-        vehicle_id=0, direction=Direction.EAST, lane=lane,
+        vehicle_id=0, direction=Direction.EAST,
         spawn_time=spawn_time, spawn_x=-1500.0, y=1.75, speed=30.0,
     )
 
 
 def _west_vehicle(spawn_time=0) -> VehicleKinematics:
     return VehicleKinematics(
-        vehicle_id=1, direction=Direction.WEST, lane=0,
+        vehicle_id=1, direction=Direction.WEST,
         spawn_time=spawn_time, spawn_x=1500.0, y=-1.75, speed=30.0,
     )
 
 
 def test_poisson_count_within_3sigma():
     rng = np.random.default_rng(101)
-    proc = ArrivalProcess(rate=10.0, horizon=100_000, direction=Direction.EAST)
-    arrivals = generate_arrivals(proc, CFG, rng)
+    arrivals = generate_arrivals(_arrival_cfg(10.0, 100_000), Direction.EAST, rng)
     expected = 10.0 * 100.0
     assert abs(len(arrivals) - expected) <= 3 * math.sqrt(expected)
 
 
 def test_zero_horizon_yields_empty_list():
     rng = np.random.default_rng(1)
-    proc = ArrivalProcess(rate=10.0, horizon=0, direction=Direction.EAST)
-    assert generate_arrivals(proc, CFG, rng) == []
+    assert generate_arrivals(_arrival_cfg(10.0, 0), Direction.EAST, rng) == []
 
 
 def test_same_seed_same_arrivals():
-    proc = ArrivalProcess(rate=5.0, horizon=60_000, direction=Direction.WEST)
-    a = generate_arrivals(proc, CFG, np.random.default_rng(9))
-    b = generate_arrivals(proc, CFG, np.random.default_rng(9))
+    cfg = _arrival_cfg(5.0, 60_000)
+    a = generate_arrivals(cfg, Direction.WEST, np.random.default_rng(9))
+    b = generate_arrivals(cfg, Direction.WEST, np.random.default_rng(9))
     assert a == b
 
 
 def test_spawn_times_strictly_increasing_and_lanes_in_range():
     rng = np.random.default_rng(77)
-    proc = ArrivalProcess(rate=50.0, horizon=30_000, direction=Direction.EAST)
-    arrivals = generate_arrivals(proc, CFG, rng)
+    arrivals = generate_arrivals(_arrival_cfg(50.0, 30_000), Direction.EAST, rng)
     times = [v.spawn_time for v in arrivals]
     assert all(b > a for a, b in zip(times, times[1:]))
-    assert all(0 <= v.lane < CFG.lane_count // 2 for v in arrivals)
+    lane_centres = {(lane + 0.5) * CFG.lane_width for lane in range(CFG.lane_count // 2)}
+    assert {v.y for v in arrivals} == lane_centres
     assert all(v.y > 0 for v in arrivals)  # eastbound offsets above the median
 
 
 def test_westbound_spawns_opposite_edge_and_side():
     rng = np.random.default_rng(78)
-    proc = ArrivalProcess(rate=10.0, horizon=10_000, direction=Direction.WEST)
-    arrivals = generate_arrivals(proc, CFG, rng)
+    arrivals = generate_arrivals(_arrival_cfg(10.0, 10_000), Direction.WEST, rng)
     assert arrivals and all(v.spawn_x == 1500.0 and v.y < 0 for v in arrivals)
 
 
@@ -112,23 +115,22 @@ def test_exit_time_and_transit():
 
 
 def test_rate_must_be_positive():
-    proc = ArrivalProcess(rate=0.0, horizon=1000, direction=Direction.EAST)
     with pytest.raises(MobilityError):
-        generate_arrivals(proc, CFG, np.random.default_rng(0))
+        generate_arrivals(_arrival_cfg(0.0, 1000), Direction.EAST, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("rate", [1e-307, 1e-320])
 def test_arrival_gap_past_any_horizon_ends_the_stream(rate):
     # A mean gap of 1e307 s overflows once converted to ms; 1/1e-320 is inf.
-    proc = ArrivalProcess(rate=rate, horizon=10**12, direction=Direction.EAST)
+    cfg = _arrival_cfg(rate, 10**12)
+    assert cfg.flow_rate / 2.0 == rate
     for seed in range(20):
-        assert generate_arrivals(proc, CFG, np.random.default_rng(seed)) == []
+        assert generate_arrivals(cfg, Direction.EAST, np.random.default_rng(seed)) == []
 
 
 def test_stretch_window_matches_in_stretch():
     rng = np.random.default_rng(5)
-    proc = ArrivalProcess(rate=20.0, horizon=150_000, direction=Direction.EAST)
-    arrivals = generate_arrivals(proc, CFG, rng)
+    arrivals = generate_arrivals(_arrival_cfg(20.0, 150_000), Direction.EAST, rng)
     spawns = np.array([v.spawn_time for v in arrivals])
     transit = transit_ms(CFG.road_length, CFG.mean_speed)
     for t in (0, 40_000, 100_000, 149_999):
