@@ -13,6 +13,7 @@ a run or an export failed, 2 when the input was rejected.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import math
 import os
@@ -123,9 +124,11 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
     raise_violations(bad)
     cells = [replace_config(cfg, flow_rate=rho) for rho in _floats(args.densities)]
     d_values = list(np.arange(args.d_min, args.d_max + args.d_step / 2, args.d_step))
+    params = ana.params_from_config(cfg)
     rows = []
     for cell in cells:
-        for point in ana.sweep_trigger(ana.params_from_config(cell), d_values):
+        cell_params = dataclasses.replace(params, density=cell.flow_rate)
+        for point in ana.sweep_trigger(cell_params, d_values):
             rows.append((cell.flow_rate, point.d_t, point.mean_attempts, point.success_mass))
     metrics.export_analytic(rows, args.out)
     print(f"analytic: {len(rows)} rows -> {args.out}", file=sys.stderr)
@@ -144,10 +147,11 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         if not math.isfinite(d_t):
             raise_violations([f"--point {spec_str}: d_t must be a finite number"])
         points.append((d_t, replace_config(cfg, flow_rate=flow)))
+    base = ana.params_from_config(cfg)
     all_ok = True
     for d_t, cell in points:
         flow = cell.flow_rate
-        params = ana.params_from_config(cell, d_t=d_t)
+        params = dataclasses.replace(base, d_t=d_t, density=flow)
         rng = np.random.default_rng(derive_cell_seed(cfg.rng_seed, d_t, flow))
         for check in check_against_pmf(params, args.trials, rng):
             ok = check.within_3sigma
@@ -232,7 +236,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, CurveError) as exc:
         print(f"v2isim {args.command}: {exc}", file=sys.stderr)
         return 2
-    except (engine.EngineError, metrics.ExportError) as exc:
+    except (engine.EngineError, OSError) as exc:  # OSError: an unwritable output
         print(f"v2isim {args.command}: {exc}", file=sys.stderr)
         return 1
 

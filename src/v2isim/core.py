@@ -4,8 +4,8 @@ All simulation times are integer milliseconds (``TimeMs``); distances are
 meters. Signed longitudinal distances are positive upstream of the RSU in a
 vehicle's own direction of travel and negative once it has passed the RSU.
 
-A ``Message`` is an immutable named tuple; the engine stamps its transmit
-position with ``msg._replace(tx_position=...)``. The per-kind radio
+A ``Message`` is an immutable named tuple holding what goes over the air;
+the engine carries its transmit position beside it. The per-kind radio
 parameters (priority, payload size, MCS) have no effect on the simulation
 and are listed in the README only. One key=value parser serves config-file
 lines and overrides, taking each field's type from the ``ScenarioConfig``
@@ -45,17 +45,13 @@ class MessageKind(Enum):
 
 
 class Message(NamedTuple):
-    """A single in-simulator transmission.
+    """A single over-the-air transmission.
 
     ``recipients`` is non-empty only for ACKs (the addressed vehicle ids).
-    ``tx_position`` is stamped by the engine when the transmission is
-    scheduled (protocol state machines do not know geometry).
     """
 
     kind: MessageKind
     sender: int
-    tx_time: TimeMs
-    tx_position: tuple[float, float] | None = None
     recipients: tuple[int, ...] = ()
 
 
@@ -118,7 +114,7 @@ class ScenarioConfig:
 # Field name -> int, float or str, in declaration order.
 _FIELD_TYPES: dict[str, type] = get_type_hints(ScenarioConfig)
 
-# Arrivals and BSM ticks are built before a run starts. A run peaks near 760 B
+# Arrivals and BSM ticks are built before a run starts. A run peaks near 540 B
 # per arrival (1e5 arrivals at 30 veh/s), so this many stay under 1 GB.
 MAX_UPFRONT_ITEMS = 1_000_000
 

@@ -10,6 +10,8 @@ Events are named tuples ``(time, seq, kind, payload)`` on a ``heapq`` heap,
 so the heap orders them with C tuple comparison. ``seq`` is unique, so a
 comparison is settled by ``(time, seq)`` and never reaches ``kind`` or
 ``payload``. The main loop dispatches on ``kind`` through a dict of handlers.
+A message arrival's payload is ``(message, transmit position)``. A vehicle's
+state lives from spawn to despawn, so a retry timer that fires later is ignored.
 
 Transmission latency: each radio leg takes ceil(tau/2) ms, where tau is one
 ``tau_range`` draw per transmission, so an unbatched request/acknowledgment
@@ -107,8 +109,9 @@ class EventQueue:
         return len(self._heap)
 
 
-def deliver_broadcast(msg: Message,
+def deliver_broadcast(sender: int,
                       receivers: Sequence[tuple[int, tuple[float, float]]],
+                      tx_position: tuple[float, float],
                       curve: chan.PerCurve, density: float,
                       rng: np.random.Generator) -> set[int]:
     """Sample which candidate receivers pick up one broadcast transmission.
@@ -116,12 +119,10 @@ def deliver_broadcast(msg: Message,
     Each candidate but the sender (excluded even at distance zero) takes one
     uniform draw and receives when it is >= the PER at its Euclidean distance.
     """
-    if msg.tx_position is None:
-        raise EngineError(f"{msg.kind.value} transmission was never position-stamped")
-    tx, ty = msg.tx_position
+    tx, ty = tx_position
     received: set[int] = set()
     for entity_id, (rx, ry) in receivers:
-        if entity_id == msg.sender:
+        if entity_id == sender:
             continue
         dist = ((rx - tx) ** 2 + (ry - ty) ** 2) ** 0.5
         if rng.random() >= chan.per(curve, dist, density):
@@ -224,7 +225,7 @@ class _Simulation:
                 if msg.kind is MessageKind.SUM:
                     self.sum_tx_count[msg.sender] = self.sum_tx_count.get(msg.sender, 0) + 1
             flight = ceil_ms(chan.sample_tau(self.rng, self.tau_range) / 2.0)
-            self.queue.push(now + flight, EventKind.MSG_ARRIVAL, msg._replace(tx_position=pos))
+            self.queue.push(now + flight, EventKind.MSG_ARRIVAL, (msg, pos))
         for deadline, kind in out.timers:
             if kind is proto.TimerKind.RETRY:
                 self.queue.push(deadline, EventKind.RETRY_TIMER, sender)
@@ -290,19 +291,22 @@ class _Simulation:
         self._obu_transition(vid, now, "trigger_cross", proto.obu_on_trigger)
 
     def _on_retry_timer(self, now: TimeMs, vid: int) -> None:
-        self._obu_transition(vid, now, "retry_timer", proto.obu_on_retry_timer)
+        if vid in self.active:  # else the vehicle left with this timer armed
+            self._obu_transition(vid, now, "retry_timer", proto.obu_on_retry_timer)
 
-    def _on_msg_arrival(self, now: TimeMs, msg: Message) -> None:
+    def _on_msg_arrival(self, now: TimeMs, sent: tuple[Message, tuple[float, float]]) -> None:
+        msg, pos = sent
         if msg.kind is MessageKind.SUM:
             receivers = [(RSU_ID, self.cfg.rsu_position)]
-            if RSU_ID in deliver_broadcast(msg, receivers, self.curve, self.density, self.rng):
+            if RSU_ID in deliver_broadcast(msg.sender, receivers, pos, self.curve,
+                                           self.density, self.rng):
                 self._rsu_transition(now, "sum_rx", proto.rsu_on_sum, msg.sender)
         elif msg.kind is MessageKind.ACK:
             receivers = [
                 (vid, mob.position_at(self.active[vid], now))
                 for vid in msg.recipients if vid in self.active
             ]
-            for vid in sorted(deliver_broadcast(msg, receivers, self.curve,
+            for vid in sorted(deliver_broadcast(msg.sender, receivers, pos, self.curve,
                                                 self.density, self.rng)):
                 self._obu_transition(vid, now, "ack_rx", proto.obu_on_ack, msg.recipients)
         elif msg.kind is MessageKind.SAM:
@@ -310,7 +314,7 @@ class _Simulation:
             receivers = [
                 (vid, mob.position_at(self.active[vid], now)) for vid in self.awaiting_sam
             ]
-            for vid in sorted(deliver_broadcast(msg, receivers, self.curve,
+            for vid in sorted(deliver_broadcast(msg.sender, receivers, pos, self.curve,
                                                 self.density, self.rng)):
                 self._obu_transition(vid, now, "sam_rx", proto.obu_on_sam)
         else:
@@ -324,8 +328,9 @@ class _Simulation:
 
     def _on_despawn(self, now: TimeMs, vid: int) -> None:
         self._finalize(vid, OUTCOME_DESPAWN)
-        self.obu[vid] = proto.obu_mark_failed(self.obu[vid])
-        self.active.pop(vid, None)
+        del self.active[vid]
+        del self.obu[vid]
+        self.sum_tx_count.pop(vid, None)
         self.awaiting_sam.pop(vid, None)
 
     # -- main loop ---------------------------------------------------------

@@ -9,8 +9,8 @@ so cancelled timers are absorbed without bookkeeping.
 Vehicle side (OBU): a SAM must have been stored before the trigger-line SUM
 can be sent. A vehicle that crosses the trigger before hearing any SAM defers
 its first SUM until the first SAM reception afterwards. Retries repeat every
-t_sum until an ACK naming this vehicle arrives. Retries are unbounded;
-failure is declared externally at despawn or simulation end.
+t_sum until an ACK naming this vehicle arrives. Retries are unbounded: the
+engine drops the vehicle's state at despawn, so no phase marks a failure.
 
 RSU side: pending requesters accumulate in arrival order. An ACK naming all
 of them is sent when the batch reaches b_ack entries or when t_ack elapses
@@ -38,7 +38,6 @@ class ObuPhase(Enum):
     SAM_STORED = "sam_stored"
     AWAITING_ACK = "awaiting_ack"
     COMPLETE = "complete"
-    FAILED = "failed"
 
 
 class TimerKind(Enum):
@@ -74,7 +73,7 @@ def _send_sum(state: ObuState, now: TimeMs, attempts: int,
     """Transmit SUM number ``attempts`` and arm its retry timer."""
     deadline = now + state.t_sum
     new = state._replace(attempts=attempts, retry_deadline=deadline, **changes)
-    sum_msg = Message(kind=MessageKind.SUM, sender=state.vehicle_id, tx_time=now)
+    sum_msg = Message(kind=MessageKind.SUM, sender=state.vehicle_id)
     return new, ProtocolOutput((sum_msg,), ((deadline, TimerKind.RETRY),))
 
 
@@ -126,13 +125,6 @@ def obu_on_ack(state: ObuState, now: TimeMs,
     return state, _NO_OUTPUT
 
 
-def obu_mark_failed(state: ObuState) -> ObuState:
-    """External failure declaration at despawn or simulation end."""
-    if state.phase in (ObuPhase.COMPLETE, ObuPhase.FAILED):
-        return state
-    return state._replace(phase=ObuPhase.FAILED, retry_deadline=None)
-
-
 class RsuState(NamedTuple):
     b_ack: int
     t_ack: TimeMs
@@ -148,7 +140,7 @@ def _flush_ack(state: RsuState, now: TimeMs,
     if not (1 <= len(recipients) <= state.b_ack):
         raise ProtocolError(f"ACK batch of {len(recipients)} violates b_ack={state.b_ack}")
     new = state._replace(pending=(), ack_deadline=None)
-    ack = Message(kind=MessageKind.ACK, sender=RSU_ID, tx_time=now, recipients=recipients)
+    ack = Message(kind=MessageKind.ACK, sender=RSU_ID, recipients=recipients)
     return new, ProtocolOutput((ack,))
 
 
@@ -185,5 +177,5 @@ def rsu_on_sam_timer(state: RsuState, now: TimeMs) -> tuple[RsuState, ProtocolOu
             f"SAM timer fired at {now} but next_sam_time is {state.next_sam_time}"
         )
     new = state._replace(next_sam_time=now + state.sam_period)
-    sam = Message(kind=MessageKind.SAM, sender=RSU_ID, tx_time=now)
+    sam = Message(kind=MessageKind.SAM, sender=RSU_ID)
     return new, ProtocolOutput((sam,), ((new.next_sam_time, TimerKind.SAM),))

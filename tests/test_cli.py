@@ -9,7 +9,7 @@ import io
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from v2isim import ScenarioConfig, mobility
+from v2isim import ScenarioConfig, channel, mobility
 from v2isim.cli import derive_cell_seed, main
 
 # Trigger near the entry edge so crossings start ~3 s in, keeping runs short.
@@ -195,6 +195,41 @@ def test_trace_writes_transition_lines(tmp_path):
                  "--set", "bsm_period=1000"]) == 0
     lines = out.read_text().splitlines()
     assert lines and all(len(line.split("\t")) == 5 for line in lines)
+
+
+# TMP/FILE is a regular file and TMP/DIR a directory.
+@pytest.mark.parametrize("command, out", [
+    ("simulate", "FILE/sub"),
+    ("sweep", "FILE"),
+    ("trace", "DIR"),
+])
+def test_unwritable_out_exits_1_with_a_one_line_reason(tmp_path, capsys, command, out):
+    (tmp_path / "FILE").write_text("")
+    (tmp_path / "DIR").mkdir()
+    assert main([command, "--out", str(tmp_path / out), *FAST]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"v2isim {command}: ") and err.count("\n") == 1
+    assert str(tmp_path / out.split("/")[0]) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["analytic", "validate"])
+def test_model_commands_read_the_calibration_file_once_per_command(
+        tmp_path, capsys, monkeypatch, command):
+    """One read checks the file, one builds the model for every density or point."""
+    curve = tmp_path / "default.per"
+    curve.write_text(channel.dumps_per_curve(channel.default_calibration()))
+    reads = []
+    load = channel.load_per_curve
+    monkeypatch.setattr(channel, "load_per_curve", lambda path: reads.append(path) or load(path))
+    outputs = []
+    for per_curve in (str(curve), "default"):
+        out = tmp_path / f"{per_curve == 'default'}.csv"
+        argv = ["--out", str(out)] if command == "analytic" else ["--trials", "10000"]
+        assert main([command, *argv, "--set", f"per_curve={per_curve}"]) == 0
+        outputs.append(out.read_bytes() if command == "analytic" else capsys.readouterr().out)
+    assert reads == [str(curve)] * 2
+    assert outputs[0] == outputs[1]
 
 
 def test_derive_cell_seed_stable_and_distinct():

@@ -13,14 +13,14 @@ from v2isim import engine
 from v2isim.channel import (
     constant_per_curve, default_calibration, dumps_per_curve, per_many,
 )
-from v2isim.core import ConfigError, Message, MessageKind, RSU_ID, ScenarioConfig
+from v2isim.core import ConfigError, ScenarioConfig
 from v2isim.engine import (
     BatchError, EngineError, EventKind, EventQueue, deliver_broadcast, run,
     run_batch,
 )
-from v2isim.metrics import OUTCOME_SIMEND
+from v2isim.metrics import OUTCOME_DESPAWN, OUTCOME_SIMEND
 from v2isim.mobility import (
-    Direction, entry_x, generate_arrivals, position_at,
+    Direction, entry_x, exit_time, generate_arrivals, position_at,
 )
 
 
@@ -54,30 +54,27 @@ def test_queue_rejects_scheduling_in_the_past():
 # -- deliver_broadcast ---------------------------------------------------
 
 
-def _msg(sender=0, pos=(0.0, 0.0)) -> Message:
-    return Message(kind=MessageKind.SAM, sender=sender, tx_time=0, tx_position=pos)
+ORIGIN = (0.0, 0.0)
 
 
 def test_deliver_all_when_lossless():
     curve = constant_per_curve(0.0)
     receivers = [(i, (float(i), 0.0)) for i in range(1, 50)]
-    got = deliver_broadcast(_msg(), receivers, curve, 10.0, np.random.default_rng(0))
+    got = deliver_broadcast(0, receivers, ORIGIN, curve, 10.0, np.random.default_rng(0))
     assert got == {i for i, _ in receivers}
 
 
 def test_sender_excluded_even_at_distance_zero():
     curve = constant_per_curve(0.0)
     receivers = [(0, (0.0, 0.0)), (1, (0.0, 0.0))]
-    got = deliver_broadcast(_msg(sender=0), receivers, curve, 10.0,
-                            np.random.default_rng(0))
+    got = deliver_broadcast(0, receivers, ORIGIN, curve, 10.0, np.random.default_rng(0))
     assert got == {1}
 
 
 def test_deliver_binomial_3sigma():
     curve = constant_per_curve(0.5)
     receivers = [(i, (10.0, 0.0)) for i in range(1, 1001)]
-    got = deliver_broadcast(_msg(), receivers, curve, 10.0,
-                            np.random.default_rng(99))
+    got = deliver_broadcast(0, receivers, ORIGIN, curve, 10.0, np.random.default_rng(99))
     sigma = math.sqrt(1000 * 0.25)
     assert abs(len(got) - 500) <= 3 * sigma
 
@@ -85,21 +82,14 @@ def test_deliver_binomial_3sigma():
 def test_deliver_draws_one_uniform_per_non_sender_candidate():
     receivers = [(i, (float(i), 0.0)) for i in range(16)]   # 0 is the sender
     rng = np.random.default_rng(7)
-    got = deliver_broadcast(_msg(sender=0), receivers, constant_per_curve(0.3), 10.0, rng)
+    got = deliver_broadcast(0, receivers, ORIGIN, constant_per_curve(0.3), 10.0, rng)
     ref_rng = np.random.default_rng(7)
     ref = ref_rng.random(15) >= 0.3
     assert got == {i for i, ok in enumerate(ref, start=1) if ok}
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     # Draws lie in [0, 1): PER 1 never receives.
-    assert deliver_broadcast(_msg(sender=0), receivers, constant_per_curve(1.0), 10.0,
+    assert deliver_broadcast(0, receivers, ORIGIN, constant_per_curve(1.0), 10.0,
                              rng) == set()
-
-
-def test_unstamped_message_is_a_bug():
-    msg = Message(kind=MessageKind.SUM, sender=1, tx_time=0, tx_position=None)
-    with pytest.raises(EngineError, match="position-stamped"):
-        deliver_broadcast(msg, [(RSU_ID, (0.0, 0.0))], default_calibration(),
-                          10.0, np.random.default_rng(0))
 
 
 # -- degenerate channels -------------------------------------------------
@@ -261,6 +251,40 @@ def test_attempts_match_request_transmissions_under_loss():
     # check; records must still show retries happening.
     summary = run(short_cfg(d_t=250.0, flow_rate=10.0, sim_duration=90_000))
     assert any(r.attempts > 1 for r in summary.records)
+
+
+def test_vehicle_state_lives_from_spawn_to_despawn(tmp_path):
+    # Lossless within 900 m of the RSU, blocked (PER 1) beyond: every vehicle
+    # stores a SAM on its way in, and every SUM from the trigger 1,200 m past
+    # the RSU is lost, so each vehicle leaves with its retry timer armed.
+    curve_path = tmp_path / "step.per"
+    curve_path.write_text("density 10\n0 0\n900 0\n901 1\n")
+    cfg = short_cfg(d_t=-1200.0, flow_rate=2.0, sim_duration=200_000,
+                    per_curve=str(curve_path))
+    rows = []
+    sim = engine._Simulation(cfg, trace=lambda *row: rows.append(row))
+    summary = sim.run()
+    vehicles = [v for arr in sim.by_direction.values() for v in arr]
+    exits = {v.vehicle_id: exit_time(v, cfg.road_length) for v in vehicles}
+    sums_sent: dict[int, int] = {}
+    for t, entity, _event, _before, after in rows:
+        if entity.startswith("veh"):
+            vid = int(entity[3:])
+            assert t < exits[vid], (t, entity, _event)   # nothing after despawn
+            if after == "awaiting_ack":
+                sums_sent[vid] = sums_sent.get(vid, 0) + 1
+    despawned = [r for r in summary.records if exits[r.vehicle_id] < cfg.sim_duration]
+    assert len(despawned) > 100
+    assert all(r.outcome == OUTCOME_DESPAWN for r in despawned)
+    assert all(r.outcome == OUTCOME_SIMEND for r in summary.records
+               if r not in despawned)
+    assert {r.vehicle_id: r.attempts for r in summary.records} == sums_sent
+    assert all(r.attempts > 1 for r in despawned)
+    in_stretch = {v.vehicle_id for v in vehicles
+                  if v.spawn_time < cfg.sim_duration <= exits[v.vehicle_id]}
+    assert in_stretch and set(sim.obu) == set(sim.active) == in_stretch
+    assert set(sim.sum_tx_count) == {r.vehicle_id for r in summary.records
+                                     if r.outcome == OUTCOME_SIMEND}
 
 
 def test_completion_fraction_regression():

@@ -5,10 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from v2isim.core import MessageKind
+from v2isim.core import Message, MessageKind, RSU_ID
 from v2isim.protocol import (
-    ObuPhase, ObuState, ProtocolError, RsuState, TimerKind, obu_mark_failed,
-    obu_on_ack, obu_on_retry_timer, obu_on_sam, obu_on_trigger,
+    ObuPhase, ObuState, ProtocolError, RsuState, TimerKind, obu_on_ack, obu_on_retry_timer, obu_on_sam, obu_on_trigger,
     rsu_on_ack_timer, rsu_on_sam_timer, rsu_on_sum,
 )
 
@@ -19,6 +18,9 @@ def fresh_obu(vid=7, t_sum=600) -> ObuState:
 
 def fresh_rsu(b_ack=16, t_ack=400, sam_period=1000) -> RsuState:
     return RsuState(b_ack=b_ack, t_ack=t_ack, sam_period=sam_period)
+
+
+SUM_7 = Message(kind=MessageKind.SUM, sender=7)
 
 
 # -- OBU ---------------------------------------------------------------
@@ -48,9 +50,7 @@ def test_trigger_sends_first_sum_and_arms_retry():
     assert state.attempts == 1
     assert state.first_sum_tx_time == 40_000
     assert state.retry_deadline == 40_600
-    (sum_msg,) = out.transmissions
-    assert sum_msg.kind is MessageKind.SUM and sum_msg.sender == 7
-    assert sum_msg.tx_time == 40_000
+    assert out.transmissions == (SUM_7,)
     assert out.timers == ((40_600, TimerKind.RETRY),)
 
 
@@ -63,8 +63,8 @@ def test_trigger_before_any_sam_defers_first_sum():
     assert released.sam_rx_time == 41_000
     assert released.first_sum_tx_time == 41_000
     assert released.attempts == 1
-    (sum_msg,) = out.transmissions
-    assert sum_msg.kind is MessageKind.SUM and sum_msg.tx_time == 41_000
+    assert out.transmissions == (SUM_7,)
+    assert out.timers == ((41_600, TimerKind.RETRY),)
 
 
 def test_second_trigger_is_contract_violation():
@@ -83,8 +83,7 @@ def test_retry_increments_attempts_and_reschedules():
     state, out = obu_on_retry_timer(state, 40_600)
     assert state.attempts == 2
     assert state.retry_deadline == 41_200
-    (sum_msg,) = out.transmissions
-    assert sum_msg.kind is MessageKind.SUM and sum_msg.tx_time == 40_600
+    assert out.transmissions == (SUM_7,)
     assert out.timers == ((41_200, TimerKind.RETRY),)
 
 
@@ -99,16 +98,15 @@ def test_stale_retry_after_completion_is_absorbed():
 def test_unbounded_retries_keep_cadence():
     stored, _ = obu_on_sam(fresh_obu(), 1000)
     state, out = obu_on_trigger(stored, 40_000)
-    tx_times = [out.transmissions[0].tx_time]
-    now = 40_000
+    deadlines = [out.timers[0][0]]
     for _ in range(10):
-        now += 600
-        state, out = obu_on_retry_timer(state, now)
-        tx_times.append(out.transmissions[0].tx_time)
+        state, out = obu_on_retry_timer(state, deadlines[-1])
+        assert out.transmissions == (SUM_7,)
+        deadlines.append(out.timers[0][0])
     assert state.attempts == 11
     assert state.phase is ObuPhase.AWAITING_ACK
-    # Consecutive request transmissions are separated by exactly t_sum.
-    assert all(b - a == 600 for a, b in zip(tx_times, tx_times[1:]))
+    # Each retransmission, sent at the last deadline, re-arms exactly t_sum later.
+    assert deadlines == [40_000 + 600 * k for k in range(1, 12)]
 
 
 def test_ack_completes_only_when_named():
@@ -130,18 +128,6 @@ def test_complete_implies_ack_after_first_sum():
     complete, _ = obu_on_ack(state, 40_100, (7,))
     assert complete.ack_rx_time >= complete.first_sum_tx_time
     assert complete.attempts >= 1
-
-
-def test_mark_failed_is_terminal_and_idempotent():
-    stored, _ = obu_on_sam(fresh_obu(), 1000)
-    state, _ = obu_on_trigger(stored, 40_000)
-    failed = obu_mark_failed(state)
-    assert failed.phase is ObuPhase.FAILED
-    assert obu_mark_failed(failed) == failed
-    same, out = obu_on_retry_timer(failed, 40_600)
-    assert same == failed and out.transmissions == ()
-    complete, _ = obu_on_ack(state, 40_100, (7,))
-    assert obu_mark_failed(complete) == complete
 
 
 # -- RSU ---------------------------------------------------------------
@@ -212,15 +198,13 @@ def test_batch_size_one_acks_each_sum_instantly():
 
 def test_sam_timer_period_and_bug_trap():
     state = fresh_rsu()
-    times = []
     now = 0
     for _ in range(3):
         state, out = rsu_on_sam_timer(state, now)
-        (sam,) = out.transmissions
-        times.append(sam.tx_time)
+        assert out.transmissions == (Message(kind=MessageKind.SAM, sender=RSU_ID),)
         assert out.timers == ((now + 1000, TimerKind.SAM),)
         now += 1000
-    assert times == [0, 1000, 2000]
+    assert state.next_sam_time == 3000
     with pytest.raises(ProtocolError):
         rsu_on_sam_timer(state, now + 1)  # mismatched fire time
 
