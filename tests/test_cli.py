@@ -283,8 +283,8 @@ def test_drawn_fields_cover_the_whole_config():
 
 
 # At most two fields per example keeps every accepted run short on top of
-# SHORT_RUN: a huge sim_duration passes validation only together with both a
-# tiny flow_rate and a huge bsm_period, which takes three fields.
+# SHORT_RUN: a huge sim_duration passes validation only together with a tiny
+# flow_rate, a huge bsm_period and a huge sam_period, which takes four fields.
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
 @given(st.lists(st.sampled_from(sorted(_FIELD_VALUES)), min_size=1, max_size=2, unique=True)
        .flatmap(lambda names: st.fixed_dictionaries({n: _FIELD_VALUES[n] for n in names})))

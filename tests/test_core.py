@@ -76,6 +76,13 @@ def test_up_front_size_and_int64_range_rejected_naming_field(overrides, field):
     assert violations and any(field in msg for msg in violations)
 
 
+def test_sam_timer_count_bound_rejects_a_run_that_cannot_end():
+    # 1e9 SAM timers, with arrivals and BSM ticks under their bounds.
+    violations = validate_config(ScenarioConfig(sim_duration=10**12, flow_rate=1e-6,
+                                                bsm_period=10**12))
+    assert len(violations) == 1 and "sam_period" in violations[0]
+
+
 def test_up_front_size_bound_is_inclusive():
     # Validation only: no run is started.
     assert validate_config(ScenarioConfig(flow_rate=10.0, sim_duration=100_000_000,

@@ -17,6 +17,10 @@ per-run table of 1 cm cells instead of interpolating each probe's exact
 distance: a probe whose uniform draw falls between the two PER values is
 decided the other way, so ``bsm_per`` moved in its sixth decimal (0.522794
 to 0.522795). Its ``records.csv`` digest is unchanged.
+
+The model commands are pinned too: the ``v2isim analytic`` CSV at a 1 m step
+for 10, 15 (blended) and 30 veh/s, and the ``v2isim validate`` table at
+10,000 trials, both recorded before the closed form became an array kernel.
 """
 
 from __future__ import annotations
@@ -82,3 +86,22 @@ def test_records_bytes_do_not_depend_on_bsm_settings(tmp_path):
         assert main(["simulate", "--out", str(out), *cell, *extra]) == 0
         digests[name] = _sha256(out / "records.csv")
     assert len(set(digests.values())) == 1, digests
+
+
+# (command, arguments, sha256 of the CSV (analytic) or of stdout (validate))
+MODEL_GOLDEN = [
+    ("analytic", ["--densities", "10,15,30", "--d-step", "1"],
+     "d449a96fc1fc93d14cdd0c1f52fe8a5d0fd2a704155811a5f976f973f311cf6c"),
+    ("validate", ["--trials", "10000"],
+     "dc6e00cb76c4633b06e9739fd3355b111604dc71a68dc9059f4cbba7938b7608"),
+]
+
+
+@pytest.mark.parametrize("command,args,sha", MODEL_GOLDEN, ids=[g[0] for g in MODEL_GOLDEN])
+def test_model_output_bytes_are_pinned(tmp_path, capsys, command, args, sha):
+    out = tmp_path / "analytic.csv"
+    argv = ["--out", str(out)] if command == "analytic" else []
+    assert main([command, *argv, *args]) == 0
+    stdout = capsys.readouterr().out
+    data = out.read_bytes() if command == "analytic" else stdout.encode()
+    assert hashlib.sha256(data).hexdigest() == sha
