@@ -8,12 +8,12 @@ from the config's inclusive ``tau_range``, which ``validate_config`` keeps
 inside [8, 200] ms.
 
 PER has three lookup paths over the same knots. ``per_many`` is the vector
-path and calls ``np.interp``. ``per`` is the scalar path used per packet by
-the engine and per attempt by the closed form: a ``bisect`` over cached
-Python lists that repeats ``np.interp``'s arithmetic step for step, so it is
-bit-identical to ``per_many`` on the same distance and returns a plain
-``float``. Both paths pick the density level(s) and blend weight once per
-(curve, density) and reuse that choice.
+path and calls ``np.interp``: the closed form, and the engine once per ACK or
+SAM broadcast, over its candidates. ``per`` is the scalar path, the engine's
+for each SUM at the RSU: a ``bisect`` over cached Python lists that repeats
+``np.interp``'s arithmetic step for step, so it is bit-identical to
+``per_many`` and returns a plain ``float``. Both paths pick the density
+level(s) and blend weight once per (curve, density) and reuse that choice.
 
 ``per_table`` is the third path, for the BSM pass's millions of probes: one
 density's ``per_many``, evaluated once at the midpoints of equal cells over

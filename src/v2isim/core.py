@@ -119,6 +119,11 @@ _FIELD_TYPES: dict[str, type] = get_type_hints(ScenarioConfig)
 # same bound caps the periodic SAM timer's events, so every run can end.
 MAX_UPFRONT_ITEMS = 1_000_000
 
+# Worst case of retry timers: every arrival retries every t_sum for its whole
+# transit. At about 10 us per event (200 s, d_t=300 m, flow 30, 2-vCPU host)
+# this many take about 34 minutes; it admits 1e6 arrivals at the default t_sum (167 each).
+MAX_RETRY_TIMERS = 200_000_000
+
 # Fields that must be > 0, with their units.
 _POSITIVE_FIELDS = {
     "t_sum": "ms", "t_ack": "ms", "sam_period": "ms", "bsm_period": "ms",
@@ -141,6 +146,8 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
         elif kind is int and not -2**63 <= value < 2**63:
             # The checks below take ints as floats, and numpy takes them as int64.
             return [f"{name} must fit in a signed 64-bit integer (got {value})"]
+        elif kind is int and value % 1:
+            bad(f"{name} must be a whole number (got {value})")
     if cfg.b_ack < 1:
         bad(f"b_ack must be >= 1 (got {cfg.b_ack})")
     for name, unit in _POSITIVE_FIELDS.items():
@@ -166,6 +173,12 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
     if cfg.mean_speed > 0 and not math.isfinite(cfg.road_length / cfg.mean_speed * 1e3):
         bad(f"road_length / mean_speed must be a finite transit time in ms "
             f"(got {cfg.road_length} / {cfg.mean_speed})")
+    elif cfg.mean_speed > 0 and cfg.t_sum > 0:
+        transit = ceil_ms(cfg.road_length / cfg.mean_speed * 1000.0)
+        timers = cfg.flow_rate * cfg.sim_duration / 1000.0 * math.ceil(transit / cfg.t_sum)
+        if timers > MAX_RETRY_TIMERS:
+            bad(f"flow_rate * sim_duration * ceil({transit} ms transit / t_sum) must expect "
+                f"at most {MAX_RETRY_TIMERS} retry timers (got {timers:.3g}, t_sum={cfg.t_sum})")
     if cfg.lane_count < 2 or cfg.lane_count % 2 != 0:
         bad(f"lane_count must be an even number >= 2 (got {cfg.lane_count})")
     # Any two positions lie within ``extent`` of each other on both axes.

@@ -9,15 +9,23 @@ of ``SeedSequence(seed)``, so no BSM setting moves a protocol outcome.
 Events are named tuples ``(time, seq, kind, payload)`` on a ``heapq`` heap,
 so the heap orders them with C tuple comparison. ``seq`` is unique, so a
 comparison is settled by ``(time, seq)`` and never reaches ``kind`` or
-``payload``. The main loop dispatches on ``kind`` through a dict of handlers.
-A message arrival's payload is ``(message, transmit position)``. A vehicle's
-state lives from spawn to despawn, so a retry timer that fires later is ignored.
+``payload``. The main loop tests the two commonest kinds, message arrivals
+and retry timers, by identity and looks the rest up in a dict of handlers.
+Hot code binds Enum members to module names, since on Python 3.11 a lookup
+on the class costs about 0.1 us. A message arrival's payload is ``(message,
+transmit position)``. A vehicle's state lives from spawn to despawn, so a
+retry timer that fires later is ignored. A transition that returns its state
+and no output is only traced.
 
 Transmission latency: each radio leg takes ceil(tau/2) ms, where tau is one
 ``tau_range`` draw per transmission, so an unbatched request/acknowledgment
 round trip spans a single tau. Reception is sampled per candidate receiver at
 its Euclidean distance from the transmit position, receiver position taken at
-arrival time. Senders never receive their own transmissions.
+arrival time. Senders never receive their own transmissions. A SUM has one
+candidate, the RSU: one ``rng.random()`` against the scalar ``channel.per``.
+An ACK or SAM draws ``rng.random(k)`` against one ``channel.per_many`` over
+its k candidates: the same k uniforms as k scalar draws, and PER equal to
+``per`` bit for bit.
 
 Background safety broadcasts (BSMs) only feed the reception-rate metric and
 have no protocol effect, and positions are closed-form, so they are not
@@ -92,7 +100,8 @@ class EventQueue:
                 f"attempt to schedule {kind.value} at {time} ms behind the "
                 f"clock ({self._clock} ms)"
             )
-        heapq.heappush(self._heap, Event(time, self._next_seq, kind, payload))
+        # tuple.__new__ skips the named tuple's Python-level constructor.
+        heapq.heappush(self._heap, tuple.__new__(Event, (time, self._next_seq, kind, payload)))
         self._next_seq += 1
 
     def pop(self) -> Event:
@@ -105,9 +114,6 @@ class EventQueue:
         self._clock = event.time
         return event
 
-    def __len__(self) -> int:
-        return len(self._heap)
-
 
 def deliver_broadcast(sender: int,
                       receivers: Sequence[tuple[int, tuple[float, float]]],
@@ -118,16 +124,17 @@ def deliver_broadcast(sender: int,
 
     Each candidate but the sender (excluded even at distance zero) takes one
     uniform draw and receives when it is >= the PER at its Euclidean distance.
+    One ``rng.random(k)`` and one ``per_many`` serve the k candidates, in list
+    order, bit for bit as k scalar draws and ``per`` calls would.
     """
     tx, ty = tx_position
-    received: set[int] = set()
+    ids, dists = [], []
     for entity_id, (rx, ry) in receivers:
-        if entity_id == sender:
-            continue
-        dist = ((rx - tx) ** 2 + (ry - ty) ** 2) ** 0.5
-        if rng.random() >= chan.per(curve, dist, density):
-            received.add(entity_id)
-    return received
+        if entity_id != sender:
+            ids.append(entity_id)
+            dists.append(((rx - tx) ** 2 + (ry - ty) ** 2) ** 0.5)
+    heard = rng.random(len(ids)) >= chan.per_many(curve, dists, density)
+    return {entity_id for entity_id, ok in zip(ids, heard.tolist()) if ok}
 
 
 def bsm_counters(cfg: ScenarioConfig, curve: chan.PerCurve,
@@ -181,6 +188,11 @@ def bsm_counters(cfg: ScenarioConfig, curve: chan.PerCurve,
 
 TraceFn = Callable[[TimeMs, str, str, str, str], None]
 
+_SUM, _RETRY, _IDLE = MessageKind.SUM, proto.TimerKind.RETRY, proto.ObuPhase.IDLE
+_MSG_ARRIVAL, _RETRY_TIMER = EventKind.MSG_ARRIVAL, EventKind.RETRY_TIMER
+# One radio leg's flight time, ceil(tau/2) ms, for every tau validate_config accepts.
+_FLIGHT_MS = {tau: ceil_ms(tau / 2.0) for tau in range(chan.TAU_MIN_MS, chan.TAU_MAX_MS + 1)}
+
 
 class _Simulation:
     def __init__(self, cfg: ScenarioConfig, trace: TraceFn | None = None):
@@ -191,6 +203,8 @@ class _Simulation:
         self.curve = cfg.channel()
         self.tau_range = cfg.tau_range
         self.density = cfg.flow_rate
+        self.rsu_position = cfg.rsu_position
+        self.transit = mob.transit_ms(cfg.road_length, cfg.mean_speed)
         self.queue = EventQueue()
 
         # Vehicles between spawn and despawn: every position lookup is for one.
@@ -217,31 +231,35 @@ class _Simulation:
     # -- helpers ---------------------------------------------------------
 
     def _apply_output(self, sender: int, now: TimeMs, out: proto.ProtocolOutput) -> None:
-        for msg in out.transmissions:
+        transmissions, timers = out
+        push = self.queue.push
+        for msg in transmissions:
             if msg.sender == RSU_ID:
-                pos = self.cfg.rsu_position
+                pos = self.rsu_position
             else:
                 pos = mob.position_at(self.active[msg.sender], now)
-                if msg.kind is MessageKind.SUM:
+                if msg.kind is _SUM:
                     self.sum_tx_count[msg.sender] = self.sum_tx_count.get(msg.sender, 0) + 1
-            flight = ceil_ms(chan.sample_tau(self.rng, self.tau_range) / 2.0)
-            self.queue.push(now + flight, EventKind.MSG_ARRIVAL, (msg, pos))
-        for deadline, kind in out.timers:
-            if kind is proto.TimerKind.RETRY:
-                self.queue.push(deadline, EventKind.RETRY_TIMER, sender)
+            flight = _FLIGHT_MS[chan.sample_tau(self.rng, self.tau_range)]
+            push(now + flight, _MSG_ARRIVAL, (msg, pos))
+        for deadline, kind in timers:
+            if kind is _RETRY:
+                push(deadline, _RETRY_TIMER, sender)
             elif kind is proto.TimerKind.ACK_FLUSH:
-                self.queue.push(deadline, EventKind.ACK_TIMER)
+                push(deadline, EventKind.ACK_TIMER)
             else:
-                self.queue.push(deadline, EventKind.SAM_TIMER)
+                push(deadline, EventKind.SAM_TIMER)
 
     def _obu_transition(self, vid: int, now: TimeMs, event: str, fn, *args) -> None:
         state = self.obu[vid]
         new, out = fn(state, now, *args)
-        self.obu[vid] = new
-        if new.phase is not proto.ObuPhase.IDLE:
-            self.awaiting_sam.pop(vid, None)
         if self.trace is not None:
             self.trace(now, f"veh{vid}", event, state.phase.value, new.phase.value)
+        if new is state and not (out.transmissions or out.timers):
+            return   # a stale timer or a repeated SAM: nothing to store or send
+        self.obu[vid] = new
+        if new.phase is not _IDLE:
+            self.awaiting_sam.pop(vid, None)
         self._apply_output(vid, now, out)
 
     def _rsu_transition(self, now: TimeMs, event: str, fn, *args) -> None:
@@ -250,7 +268,8 @@ class _Simulation:
         if self.trace is not None:
             self.trace(now, "rsu", event, f"pending:{len(state.pending)}",
                        f"pending:{len(self.rsu.pending)}")
-        self._apply_output(RSU_ID, now, out)
+        if out.transmissions or out.timers:   # most received SUMs only join the batch
+            self._apply_output(RSU_ID, now, out)
 
     def _finalize(self, vid: int, outcome_if_incomplete: str) -> None:
         state = self.obu[vid]
@@ -277,15 +296,13 @@ class _Simulation:
     # -- event handlers ----------------------------------------------------
 
     def _on_spawn(self, now: TimeMs, v: mob.VehicleKinematics) -> None:
-        self.active[v.vehicle_id] = v
-        self.awaiting_sam[v.vehicle_id] = None
-        self.obu[v.vehicle_id] = proto.ObuState(vehicle_id=v.vehicle_id, t_sum=self.cfg.t_sum)
-        self.queue.push(
-            mob.trigger_crossing_time(v, self.cfg.d_t, self.cfg.rsu_x),
-            EventKind.TRIGGER_CROSS, v.vehicle_id,
-        )
-        self.queue.push(mob.exit_time(v, self.cfg.road_length),
-                        EventKind.VEHICLE_DESPAWN, v.vehicle_id)
+        vid = v.vehicle_id
+        self.active[vid] = v
+        self.awaiting_sam[vid] = None
+        self.obu[vid] = proto.ObuState(vid, self.cfg.t_sum)
+        self.queue.push(mob.trigger_crossing_time(v, self.cfg.d_t, self.cfg.rsu_x),
+                        EventKind.TRIGGER_CROSS, vid)
+        self.queue.push(v.spawn_time + self.transit, EventKind.VEHICLE_DESPAWN, vid)
 
     def _on_trigger(self, now: TimeMs, vid: int) -> None:
         self._obu_transition(vid, now, "trigger_cross", proto.obu_on_trigger)
@@ -296,10 +313,10 @@ class _Simulation:
 
     def _on_msg_arrival(self, now: TimeMs, sent: tuple[Message, tuple[float, float]]) -> None:
         msg, pos = sent
-        if msg.kind is MessageKind.SUM:
-            receivers = [(RSU_ID, self.cfg.rsu_position)]
-            if RSU_ID in deliver_broadcast(msg.sender, receivers, pos, self.curve,
-                                           self.density, self.rng):
+        if msg.kind is _SUM:
+            (rx, ry), (tx, ty) = self.rsu_position, pos   # the one candidate
+            dist = ((rx - tx) ** 2 + (ry - ty) ** 2) ** 0.5
+            if self.rng.random() >= chan.per(self.curve, dist, self.density):
                 self._rsu_transition(now, "sum_rx", proto.rsu_on_sum, msg.sender)
         elif msg.kind is MessageKind.ACK:
             receivers = [
@@ -339,21 +356,24 @@ class _Simulation:
         handlers = {
             EventKind.VEHICLE_SPAWN: self._on_spawn,
             EventKind.TRIGGER_CROSS: self._on_trigger,
-            EventKind.RETRY_TIMER: self._on_retry_timer,
             EventKind.ACK_TIMER: self._on_ack_timer,
             EventKind.SAM_TIMER: self._on_sam_timer,
-            EventKind.MSG_ARRIVAL: self._on_msg_arrival,
             EventKind.VEHICLE_DESPAWN: self._on_despawn,
         }
         queue = self.queue
-        while queue:
+        while True:   # SIM_END, queued at init, ends the loop
             now, _, kind, payload = queue.pop()
-            if kind is EventKind.SIM_END:
+            if kind is _MSG_ARRIVAL:
+                self._on_msg_arrival(now, payload)
+            elif kind is _RETRY_TIMER:
+                self._on_retry_timer(now, payload)
+            elif kind is EventKind.SIM_END:
                 break
-            handler = handlers.get(kind)
-            if handler is None:
-                raise EngineError(f"unhandled event kind {kind}")
-            handler(now, payload)
+            else:
+                handler = handlers.get(kind)
+                if handler is None:
+                    raise EngineError(f"unhandled event kind {kind}")
+                handler(now, payload)
         for vid in list(self.active):
             self._finalize(vid, OUTCOME_SIMEND)
         bsm_tx, bsm_rx, bsm_expected = bsm_counters(self.cfg, self.curve, self.by_direction)

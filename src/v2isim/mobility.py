@@ -8,8 +8,8 @@ median, where the RSU sits by default.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,8 +29,10 @@ class Direction(Enum):
         return 1 if self is Direction.EAST else -1
 
 
-@dataclass(frozen=True)
-class VehicleKinematics:
+_EAST = Direction.EAST   # bound once for position_at (see ``engine``)
+
+
+class VehicleKinematics(NamedTuple):
     """Constant-speed vehicle: spawned at the entry edge of its direction."""
 
     vehicle_id: int
@@ -96,7 +98,8 @@ def position_at(v: VehicleKinematics, t: TimeMs) -> tuple[float, float]:
             f"vehicle {v.vehicle_id} queried at {t} ms before spawn "
             f"({v.spawn_time} ms)"
         )
-    x = v.spawn_x + v.direction.sign * v.speed * (t - v.spawn_time) / 1000.0
+    velocity = v.speed if v.direction is _EAST else -v.speed   # sign * speed, exactly
+    x = v.spawn_x + velocity * (t - v.spawn_time) / 1000.0
     return (x, v.y)
 
 

@@ -17,8 +17,10 @@ of them is sent when the batch reaches b_ack entries or when t_ack elapses
 after the first entry of the batch. A retransmitted SUM from an
 already-pending vehicle does not duplicate its entry.
 
-States are immutable named tuples: a transition returns
-``state._replace(...)`` with only the fields it changes.
+States are immutable named tuples, and a transition that changes nothing
+returns its input state. The hot transitions (each SUM sent, an ACK heard, a
+SUM received below a full batch) build the new state positionally, a
+fraction of ``_replace``'s cost; the rare ones call ``_replace``.
 """
 
 from __future__ import annotations
@@ -68,19 +70,19 @@ class ObuState(NamedTuple):
     deferred_start: bool = False
 
 
-def _send_sum(state: ObuState, now: TimeMs, attempts: int,
-              **changes) -> tuple[ObuState, ProtocolOutput]:
+# Enum members the hot transitions read, bound once (see ``engine``).
+_AWAITING_ACK, _COMPLETE = ObuPhase.AWAITING_ACK, ObuPhase.COMPLETE
+_SUM, _RETRY = MessageKind.SUM, TimerKind.RETRY
+
+
+def _send_sum(state: ObuState, now: TimeMs, sam_rx_time: TimeMs | None,
+              first_sum_tx_time: TimeMs, attempts: int) -> tuple[ObuState, ProtocolOutput]:
     """Transmit SUM number ``attempts`` and arm its retry timer."""
-    deadline = now + state.t_sum
-    new = state._replace(attempts=attempts, retry_deadline=deadline, **changes)
-    sum_msg = Message(kind=MessageKind.SUM, sender=state.vehicle_id)
-    return new, ProtocolOutput((sum_msg,), ((deadline, TimerKind.RETRY),))
-
-
-def _start_requesting(state: ObuState, now: TimeMs,
-                      sam_rx_time: TimeMs | None) -> tuple[ObuState, ProtocolOutput]:
-    return _send_sum(state, now, 1, phase=ObuPhase.AWAITING_ACK, sam_rx_time=sam_rx_time,
-                     first_sum_tx_time=now, deferred_start=False)
+    vid, deadline = state.vehicle_id, now + state.t_sum
+    # Awaiting an ACK, a vehicle has no ACK time and no deferred start.
+    new = ObuState(vid, state.t_sum, _AWAITING_ACK, sam_rx_time, first_sum_tx_time,
+                   attempts, deadline)
+    return new, ProtocolOutput((Message(_SUM, vid),), ((deadline, _RETRY),))
 
 
 def obu_on_sam(state: ObuState, now: TimeMs) -> tuple[ObuState, ProtocolOutput]:
@@ -92,14 +94,14 @@ def obu_on_sam(state: ObuState, now: TimeMs) -> tuple[ObuState, ProtocolOutput]:
     if state.phase is not ObuPhase.IDLE:
         return state, _NO_OUTPUT
     if state.deferred_start:
-        return _start_requesting(state, now, sam_rx_time=now)
+        return _send_sum(state, now, now, now, 1)
     return state._replace(phase=ObuPhase.SAM_STORED, sam_rx_time=now), _NO_OUTPUT
 
 
 def obu_on_trigger(state: ObuState, now: TimeMs) -> tuple[ObuState, ProtocolOutput]:
     """Trigger-line crossing: send the first SUM (or defer it, if no SAM yet)."""
     if state.phase is ObuPhase.SAM_STORED:
-        return _start_requesting(state, now, sam_rx_time=state.sam_rx_time)
+        return _send_sum(state, now, state.sam_rx_time, now, 1)
     if state.phase is ObuPhase.IDLE:
         # Cannot respond to a service it has not heard of yet.
         return state._replace(deferred_start=True), _NO_OUTPUT
@@ -111,17 +113,18 @@ def obu_on_trigger(state: ObuState, now: TimeMs) -> tuple[ObuState, ProtocolOutp
 
 def obu_on_retry_timer(state: ObuState, now: TimeMs) -> tuple[ObuState, ProtocolOutput]:
     """Retry timer expiry: retransmit the SUM unless the timer is stale."""
-    if state.phase is not ObuPhase.AWAITING_ACK or state.retry_deadline != now:
+    if state.phase is not _AWAITING_ACK or state.retry_deadline != now:
         return state, _NO_OUTPUT
-    return _send_sum(state, now, state.attempts + 1)
+    return _send_sum(state, now, state.sam_rx_time, state.first_sum_tx_time,
+                     state.attempts + 1)
 
 
 def obu_on_ack(state: ObuState, now: TimeMs,
                recipients: tuple[int, ...]) -> tuple[ObuState, ProtocolOutput]:
     """ACK reception: complete if this vehicle is named; otherwise ignore."""
-    if state.phase is ObuPhase.AWAITING_ACK and state.vehicle_id in recipients:
-        return state._replace(phase=ObuPhase.COMPLETE, retry_deadline=None,
-                              ack_rx_time=now), _NO_OUTPUT
+    if state.phase is _AWAITING_ACK and state.vehicle_id in recipients:
+        return ObuState(state.vehicle_id, state.t_sum, _COMPLETE, state.sam_rx_time,
+                        state.first_sum_tx_time, state.attempts, None, now), _NO_OUTPUT
     return state, _NO_OUTPUT
 
 
@@ -151,16 +154,17 @@ def rsu_on_sum(state: RsuState, now: TimeMs, sender: int) -> tuple[RsuState, Pro
     every received SUM guarantees the sender an entry in the next ACK, with
     set semantics so a retransmission never duplicates a pending entry.
     """
-    if sender in state.pending:
+    b_ack, t_ack, sam_period, pending, ack_deadline, next_sam_time = state
+    if sender in pending:
         return state, _NO_OUTPUT
-    pending = state.pending + (sender,)
-    if len(pending) == state.b_ack:
+    pending += (sender,)
+    if len(pending) == b_ack:
         return _flush_ack(state, now, pending)
-    if len(pending) > 1:
-        return state._replace(pending=pending), _NO_OUTPUT
-    deadline = now + state.t_ack
-    new = state._replace(pending=pending, ack_deadline=deadline)
-    return new, ProtocolOutput(timers=((deadline, TimerKind.ACK_FLUSH),))
+    out = _NO_OUTPUT
+    if len(pending) == 1:
+        ack_deadline = now + t_ack
+        out = ProtocolOutput(timers=((ack_deadline, TimerKind.ACK_FLUSH),))
+    return RsuState(b_ack, t_ack, sam_period, pending, ack_deadline, next_sam_time), out
 
 
 def rsu_on_ack_timer(state: RsuState, now: TimeMs) -> tuple[RsuState, ProtocolOutput]:

@@ -83,6 +83,20 @@ def test_sam_timer_count_bound_rejects_a_run_that_cannot_end():
     assert len(violations) == 1 and "sam_period" in violations[0]
 
 
+def test_retry_timer_bound_rejects_a_tiny_t_sum():
+    # 30 veh/s for 600 s, each retrying every 1 ms over a 100 s transit:
+    # 1.8e9 retry timers. Validation only: no run is started.
+    violations = validate_config(ScenarioConfig(t_sum=1, flow_rate=30.0))
+    assert len(violations) == 1 and "t_sum" in violations[0]
+    assert "retry timers" in violations[0]
+
+
+@pytest.mark.parametrize("field", ["tau_fixed", "rng_seed", "b_ack"])
+def test_int_fields_reject_fractional_values(field):
+    violations = validate_config(ScenarioConfig(**{field: 50.5}))
+    assert violations == [f"{field} must be a whole number (got 50.5)"]
+
+
 def test_up_front_size_bound_is_inclusive():
     # Validation only: no run is started.
     assert validate_config(ScenarioConfig(flow_rate=10.0, sim_duration=100_000_000,

@@ -3,19 +3,21 @@
 from __future__ import annotations
 
 import dataclasses
+import heapq
 import math
 from concurrent.futures import Future
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from v2isim import engine
 from v2isim.channel import (
-    constant_per_curve, default_calibration, dumps_per_curve, per_many,
+    constant_per_curve, default_calibration, dumps_per_curve, per, per_many,
 )
 from v2isim.core import ConfigError, ScenarioConfig
 from v2isim.engine import (
-    BatchError, EngineError, EventKind, EventQueue, deliver_broadcast, run,
+    BatchError, EngineError, Event, EventKind, EventQueue, deliver_broadcast, run,
     run_batch,
 )
 from v2isim.metrics import OUTCOME_DESPAWN, OUTCOME_SIMEND
@@ -49,6 +51,16 @@ def test_queue_rejects_scheduling_in_the_past():
     q.pop()
     with pytest.raises(EngineError, match="behind the clock"):
         q.push(9, EventKind.SAM_TIMER)
+
+
+def test_queue_pop_rejects_an_event_behind_the_clock():
+    q = EventQueue()
+    q.push(10, EventKind.SAM_TIMER)
+    q.pop()
+    # push refuses such an event, so it is planted on the heap directly.
+    heapq.heappush(q._heap, Event(9, 99, EventKind.RETRY_TIMER))
+    with pytest.raises(EngineError, match="popped behind the clock"):
+        q.pop()
 
 
 # -- deliver_broadcast ---------------------------------------------------
@@ -90,6 +102,56 @@ def test_deliver_draws_one_uniform_per_non_sender_candidate():
     # Draws lie in [0, 1): PER 1 never receives.
     assert deliver_broadcast(0, receivers, ORIGIN, constant_per_curve(1.0), 10.0,
                              rng) == set()
+
+
+def _scalar_deliver(sender, receivers, tx_position, curve, density, rng):
+    """Reference: one scalar draw and one scalar ``per`` per candidate."""
+    tx, ty = tx_position
+    received = set()
+    for entity_id, (rx, ry) in receivers:
+        if entity_id == sender:
+            continue
+        dist = ((rx - tx) ** 2 + (ry - ty) ** 2) ** 0.5
+        if rng.random() >= per(curve, dist, density):
+            received.add(entity_id)
+    return received
+
+
+CAL = default_calibration()
+_KNOTS = sorted({d for tab in CAL.tables for d, _ in tab})
+
+
+@st.composite
+def broadcasts(draw):
+    """A sender, its candidate receivers, the transmit position and a density.
+
+    Whole-metre transmit positions keep on-knot and past-the-last-knot
+    candidates at exactly that distance."""
+    tx = float(draw(st.integers(-1500, 1500)))
+    ty = draw(st.sampled_from([0.0, 1.75, -26.25]))
+    offset = st.one_of(
+        st.sampled_from(_KNOTS).map(lambda d: (d, 0.0)),
+        st.floats(_KNOTS[-1], 3000.0).map(lambda d: (d, 0.0)),
+        st.tuples(st.floats(-700.0, 700.0), st.floats(-60.0, 60.0)),
+    )
+    candidates = [(vid, (tx + dx, ty + dy))
+                  for vid, (dx, dy) in enumerate(draw(st.lists(offset, max_size=24)))]
+    sender = draw(st.sampled_from([-1, 0]))
+    if draw(st.booleans()):   # the sender itself, at distance 0
+        candidates.insert(draw(st.integers(0, len(candidates))), (sender, (tx, ty)))
+    return sender, candidates, (tx, ty), draw(st.sampled_from([10.0, 15.0, 30.0]))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(broadcasts(), st.integers(0, 2**32))
+@example((-1, [], (0.0, 0.0), 15.0), 5)
+@example((-1, [(-1, (3.0, 0.0))], (3.0, 0.0), 30.0), 5)
+def test_deliver_matches_a_scalar_draw_per_candidate(case, seed):
+    sender, candidates, tx_position, density = case
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = deliver_broadcast(sender, candidates, tx_position, CAL, density, rng)
+    assert got == _scalar_deliver(sender, candidates, tx_position, CAL, density, ref_rng)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 # -- degenerate channels -------------------------------------------------

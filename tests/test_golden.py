@@ -1,10 +1,12 @@
-"""Golden outputs: exact bytes of the exported tables for three fixed cells.
+"""Golden outputs: exact bytes of the exported tables for five fixed cells.
 
 Performance work on the engine, channel and protocol must not change a
 single output byte. Each cell runs ``v2isim simulate`` for 60 simulated
 seconds and compares the sha256 of ``records.csv`` and ``summary.csv``
 against the digests recorded before that work began. A deliberate change to
-simulation semantics is the only reason to update them.
+simulation semantics is the only reason to update them. The ``b_ack=1`` and
+starved-SAM cells, and the ``v2isim trace`` file of a short lossy run, were
+pinned before the handshake path was rewritten for speed.
 
 ``dt300_flow30_bsm`` was re-pinned once, when BSMs moved to a post-run pass
 on their own random stream: its ``records.csv`` digest is now the one the
@@ -55,6 +57,21 @@ GOLDEN = [
         "8bae8711d926fbc8d2704a82705533e7859cfdc36c6b1042cc8a9552bc8c41c9",
         "4edb8957fe2b0af8057147560fe639d118951160d9876e79bf68a63d86bf0355",
     ),
+    (
+        # Every received SUM fills a batch of one and is ACKed at once.
+        "dt0_flow30_back1",
+        ["--set", "d_t=0", "--set", "flow_rate=30", "--set", "b_ack=1", *_NO_BSM],
+        "dc40aea9a6c1bb5de8a6f193a0bec249224a281a043ae6e609d99940863cad6f",
+        "373916c57d1fcd2cc283f4a8bb7ca427e71842f36808e6ffe96447d20159c59c",
+    ),
+    (
+        # A SAM every 5 s and a trigger 100 m past the entry edge: most
+        # vehicles cross before hearing any SAM and start deferred.
+        "dt1400_flow20_starved_sam",
+        ["--set", "d_t=1400", "--set", "sam_period=5000", "--set", "flow_rate=20", *_NO_BSM],
+        "cc7615bd406a061e6c5deff4bd711708b17a0ad216c572b191b991e0c9a697db",
+        "bcbfbfd5641ea1b7011fbcdc7f042995a46cf557edd47a6c8d12edf152acf164",
+    ),
 ]
 
 
@@ -69,6 +86,16 @@ def test_simulate_output_bytes_are_pinned(tmp_path, overrides, records_sha, summ
     assert main(["simulate", "--out", str(out), *_SHORT, *overrides]) == 0
     assert _sha256(out / "records.csv") == records_sha
     assert _sha256(out / "summary.csv") == summary_sha
+
+
+def test_trace_bytes_are_pinned(tmp_path):
+    """Every transition line of a short lossy run: first SUMs, retries, stale
+    timers, deferred starts, full-batch and timer flushes, uniform tau."""
+    out = tmp_path / "run.trace"
+    assert main(["trace", "--out", str(out), "--seed", "7", "--set", "sim_duration=20000",
+                 "--set", "warmup=0", "--set", "d_t=1400", "--set", "flow_rate=30",
+                 "--set", "tau_mode=uniform", "--set", "bsm_period=20001"]) == 0
+    assert _sha256(out) == "d2449fa25704525687894d0ad8f2051d1bf63a3f39eadf66fbe9d2535a505e94"
 
 
 def test_records_bytes_do_not_depend_on_bsm_settings(tmp_path):
