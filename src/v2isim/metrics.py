@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 from .core import ScenarioConfig, TimeMs, dumps_config
 from .mobility import Direction
@@ -153,7 +154,7 @@ def summary_row(summary: RunSummary) -> dict[str, object]:
     }
 
 
-def _write_table(path: str, header: tuple[str, ...], rows: list[list[object]]) -> None:
+def _write_table(path: str, header: tuple[str, ...], rows: Iterable[Sequence[object]]) -> None:
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(header) + "\n")
@@ -179,12 +180,10 @@ def export_summaries(summaries: list[RunSummary], path: str) -> None:
     _write_table(path, SUMMARY_COLUMNS, rows)
 
 
-def export_analytic(points: list[tuple[float, float, float | None, float]],
+def export_analytic(points: Iterable[tuple[float, float, float | None, float]],
                     path: str) -> None:
-    """Rows of (density, d_t, mean_attempts, success_mass)."""
-    header = ("density", "d_t", "mean_attempts", "success_mass")
-    rows = [[rho, d, mean, mass] for rho, d, mean, mass in points]
-    _write_table(path, header, rows)
+    """Rows of (density, d_t, mean_attempts, success_mass), written as they come."""
+    _write_table(path, ("density", "d_t", "mean_attempts", "success_mass"), points)
 
 
 def write_metadata(summary: RunSummary, path: str) -> None:

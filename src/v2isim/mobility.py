@@ -13,6 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .channel import uniform_int
 from .core import ScenarioConfig, SignedMeters, TimeMs, ceil_ms
 
 
@@ -75,7 +76,7 @@ def generate_arrivals(cfg: ScenarioConfig, direction: Direction,
         t_ms = max(ceil_ms(t_s * 1000.0), prev_ms + 1)
         if t_ms > cfg.sim_duration:
             break
-        lane = int(rng.integers(lanes))
+        lane = uniform_int(rng, 0, lanes - 1)
         out.append(
             VehicleKinematics(
                 vehicle_id=id_start + len(out),

@@ -19,8 +19,8 @@ already-pending vehicle does not duplicate its entry.
 
 States are immutable named tuples, and a transition that changes nothing
 returns its input state. The hot transitions (each SUM sent, an ACK heard, a
-SUM received below a full batch) build the new state positionally, a
-fraction of ``_replace``'s cost; the rare ones call ``_replace``.
+SUM received below a full batch) build the new state positionally, the
+SUM ones with ``tuple.__new__``; the rare ones call ``_replace``.
 """
 
 from __future__ import annotations
@@ -73,6 +73,7 @@ class ObuState(NamedTuple):
 # Enum members the hot transitions read, bound once (see ``engine``).
 _AWAITING_ACK, _COMPLETE = ObuPhase.AWAITING_ACK, ObuPhase.COMPLETE
 _SUM, _RETRY = MessageKind.SUM, TimerKind.RETRY
+_new = tuple.__new__   # a named tuple from every field, without its Python __new__
 
 
 def _send_sum(state: ObuState, now: TimeMs, sam_rx_time: TimeMs | None,
@@ -80,9 +81,10 @@ def _send_sum(state: ObuState, now: TimeMs, sam_rx_time: TimeMs | None,
     """Transmit SUM number ``attempts`` and arm its retry timer."""
     vid, deadline = state.vehicle_id, now + state.t_sum
     # Awaiting an ACK, a vehicle has no ACK time and no deferred start.
-    new = ObuState(vid, state.t_sum, _AWAITING_ACK, sam_rx_time, first_sum_tx_time,
-                   attempts, deadline)
-    return new, ProtocolOutput((Message(_SUM, vid),), ((deadline, _RETRY),))
+    new = _new(ObuState, (vid, state.t_sum, _AWAITING_ACK, sam_rx_time, first_sum_tx_time,
+                          attempts, deadline, None, False))
+    msg = _new(Message, (_SUM, vid, ()))
+    return new, _new(ProtocolOutput, ((msg,), ((deadline, _RETRY),)))
 
 
 def obu_on_sam(state: ObuState, now: TimeMs) -> tuple[ObuState, ProtocolOutput]:
@@ -164,7 +166,7 @@ def rsu_on_sum(state: RsuState, now: TimeMs, sender: int) -> tuple[RsuState, Pro
     if len(pending) == 1:
         ack_deadline = now + t_ack
         out = ProtocolOutput(timers=((ack_deadline, TimerKind.ACK_FLUSH),))
-    return RsuState(b_ack, t_ack, sam_period, pending, ack_deadline, next_sam_time), out
+    return _new(RsuState, (b_ack, t_ack, sam_period, pending, ack_deadline, next_sam_time)), out
 
 
 def rsu_on_ack_timer(state: RsuState, now: TimeMs) -> tuple[RsuState, ProtocolOutput]:

@@ -100,6 +100,14 @@ def test_parse_round_trip():
     assert parse_per_curve(dumps_per_curve(CAL)) == CAL
 
 
+def test_load_parses_a_rewritten_file_again(tmp_path):
+    path = tmp_path / "curve.per"
+    path.write_text(dumps_per_curve(constant_per_curve(0.25)))
+    assert load_per_curve(str(path)) == constant_per_curve(0.25)
+    path.write_text(dumps_per_curve(constant_per_curve(0.75)))
+    assert load_per_curve(str(path)) == constant_per_curve(0.75)
+
+
 def test_parse_errors():
     with pytest.raises(CurveError, match="before any 'density'"):
         parse_per_curve("0 0.5\n")

@@ -232,6 +232,22 @@ def test_model_commands_read_the_calibration_file_once_per_command(
     assert outputs[0] == outputs[1]
 
 
+def test_sweep_parses_the_calibration_file_once(tmp_path, monkeypatch):
+    """The check in ``_load`` and both cells share one parse of the same bytes."""
+    curve = tmp_path / "default.per"
+    # A comment naming this run's directory: no earlier load has these bytes.
+    curve.write_text(channel.dumps_per_curve(channel.default_calibration())
+                     + f"# {tmp_path}\n")
+    parses = []
+    parse = channel.parse_per_curve
+    monkeypatch.setattr(channel, "parse_per_curve",
+                        lambda text: parses.append(text) or parse(text))
+    assert main(["sweep", "--out", str(tmp_path / "out"), "--d-t", "1400,1200",
+                 "--flows", "4", "--parallel", "1", *FAST,
+                 "--set", f"per_curve={curve}"]) == 0
+    assert len(parses) == 1
+
+
 def test_derive_cell_seed_stable_and_distinct():
     a = derive_cell_seed(1, 300.0, 10.0)
     assert a == derive_cell_seed(1, 300.0, 10.0)

@@ -76,6 +76,14 @@ def test_up_front_size_and_int64_range_rejected_naming_field(overrides, field):
     assert violations and any(field in msg for msg in violations)
 
 
+@pytest.mark.parametrize("lane_count", [2**32 + 2, 2**40, 2**62])
+def test_lane_count_beyond_the_32_bit_lane_draw_is_rejected(lane_count):
+    # A direction's lane draw spans lane_count / 2 values, at most 2**31 here.
+    assert validate_config(ScenarioConfig(lane_count=2**32)) == []
+    violations = validate_config(ScenarioConfig(lane_count=lane_count))
+    assert violations == [f"lane_count must be an even number in [2, 2**32] (got {lane_count})"]
+
+
 def test_sam_timer_count_bound_rejects_a_run_that_cannot_end():
     # 1e9 SAM timers, with arrivals and BSM ticks under their bounds.
     violations = validate_config(ScenarioConfig(sim_duration=10**12, flow_rate=1e-6,

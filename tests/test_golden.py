@@ -1,4 +1,4 @@
-"""Golden outputs: exact bytes of the exported tables for five fixed cells.
+"""Golden outputs: exact bytes of the exported tables for seven fixed cells.
 
 Performance work on the engine, channel and protocol must not change a
 single output byte. Each cell runs ``v2isim simulate`` for 60 simulated
@@ -19,6 +19,9 @@ per-run table of 1 cm cells instead of interpolating each probe's exact
 distance: a probe whose uniform draw falls between the two PER values is
 decided the other way, so ``bsm_per`` moved in its sixth decimal (0.522794
 to 0.522795). Its ``records.csv`` digest is unchanged.
+
+The one-lane and one-value tau range cells were pinned before scalar draws
+went straight to the bit generator: both spans are 1, so neither draws.
 
 The model commands are pinned too: the ``v2isim analytic`` CSV at a 1 m step
 for 10, 15 (blended) and 30 veh/s, and the ``v2isim validate`` table at
@@ -71,6 +74,21 @@ GOLDEN = [
         ["--set", "d_t=1400", "--set", "sam_period=5000", "--set", "flow_rate=20", *_NO_BSM],
         "cc7615bd406a061e6c5deff4bd711708b17a0ad216c572b191b991e0c9a697db",
         "bcbfbfd5641ea1b7011fbcdc7f042995a46cf557edd47a6c8d12edf152acf164",
+    ),
+    (
+        # One lane per direction: the lane span is 1 and takes no draw.
+        "dt300_flow20_one_lane",
+        ["--set", "d_t=300", "--set", "flow_rate=20", "--set", "lane_count=2", *_NO_BSM],
+        "16efae8e489eb7b403d2227ecb85ae5990ee25c7b19174da55aef35a698dc42e",
+        "436741b57b506a847f6e705856553e9fba1b8e4cb384b2eba2a7ebaca80fbe11",
+    ),
+    (
+        # Uniform mode over a one-value range: no tau draw.
+        "dt300_flow30_tau_span_1",
+        ["--set", "d_t=300", "--set", "flow_rate=30", "--set", "tau_low=104",
+         "--set", "tau_high=104", *_NO_BSM],
+        "e1c35be7b093aed31449f562d7f3197fcfdfae4a827f0f3983beb9368a8b9157",
+        "63a399d93de6ea1cab3b272d4b5a027c06fcd97c8c35ab10c24fa166c083eec9",
     ),
 ]
 
