@@ -12,7 +12,6 @@ a run or an export failed, 2 when the input was rejected.
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import hashlib
 import math
@@ -175,6 +174,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse   # here, not at module load: only a command line needs it
     parser = argparse.ArgumentParser(
         prog="v2isim",
         description="Trigger-line transaction service simulator and analytic toolkit",

@@ -202,6 +202,11 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
         bad(f"bsm_probe_count must be >= 1 (got {cfg.bsm_probe_count})")
     if cfg.rng_seed < 0:
         bad(f"rng_seed must be >= 0 (got {cfg.rng_seed})")
+    # A config file line is cut at '#' and its value stripped: only such a path round-trips.
+    curve = cfg.per_curve
+    if "#" in curve or curve.splitlines() != [curve] or curve.strip() != curve:
+        bad(f"per_curve must be non-empty, without '#', line breaks or surrounding "
+            f"whitespace (got {curve!r})")
     return violations
 
 
@@ -218,12 +223,14 @@ def replace_config(cfg: ScenarioConfig, **changes) -> ScenarioConfig:
     return new
 
 
-def _parse_assignments(items: Iterable[tuple[str, str]]) -> dict[str, int | float | str]:
+def _parse_assignments(items: Iterable[tuple[str, str]],
+                       base_dir: str) -> dict[str, int | float | str]:
     """Typed field values from ``(where, "key = value")`` items.
 
     Config-file lines and command-line overrides share these rules: unknown
     keys, duplicate keys and empty values are errors, and each error starts
-    with the item's ``where`` (a file line or the override itself).
+    with the item's ``where`` (a file line or the override itself). A
+    relative per_curve path is resolved against ``base_dir``.
     """
     values: dict[str, int | float | str] = {}
     for where, text in items:
@@ -246,6 +253,10 @@ def _parse_assignments(items: Iterable[tuple[str, str]]) -> dict[str, int | floa
             raise ConfigError(
                 f"{where}: field {key} expects {expected}, got {raw!r}"
             ) from None
+    curve_ref = values.get("per_curve")
+    if isinstance(curve_ref, str) and curve_ref != "default" \
+            and not os.path.isabs(curve_ref):
+        values["per_curve"] = os.path.normpath(os.path.join(base_dir, curve_ref))
     return values
 
 
@@ -257,18 +268,17 @@ def parse_config(text: str, base_dir: str = ".") -> ScenarioConfig:
     """
     lines = ((f"line {lineno}", line.split("#", 1)[0].strip())
              for lineno, line in enumerate(text.splitlines(), start=1))
-    values = _parse_assignments((where, text) for where, text in lines if text)
-    curve_ref = values.get("per_curve")
-    if isinstance(curve_ref, str) and curve_ref != "default" \
-            and not os.path.isabs(curve_ref):
-        values["per_curve"] = os.path.normpath(os.path.join(base_dir, curve_ref))
+    values = _parse_assignments(((where, text) for where, text in lines if text), base_dir)
     return replace_config(ScenarioConfig(), **values)
 
 
 def override_config(cfg: ScenarioConfig, assignments: list[str]) -> ScenarioConfig:
-    """Apply ``key=value`` overrides on top of an existing config, revalidating."""
-    return replace_config(
-        cfg, **_parse_assignments((f"override {item!r}", item) for item in assignments))
+    """Apply ``key=value`` overrides on top of an existing config, revalidating.
+
+    A relative per_curve path is resolved against the working directory.
+    """
+    return replace_config(cfg, **_parse_assignments(
+        ((f"override {item!r}", item) for item in assignments), os.getcwd()))
 
 
 def load_config(path: str) -> ScenarioConfig:

@@ -24,7 +24,10 @@ round trip spans a single tau. Reception is sampled per candidate receiver at
 its Euclidean distance from the transmit position, receiver position taken at
 arrival time. Senders never receive their own transmissions. A SUM has one
 candidate, the RSU: one ``rng.random()``, taken from the bit generator's C
-``next_double`` bound once per run, against the scalar ``channel.per``.
+``next_double`` bound once per run, against the scalar ``channel.per``. The
+vehicles of a direction share a spawn point, a speed and a retry period, so
+SUMs leave from few distinct points: each run memoizes that PER by transmit
+position (``per`` runs once per new position, bit for bit the same value).
 An ACK or SAM draws ``rng.random(k)`` against one ``channel.per_many`` over
 its k candidates: the same k uniforms as k scalar draws, and PER equal to
 ``per`` bit for bit.
@@ -44,7 +47,6 @@ curve.
 from __future__ import annotations
 
 import heapq
-from concurrent.futures import ProcessPoolExecutor
 from enum import Enum
 from typing import Any, Callable, NamedTuple, Sequence
 
@@ -195,6 +197,8 @@ _SUM, _RETRY, _IDLE = MessageKind.SUM, proto.TimerKind.RETRY, proto.ObuPhase.IDL
 _MSG_ARRIVAL, _RETRY_TIMER = EventKind.MSG_ARRIVAL, EventKind.RETRY_TIMER
 # One radio leg's flight time, ceil(tau/2) ms, for every tau validate_config accepts.
 _FLIGHT_MS = {tau: ceil_ms(tau / 2.0) for tau in range(chan.TAU_MIN_MS, chan.TAU_MAX_MS + 1)}
+# Entries of a run's SUM reception PER memo, which is cleared when full.
+_SUM_PER_CACHE_SIZE = 4096
 
 
 class _Simulation:
@@ -211,6 +215,7 @@ class _Simulation:
         self.density = cfg.flow_rate
         self.rsu_position = cfg.rsu_position
         self.transit = mob.transit_ms(cfg.road_length, cfg.mean_speed)
+        self.sum_per: dict[tuple[float, float], float] = {}
         self.queue = EventQueue()
 
         # Vehicles between spawn and despawn: every position lookup is for one.
@@ -227,6 +232,9 @@ class _Simulation:
         east = mob.generate_arrivals(cfg, mob.Direction.EAST, self.rng, id_start=0)
         west = mob.generate_arrivals(cfg, mob.Direction.WEST, self.rng, id_start=len(east))
         self.by_direction = {mob.Direction.EAST: east, mob.Direction.WEST: west}
+        # A direction's vehicles share a spawn point and a speed: one trigger offset each.
+        self.trigger_after = {d: mob.trigger_crossing_time(arr[0], cfg.d_t, cfg.rsu_x)
+                              - arr[0].spawn_time for d, arr in self.by_direction.items() if arr}
 
         self.queue.push(0, EventKind.SAM_TIMER)
         self.queue.push(cfg.sim_duration, EventKind.SIM_END)
@@ -261,12 +269,12 @@ class _Simulation:
         new, out = fn(state, now, *args)
         if self.trace is not None:
             self.trace(now, f"veh{vid}", event, state.phase.value, new.phase.value)
-        if new is state and not (out.transmissions or out.timers):
-            return   # a stale timer or a repeated SAM: nothing to store or send
-        self.obu[vid] = new
-        if new.phase is not _IDLE:
-            self.awaiting_sam.pop(vid, None)
-        self._apply_output(vid, now, out)
+        if new is not state:   # else a stale timer or a repeated SAM
+            self.obu[vid] = new
+            if state.phase is _IDLE and new.phase is not _IDLE:
+                del self.awaiting_sam[vid]
+        if out.transmissions or out.timers:   # a stored SAM or a heard ACK sends nothing
+            self._apply_output(vid, now, out)
 
     def _rsu_transition(self, now: TimeMs, event: str, fn, *args) -> None:
         state = self.rsu
@@ -289,15 +297,9 @@ class _Simulation:
             )
         outcome = OUTCOME_COMPLETE if state.phase is proto.ObuPhase.COMPLETE \
             else outcome_if_incomplete
-        self.records.append(CompletionRecord(
-            vehicle_id=vid,
-            direction=self.active[vid].direction,
-            sam_rx_time=state.sam_rx_time,
-            first_sum_tx_time=state.first_sum_tx_time,
-            ack_rx_time=state.ack_rx_time,
-            attempts=state.attempts,
-            outcome=outcome,
-        ))
+        self.records.append(tuple.__new__(CompletionRecord, (
+            vid, self.active[vid].direction, state.sam_rx_time, state.first_sum_tx_time,
+            state.ack_rx_time, state.attempts, outcome)))
 
     # -- event handlers ----------------------------------------------------
 
@@ -306,7 +308,7 @@ class _Simulation:
         self.active[vid] = v
         self.awaiting_sam[vid] = None
         self.obu[vid] = proto.ObuState(vid, self.cfg.t_sum)
-        self.queue.push(mob.trigger_crossing_time(v, self.cfg.d_t, self.cfg.rsu_x),
+        self.queue.push(v.spawn_time + self.trigger_after[v.direction],
                         EventKind.TRIGGER_CROSS, vid)
         self.queue.push(v.spawn_time + self.transit, EventKind.VEHICLE_DESPAWN, vid)
 
@@ -320,9 +322,14 @@ class _Simulation:
     def _on_msg_arrival(self, now: TimeMs, sent: tuple[Message, tuple[float, float]]) -> None:
         msg, pos = sent
         if msg.kind is _SUM:
-            (rx, ry), (tx, ty) = self.rsu_position, pos   # the one candidate
-            dist = ((rx - tx) ** 2 + (ry - ty) ** 2) ** 0.5
-            if self.next_double(self.rng_state) >= chan.per(self.curve, dist, self.density):
+            per = self.sum_per.get(pos)
+            if per is None:
+                if len(self.sum_per) >= _SUM_PER_CACHE_SIZE:
+                    self.sum_per.clear()
+                (rx, ry), (tx, ty) = self.rsu_position, pos   # the one candidate
+                dist = ((rx - tx) ** 2 + (ry - ty) ** 2) ** 0.5
+                per = self.sum_per[pos] = chan.per(self.curve, dist, self.density)
+            if self.next_double(self.rng_state) >= per:
                 self._rsu_transition(now, "sum_rx", proto.rsu_on_sum, msg.sender)
         elif msg.kind is MessageKind.ACK:
             receivers = [
@@ -432,6 +439,7 @@ def run_batch(cfgs: Sequence[ScenarioConfig], parallelism: int = 1) -> list[RunS
     failures: dict[int, str] = {}
     if parallelism > 1 and len(cfgs) > 1:
         try:
+            from concurrent.futures import ProcessPoolExecutor   # only a pool needs it
             # Under fork a pool starts all its workers at the first submit.
             with ProcessPoolExecutor(max_workers=min(parallelism, len(cfgs))) as pool:
                 order = sorted(range(len(cfgs)), reverse=True,

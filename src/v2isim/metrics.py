@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .core import ScenarioConfig, TimeMs, dumps_config
 from .mobility import Direction
@@ -26,9 +26,8 @@ class ExportError(OSError):
     """Raised when a tabular file cannot be written."""
 
 
-@dataclass(frozen=True)
-class CompletionRecord:
-    """One vehicle's transaction outcome (vehicles with >= 1 request sent)."""
+class CompletionRecord(NamedTuple):
+    """One vehicle's transaction outcome (>= 1 request sent), built per vehicle in field order."""
 
     vehicle_id: int
     direction: Direction

@@ -65,6 +65,7 @@ def generate_arrivals(cfg: ScenarioConfig, direction: Direction,
         raise MobilityError(f"arrival rate must be > 0 (got {rate})")
     lanes = cfg.lane_count // 2
     x0 = entry_x(direction, cfg.road_length)
+    sign, width, speed = direction.sign, cfg.lane_width, cfg.mean_speed
     out: list[VehicleKinematics] = []
     t_s = 0.0
     prev_ms = 0
@@ -77,17 +78,10 @@ def generate_arrivals(cfg: ScenarioConfig, direction: Direction,
         if t_ms > cfg.sim_duration:
             break
         lane = uniform_int(rng, 0, lanes - 1)
-        out.append(
-            VehicleKinematics(
-                vehicle_id=id_start + len(out),
-                direction=direction,
-                spawn_time=t_ms,
-                spawn_x=x0,
-                # Eastbound lanes on +y, westbound on -y; lane 0 borders the median.
-                y=direction.sign * (lane + 0.5) * cfg.lane_width,
-                speed=cfg.mean_speed,
-            )
-        )
+        # Fields in order (id, direction, spawn_time, spawn_x, y, speed). Eastbound
+        # lanes on +y, westbound on -y; lane 0 borders the median.
+        out.append(tuple.__new__(VehicleKinematics, (
+            id_start + len(out), direction, t_ms, x0, sign * (lane + 0.5) * width, speed)))
         prev_ms = t_ms
     return out
 

@@ -18,9 +18,10 @@ after the first entry of the batch. A retransmitted SUM from an
 already-pending vehicle does not duplicate its entry.
 
 States are immutable named tuples, and a transition that changes nothing
-returns its input state. The hot transitions (each SUM sent, an ACK heard, a
-SUM received below a full batch) build the new state positionally, the
-SUM ones with ``tuple.__new__``; the rare ones call ``_replace``.
+returns its input state. Transitions that run per SUM or per vehicle (a SUM
+sent, the SAM stored, an ACK heard, a SUM received below a full batch) build
+the new state positionally, the SUM and SAM ones with ``tuple.__new__``; the
+rare ones (a trigger before any SAM, an ACK flush, a SAM sent) call ``_replace``.
 """
 
 from __future__ import annotations
@@ -71,7 +72,8 @@ class ObuState(NamedTuple):
 
 
 # Enum members the hot transitions read, bound once (see ``engine``).
-_AWAITING_ACK, _COMPLETE = ObuPhase.AWAITING_ACK, ObuPhase.COMPLETE
+_SAM_STORED, _AWAITING_ACK, _COMPLETE = (
+    ObuPhase.SAM_STORED, ObuPhase.AWAITING_ACK, ObuPhase.COMPLETE)
 _SUM, _RETRY = MessageKind.SUM, TimerKind.RETRY
 _new = tuple.__new__   # a named tuple from every field, without its Python __new__
 
@@ -97,7 +99,8 @@ def obu_on_sam(state: ObuState, now: TimeMs) -> tuple[ObuState, ProtocolOutput]:
         return state, _NO_OUTPUT
     if state.deferred_start:
         return _send_sum(state, now, now, now, 1)
-    return state._replace(phase=ObuPhase.SAM_STORED, sam_rx_time=now), _NO_OUTPUT
+    new = _new(ObuState, (state.vehicle_id, state.t_sum, _SAM_STORED, now, *state[4:]))
+    return new, _NO_OUTPUT
 
 
 def obu_on_trigger(state: ObuState, now: TimeMs) -> tuple[ObuState, ProtocolOutput]:

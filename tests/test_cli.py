@@ -5,10 +5,14 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import io
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import v2isim
 from v2isim import ScenarioConfig, channel, mobility
 from v2isim.cli import derive_cell_seed, main
 
@@ -90,6 +94,36 @@ def test_simulate_config_file_roundtrip(tmp_path):
     out = tmp_path / "run"
     assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
     assert "flow_rate = 6.0" in (out / "run.meta").read_text()
+
+
+def test_run_meta_with_a_relative_calibration_path_loads_back(tmp_path, monkeypatch):
+    """A relative ``--set per_curve`` names a file in the working directory,
+    so run.meta records it absolute and reruns from any directory."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cal.txt").write_text(channel.dumps_per_curve(channel.default_calibration()))
+    assert main(["simulate", "--out", "o", *FAST, "--set", "per_curve=cal.txt"]) == 0
+    assert f"per_curve = {tmp_path / 'cal.txt'}\n" in (tmp_path / "o" / "run.meta").read_text()
+    assert main(["simulate", "--config", "o/run.meta", "--out", "again"]) == 0
+    assert (tmp_path / "again" / "records.csv").read_bytes() \
+        == (tmp_path / "o" / "records.csv").read_bytes()
+
+
+@pytest.mark.parametrize("curve", ["/tmp/a#b.txt", "/tmp/a\nb.txt"])
+def test_per_curve_a_config_file_cannot_hold_exits_2_naming_the_field(
+        tmp_path, capsys, curve):
+    assert main(["simulate", "--out", str(tmp_path / "o"), "--set", f"per_curve={curve}"]) == 2
+    assert "per_curve must be non-empty, without '#'" in capsys.readouterr().err
+
+
+def test_imports_load_no_pool_or_parser_module():
+    """Start-up pays for neither: a pool and a command line import them on use."""
+    code = ("import sys, v2isim, v2isim.cli, v2isim.analytic, v2isim.validation; "
+            "print(sorted({'multiprocessing', 'concurrent.futures', 'argparse'} "
+            "& set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(v2isim.__file__))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"
 
 
 def test_seed_override_changes_but_reproduces(tmp_path):

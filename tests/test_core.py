@@ -6,6 +6,7 @@ import math
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from v2isim.core import (
     ConfigError, ScenarioConfig, ceil_ms,
@@ -178,6 +179,42 @@ def test_round_trip_is_field_identical(tmp_path):
     assert load_config(str(out)) == cfg
     # Serializing the reparsed config reproduces the same bytes, too.
     assert dumps_config(load_config(str(out))) == dumps_config(cfg)
+
+
+@pytest.mark.parametrize("curve", [
+    "/tmp/a#b.txt", "/tmp/a\nb.txt", "/tmp/a\rb.txt", "/tmp/a\u2028b.txt", "/tmp/a.txt\n",
+    " /tmp/a.txt", "/tmp/a.txt ", "",
+])
+def test_per_curve_that_a_config_file_cannot_hold_is_rejected(curve):
+    """A file line is cut at '#', split at line breaks and stripped."""
+    violations = validate_config(ScenarioConfig(per_curve=curve))
+    assert len(violations) == 1 and violations[0].startswith("per_curve ")
+
+
+_ROUND_TRIP_FIELDS = st.fixed_dictionaries({
+    "d_t": st.floats(-1000.0, 1000.0), "b_ack": st.integers(1, 64),
+    "t_sum": st.integers(100, 5000), "t_ack": st.integers(1, 5000),
+    "sam_period": st.integers(1, 5000), "bsm_period": st.integers(1, 5000),
+    "flow_rate": st.floats(1e-3, 30.0), "mean_speed": st.floats(10.0, 60.0),
+    "road_length": st.floats(2500.0, 6000.0), "lane_count": st.integers(1, 32).map(lambda n: 2 * n),
+    "lane_width": st.floats(0.5, 10.0), "rsu_x": st.floats(-200.0, 200.0),
+    "rsu_y": st.floats(-50.0, 50.0), "sim_duration": st.integers(1, 1_000_000),
+    "warmup": st.integers(0, 10**6), "rng_seed": st.integers(0, 2**63 - 1),
+    "tau_mode": st.sampled_from(["fixed", "uniform"]), "tau_fixed": st.integers(8, 200),
+    "tau_low": st.integers(8, 104), "tau_high": st.integers(104, 200),
+    "bsm_probe_count": st.integers(1, 10**6),
+    "per_curve": st.one_of(st.just("default"), st.text(
+        st.characters(blacklist_categories=("Cs", "Cc", "Zl", "Zp"), blacklist_characters="#"),
+        min_size=1).map(lambda name: "/" + name.strip() if name.strip() else "/x")),
+})
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(_ROUND_TRIP_FIELDS)
+def test_every_accepted_config_round_trips_through_its_text(fields):
+    cfg = ScenarioConfig(**fields)
+    assert validate_config(cfg) == []
+    assert parse_config(dumps_config(cfg)) == cfg
 
 
 def test_missing_file_error_names_path():

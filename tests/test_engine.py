@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
 import heapq
 import math
@@ -20,7 +21,7 @@ from v2isim.engine import (
     BatchError, EngineError, Event, EventKind, EventQueue, deliver_broadcast, run,
     run_batch,
 )
-from v2isim.metrics import OUTCOME_DESPAWN, OUTCOME_SIMEND
+from v2isim.metrics import CompletionRecord, OUTCOME_COMPLETE, OUTCOME_DESPAWN, OUTCOME_SIMEND
 from v2isim.mobility import (
     Direction, entry_x, exit_time, generate_arrivals, position_at,
 )
@@ -236,7 +237,8 @@ def test_run_batch_heaviest_first_keeps_input_order_and_serial_parallel_agree():
 def test_run_batch_pool_is_no_larger_than_the_batch(monkeypatch):
     """Under fork a pool starts every worker at its first submit, so the pool
     is sized by the batch. An inline stand-in records the size and starts no
-    process."""
+    process; ``run_batch`` imports the pool class only when it makes a pool,
+    so the stand-in replaces it in ``concurrent.futures``."""
     sizes = []
 
     class InlinePool:
@@ -254,11 +256,25 @@ def test_run_batch_pool_is_no_larger_than_the_batch(monkeypatch):
             future.set_result(fn(*args))
             return future
 
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     cfgs = [short_cfg(sim_duration=5_000, rng_seed=80 + i) for i in range(3)]
     assert run_batch(cfgs, parallelism=5000) == run_batch(cfgs, parallelism=1)
     run_batch(cfgs[:2], parallelism=2)
     assert sizes == [3, 2]
+
+
+def test_pool_records_are_named_tuples_equal_to_serial_ones():
+    cfgs = [short_cfg(flow_rate=8.0, rng_seed=90 + i) for i in range(2)]
+    serial = run_batch(cfgs, parallelism=1)
+    pooled = run_batch(cfgs, parallelism=2)
+    assert pooled == serial
+    for summary in pooled:
+        assert summary.records
+        for r in summary.records:
+            assert type(r) is CompletionRecord
+            assert r.complete == (r.outcome == OUTCOME_COMPLETE)
+            assert r.sct == (r.ack_rx_time - r.first_sum_tx_time if r.complete else None)
+    assert any(r.complete for s in pooled for r in s.records)
 
 
 def test_run_batch_empty():
@@ -510,3 +526,43 @@ def test_retry_cadence_visible_in_trace(tmp_path):
     assert retries, "expected retries in a partially blocked channel"
     for times in retries.values():
         assert all(b - a == cfg.t_sum for a, b in zip(times, times[1:]))
+
+
+# -- SUM reception PER memo ------------------------------------------------
+
+
+def _dense_cfg() -> ScenarioConfig:
+    """Far trigger at 30 veh/s with BSMs off: most vehicles resend their SUM."""
+    return short_cfg(d_t=900.0, flow_rate=30.0, sim_duration=45_000, bsm_period=45_001)
+
+
+def test_sum_per_memo_holds_per_at_each_transmit_position(monkeypatch):
+    """Each entry is ``per`` at its distance to the RSU, bit for bit, and
+    ``per`` runs once per distinct SUM transmit position."""
+    calls = []
+    orig = engine.chan.per
+    monkeypatch.setattr(engine.chan, "per", lambda *a: calls.append(a) or orig(*a))
+    cfg = _dense_cfg()
+    sim = engine._Simulation(cfg)
+    summary = sim.run()
+    sums = sum(r.attempts for r in summary.records)
+    assert 0 < len(sim.sum_per) == len(calls) < sums / 5
+    (rx, ry), curve = cfg.rsu_position, cfg.channel()
+    for (tx, ty), value in sim.sum_per.items():
+        dist = ((rx - tx) ** 2 + (ry - ty) ** 2) ** 0.5
+        assert value.hex() == per(curve, dist, cfg.flow_rate).hex()
+
+
+def test_sum_per_memo_stays_within_its_cap_with_the_same_outcome(monkeypatch):
+    reference = run(_dense_cfg())
+    cap = 3
+    monkeypatch.setattr(engine, "_SUM_PER_CACHE_SIZE", cap)
+    sizes = []
+    orig = engine.chan.per
+    sim = engine._Simulation(_dense_cfg())
+    # At a miss the memo is about to take one more entry.
+    monkeypatch.setattr(engine.chan, "per",
+                        lambda *a: sizes.append(len(sim.sum_per) + 1) or orig(*a))
+    assert sim.run() == reference
+    assert len(sizes) > 10 * cap and max(sizes) == cap
+    assert len(sim.sum_per) <= cap

@@ -34,6 +34,7 @@ import hashlib
 
 import pytest
 
+from v2isim import engine
 from v2isim.cli import main
 
 _SHORT = ["--set", "sim_duration=60000", "--set", "warmup=10000", "--seed", "7"]
@@ -104,6 +105,16 @@ def test_simulate_output_bytes_are_pinned(tmp_path, overrides, records_sha, summ
     assert main(["simulate", "--out", str(out), *_SHORT, *overrides]) == 0
     assert _sha256(out / "records.csv") == records_sha
     assert _sha256(out / "summary.csv") == summary_sha
+
+
+def test_output_bytes_stay_pinned_with_a_tiny_sum_per_memo(tmp_path, monkeypatch):
+    """A memo cleared every other SUM position changes no byte."""
+    monkeypatch.setattr(engine, "_SUM_PER_CACHE_SIZE", 2)
+    for cell, overrides, records_sha, summary_sha in GOLDEN:
+        out = tmp_path / cell
+        assert main(["simulate", "--out", str(out), *_SHORT, *overrides]) == 0
+        assert (_sha256(out / "records.csv"), _sha256(out / "summary.csv")) \
+            == (records_sha, summary_sha), cell
 
 
 def test_trace_bytes_are_pinned(tmp_path):
