@@ -7,15 +7,14 @@ the RSU and the matching acknowledgment reaching the vehicle; it is drawn
 from the config's inclusive ``tau_range``, which ``validate_config`` keeps
 inside [8, 200] ms.
 
-PER has three lookup paths over the same knots. ``per_many`` is the vector
-path and calls ``np.interp``: the closed form, and the engine once per ACK or
-SAM broadcast, over its candidates. ``per`` is the scalar path, the engine's
-for each SUM at the RSU: a ``bisect`` over cached Python lists that repeats
-``np.interp``'s arithmetic step for step, so it is bit-identical to
-``per_many`` and returns a plain ``float``. Both paths pick the density
-level(s) and blend weight once per (curve, density) and reuse that choice.
+PER has two lookup paths over the same knots. ``per_many`` interpolates an
+array of distances with ``np.interp``, blending the two density levels
+around the requested density: the closed form, and the engine once per ACK
+or SAM broadcast, over its candidates. ``per`` is ``per_many`` over a
+one-element list, returned as a plain ``float``: the engine's for each new
+SUM transmit position, and the Monte-Carlo check's per attempt.
 
-``per_table`` is the third path, for the BSM pass's millions of probes: one
+``per_table`` is the second path, for the BSM pass's millions of probes: one
 density's ``per_many``, evaluated once at the midpoints of equal cells over
 ``[0, last knot]`` (1 cm wide, or wider when 1 cm cells would take more
 than ``PER_TABLE_MAX_CELLS`` entries) and read back by cell index with one
@@ -49,19 +48,14 @@ class CurveError(ValueError):
 
 
 class _KnotTable(NamedTuple):
-    """One density level's knots, as Python lists and as numpy arrays."""
+    """One density level's knots as numpy arrays."""
 
-    dists: list[float]
-    pers: list[float]
-    slopes: list[float]          # slopes[j] spans knots j and j + 1
     dist_array: np.ndarray
     per_array: np.ndarray
 
 
 # (blend weight of the upper level, lower level, upper level or None).
 _Blend = tuple[float, _KnotTable, _KnotTable | None]
-
-_BLEND_CACHE_SIZE = 64
 
 
 @dataclass(eq=True)
@@ -77,42 +71,29 @@ class PerCurve:
     tables: tuple[tuple[tuple[float, float], ...], ...]
     _knots: list[_KnotTable] | None = field(
         default=None, init=False, repr=False, compare=False)
-    _blends: dict[float, _Blend] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
 
     def _knot_tables(self) -> list[_KnotTable]:
         if self._knots is None:
-            knots = []
-            for tab in self.tables:
-                dists = [float(d) for d, _ in tab]
-                pers = [float(p) for _, p in tab]
-                slopes = [(pers[j + 1] - pers[j]) / (dists[j + 1] - dists[j])
-                          for j in range(len(tab) - 1)]
-                knots.append(_KnotTable(dists, pers, slopes, np.array(dists), np.array(pers)))
-            self._knots = knots
+            self._knots = [_KnotTable(np.array([d for d, _ in tab], dtype=float),
+                                      np.array([p for _, p in tab], dtype=float))
+                           for tab in self.tables]
         return self._knots
 
     def _blend(self, density: float) -> _Blend:
-        """The level(s) and weight used at ``density``, cached per density."""
-        blend = self._blends.get(density)
-        if blend is not None:
-            return blend
+        """The level(s) and weight used at ``density``."""
+        if density != density:
+            raise ValueError(f"PER density must not be NaN (got {density})")
         levels = self.levels
         knots = self._knot_tables()
         if density <= levels[0]:
-            blend = (0.0, knots[0], None)
-        elif density >= levels[-1]:
-            blend = (0.0, knots[-1], None)
-        else:
-            hi = bisect.bisect_right(levels, density)
-            lo = hi - 1
-            w = (density - levels[lo]) / (levels[hi] - levels[lo])
-            # At a level exactly the upper table has no weight: skip it.
-            blend = (0.0, knots[lo], None) if w == 0 else (float(w), knots[lo], knots[hi])
-        if len(self._blends) >= _BLEND_CACHE_SIZE:
-            self._blends.clear()
-        self._blends[density] = blend
-        return blend
+            return 0.0, knots[0], None
+        if density >= levels[-1]:
+            return 0.0, knots[-1], None
+        hi = bisect.bisect_right(levels, density)
+        lo = hi - 1
+        w = (density - levels[lo]) / (levels[hi] - levels[lo])
+        # At a level exactly the upper table has no weight: skip it.
+        return (0.0, knots[lo], None) if w == 0 else (float(w), knots[lo], knots[hi])
 
     @property
     def max_knot_distance(self) -> float:
@@ -153,45 +134,15 @@ def validate_per_curve(curve: PerCurve) -> list[str]:
         return violations
     # Density monotonicity, checked at the union of all knot distances.
     probe = sorted({d for tab in curve.tables for d, _ in tab})
-    for rho_lo, rho_hi in zip(curve.levels, curve.levels[1:]):
-        for d in probe:
-            if per(curve, d, rho_hi) < per(curve, d, rho_lo) - 1e-12:
-                violations.append(
-                    f"per must be non-decreasing in density "
-                    f"(violated at distance {d} between {rho_lo} and {rho_hi} veh/s)"
-                )
-                break
+    at_level = [per_many(curve, probe, rho) for rho in curve.levels]
+    for i, (rho_lo, rho_hi) in enumerate(zip(curve.levels, curve.levels[1:])):
+        drops = np.flatnonzero(at_level[i + 1] < at_level[i] - 1e-12)
+        if drops.size:
+            violations.append(
+                f"per must be non-decreasing in density "
+                f"(violated at distance {probe[drops[0]]} between {rho_lo} and {rho_hi} veh/s)"
+            )
     return violations
-
-
-def _interp(x: float, knots: _KnotTable) -> float:
-    """``np.interp(x, dists, pers)`` for one float, with numpy's arithmetic.
-
-    Same branches as numpy's compiled loop: a single-knot table returns its
-    value (even for NaN), NaN otherwise propagates, both ends clamp, an exact
-    knot returns its value, and a NaN interpolant is retried from the right
-    knot before falling back to a flat segment's value.
-    """
-    xp, fp = knots.dists, knots.pers
-    last = len(xp) - 1
-    if last == 0:
-        return fp[0]
-    if x != x:
-        return x
-    j = bisect.bisect_right(xp, x) - 1
-    if j < 0:
-        return fp[0]
-    if j >= last:
-        return fp[last]
-    if xp[j] == x:
-        return fp[j]
-    slope = knots.slopes[j]
-    y = slope * (x - xp[j]) + fp[j]
-    if y != y:
-        y = slope * (x - xp[j + 1]) + fp[j + 1]
-        if y != y and fp[j] == fp[j + 1]:
-            y = fp[j]
-    return y
 
 
 def per(curve: PerCurve, distance: float, density: float) -> float:
@@ -201,11 +152,8 @@ def per(curve: PerCurve, distance: float, density: float) -> float:
     calibrated density range. Pure and deterministic, and bit-identical to
     ``per_many`` at the same point.
     """
-    w, lo, hi = curve._blend(density)
-    x = abs(float(distance))
-    if hi is None:
-        return _interp(x, lo)
-    return (1.0 - w) * _interp(x, lo) + w * _interp(x, hi)
+    # A one-element list, not a scalar: perfbench's tracer takes len() of per_many's result.
+    return float(per_many(curve, [distance], density)[0])
 
 
 def per_many(curve: PerCurve, distances: np.ndarray, density: float) -> np.ndarray:

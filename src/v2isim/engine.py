@@ -24,13 +24,13 @@ round trip spans a single tau. Reception is sampled per candidate receiver at
 its Euclidean distance from the transmit position, receiver position taken at
 arrival time. Senders never receive their own transmissions. A SUM has one
 candidate, the RSU: one ``rng.random()``, taken from the bit generator's C
-``next_double`` bound once per run, against the scalar ``channel.per``. The
-vehicles of a direction share a spawn point, a speed and a retry period, so
-SUMs leave from few distinct points: each run memoizes that PER by transmit
-position (``per`` runs once per new position, bit for bit the same value).
-An ACK or SAM draws ``rng.random(k)`` against one ``channel.per_many`` over
-its k candidates: the same k uniforms as k scalar draws, and PER equal to
-``per`` bit for bit.
+``next_double`` bound once per run, against ``channel.per``, a one-element
+``per_many`` returned as a float. The vehicles of a direction share a spawn
+point, a speed and a retry period, so SUMs leave from few distinct points:
+each run memoizes that PER by transmit position (``per`` runs once per new
+position, bit for bit the same value). An ACK or SAM draws ``rng.random(k)``
+against one ``channel.per_many`` over its k candidates: the same k uniforms
+as k scalar draws, and the same PER as k one-element ``per`` calls.
 
 Background safety broadcasts (BSMs) only feed the reception-rate metric and
 have no protocol effect, and positions are closed-form, so they are not
