@@ -56,7 +56,7 @@ def params_from_config(cfg: ScenarioConfig, d_t: SignedMeters | None = None,
         d_t=cfg.d_t if d_t is None else d_t,
         mean_speed=cfg.mean_speed,
         t_sum_s=cfg.t_sum / 1000.0,
-        tau_s=sum(cfg.tau_range) // 2 / 1000.0,   # the range midpoint, in seconds
+        tau_s=(cfg.tau_low + cfg.tau_high) // 2 / 1000.0,   # the range midpoint, in seconds
         curve=cfg.channel(),
         density=cfg.flow_rate if density is None else density,
         n_max=n_max,

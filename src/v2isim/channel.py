@@ -4,8 +4,8 @@ Packet error rate (PER) is a data-driven interpolation table indexed by
 traffic density (veh/s) and absolute Tx-Rx distance (m). The exchange delay
 tau covers the intra-layer and scheduling latency between a request reaching
 the RSU and the matching acknowledgment reaching the vehicle; it is drawn
-from the config's inclusive ``tau_range``, which ``validate_config`` keeps
-inside [8, 200] ms.
+from the config's inclusive ``tau_low..tau_high`` range, which
+``validate_config`` keeps inside [8, 200] ms.
 
 PER has two lookup paths over the same knots. ``per_many`` interpolates an
 array of distances with ``np.interp``, blending the two density levels

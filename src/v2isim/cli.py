@@ -120,8 +120,11 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
         if not points <= MAX_ANALYTIC_POINTS:
             bad.append(f"--d-min, --d-max and --d-step must give at most "
                        f"{MAX_ANALYTIC_POINTS} points per density (got {points:.3g})")
+    densities = _floats(args.densities)
+    if not densities:
+        bad.append(f"--densities must list at least one density (got {args.densities!r})")
     raise_violations(bad)
-    cells = [replace_config(cfg, flow_rate=rho) for rho in _floats(args.densities)]
+    cells = [replace_config(cfg, flow_rate=rho) for rho in densities]
     d_values = list(np.arange(args.d_min, args.d_max + args.d_step / 2, args.d_step))
     params = ana.params_from_config(cfg)
     # Written one density at a time: the rows are never all held at once.

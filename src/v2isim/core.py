@@ -9,7 +9,8 @@ the engine carries its transmit position beside it. The per-kind radio
 parameters (priority, payload size, MCS) have no effect on the simulation
 and are listed in the README only. One key=value parser serves config-file
 lines and overrides, taking each field's type from the ``ScenarioConfig``
-annotations; every parsed or derived config passes ``replace_config``.
+annotations; every parsed or derived config passes ``replace_config``. Tau
+is one range, ``tau_low..tau_high``; a fixed tau is ``tau_low = tau_high``.
 """
 
 from __future__ import annotations
@@ -86,23 +87,10 @@ class ScenarioConfig:
     sim_duration: TimeMs = 600_000
     warmup: TimeMs = 100_000         # one road-transit time at defaults
     rng_seed: int = 1
-    tau_mode: str = "uniform"        # "fixed" | "uniform"
-    tau_fixed: TimeMs = 104
-    tau_low: TimeMs = 8
-    tau_high: TimeMs = 200
+    tau_low: TimeMs = 8              # exchange delay: uniform on [tau_low, tau_high],
+    tau_high: TimeMs = 200           # fixed when the two are equal
     per_curve: str = "default"       # "default" or path to a calibration file
     bsm_probe_count: int = 4         # sampled receivers per BSM transmission
-
-    @property
-    def rsu_position(self) -> tuple[float, float]:
-        return (self.rsu_x, self.rsu_y)
-
-    @property
-    def tau_range(self) -> tuple[TimeMs, TimeMs]:
-        """Inclusive ``(low, high)`` exchange-delay range; fixed mode is one value."""
-        if self.tau_mode == "fixed":
-            return (self.tau_fixed, self.tau_fixed)
-        return (self.tau_low, self.tau_high)
 
     def channel(self) -> _channel.PerCurve:
         """Resolve the PER calibration for this scenario."""
@@ -190,14 +178,10 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
             f"{cfg.lane_width} + |{cfg.rsu_y}|)")
     if cfg.warmup < 0:
         bad(f"warmup must be >= 0 ms (got {cfg.warmup})")
-    if cfg.tau_mode not in ("fixed", "uniform"):
-        bad(f"tau_mode must be 'fixed' or 'uniform' (got {cfg.tau_mode!r})")
     lo, hi = _channel.TAU_MIN_MS, _channel.TAU_MAX_MS
     if not lo <= cfg.tau_low <= cfg.tau_high <= hi:
         bad(f"tau range must satisfy {lo} <= tau_low <= tau_high <= {hi} "
             f"(got [{cfg.tau_low}, {cfg.tau_high}])")
-    if not lo <= cfg.tau_fixed <= hi:
-        bad(f"tau_fixed must lie in [{lo}, {hi}] ms (got {cfg.tau_fixed})")
     if cfg.bsm_probe_count < 1:
         bad(f"bsm_probe_count must be >= 1 (got {cfg.bsm_probe_count})")
     if cfg.rng_seed < 0:

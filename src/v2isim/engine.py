@@ -15,13 +15,14 @@ and retry timers, by identity and looks the rest up in a dict of handlers
 Hot code binds Enum members to module names, since on Python 3.11 a lookup
 on the class costs about 0.1 us. A message arrival's payload is ``(message,
 transmit position)``. A vehicle's state lives from spawn to despawn, so a
-retry timer that fires later is ignored. A transition that returns its state
-and no output is only traced.
+retry timer that fires later is ignored. After a transition the engine queues
+its transmissions, then arms a ``RETRY_TIMER``, ``ACK_TIMER`` or ``SAM_TIMER``
+for each deadline the transition moved to a new value that is not None.
 
-Transmission latency: each radio leg takes ceil(tau/2) ms, where tau is one
-``tau_range`` draw per transmission, so an unbatched request/acknowledgment
-round trip spans a single tau. Reception is sampled per candidate receiver at
-its Euclidean distance from the transmit position, receiver position taken at
+Transmission latency: each radio leg takes ceil(tau/2) ms, tau drawn from
+``tau_low..tau_high`` per transmission, so an unbatched request/ACK round
+trip spans a single tau. Reception is sampled per candidate receiver at its
+Euclidean distance from the transmit position, receiver position taken at
 arrival time. Senders never receive their own transmissions. A SUM has one
 candidate, the RSU: one ``rng.random()``, taken from the bit generator's C
 ``next_double`` bound once per run, against ``channel.per``, a one-element
@@ -193,7 +194,7 @@ def bsm_counters(cfg: ScenarioConfig, curve: chan.PerCurve,
 
 TraceFn = Callable[[TimeMs, str, str, str, str], None]
 
-_SUM, _RETRY, _IDLE = MessageKind.SUM, proto.TimerKind.RETRY, proto.ObuPhase.IDLE
+_SUM, _IDLE = MessageKind.SUM, proto.ObuPhase.IDLE
 _MSG_ARRIVAL, _RETRY_TIMER = EventKind.MSG_ARRIVAL, EventKind.RETRY_TIMER
 # One radio leg's flight time, ceil(tau/2) ms, for every tau validate_config accepts.
 _FLIGHT_MS = {tau: ceil_ms(tau / 2.0) for tau in range(chan.TAU_MIN_MS, chan.TAU_MAX_MS + 1)}
@@ -211,9 +212,9 @@ class _Simulation:
         iface = self.rng.bit_generator.ctypes
         self.next_double, self.rng_state = iface.next_double, iface.state
         self.curve = cfg.channel()
-        self.tau_range = cfg.tau_range
+        self.tau_range = (cfg.tau_low, cfg.tau_high)
         self.density = cfg.flow_rate
-        self.rsu_position = cfg.rsu_position
+        self.rsu_position = (cfg.rsu_x, cfg.rsu_y)
         self.transit = mob.transit_ms(cfg.road_length, cfg.mean_speed)
         self.sum_per: dict[tuple[float, float], float] = {}
         self.queue = EventQueue()
@@ -236,7 +237,7 @@ class _Simulation:
         self.trigger_after = {d: mob.trigger_crossing_time(arr[0], cfg.d_t, cfg.rsu_x)
                               - arr[0].spawn_time for d, arr in self.by_direction.items() if arr}
 
-        self.queue.push(0, EventKind.SAM_TIMER)
+        self.queue.push(self.rsu.next_sam_time, EventKind.SAM_TIMER)
         self.queue.push(cfg.sim_duration, EventKind.SIM_END)
         for arr in self.by_direction.values():
             for v in arr:
@@ -244,10 +245,8 @@ class _Simulation:
 
     # -- helpers ---------------------------------------------------------
 
-    def _apply_output(self, sender: int, now: TimeMs, out: proto.ProtocolOutput) -> None:
-        transmissions, timers = out
-        push = self.queue.push
-        for msg in transmissions:
+    def _apply_output(self, now: TimeMs, out: proto.ProtocolOutput) -> None:
+        for msg in out.transmissions:
             if msg.sender == RSU_ID:
                 pos = self.rsu_position
             else:
@@ -255,14 +254,7 @@ class _Simulation:
                 if msg.kind is _SUM:
                     self.sum_tx_count[msg.sender] = self.sum_tx_count.get(msg.sender, 0) + 1
             flight = _FLIGHT_MS[chan.sample_tau(self.rng, self.tau_range)]
-            push(now + flight, _MSG_ARRIVAL, (msg, pos))
-        for deadline, kind in timers:
-            if kind is _RETRY:
-                push(deadline, _RETRY_TIMER, sender)
-            elif kind is proto.TimerKind.ACK_FLUSH:
-                push(deadline, EventKind.ACK_TIMER)
-            else:
-                push(deadline, EventKind.SAM_TIMER)
+            self.queue.push(now + flight, _MSG_ARRIVAL, (msg, pos))
 
     def _obu_transition(self, vid: int, now: TimeMs, event: str, fn, *args) -> None:
         state = self.obu[vid]
@@ -273,17 +265,24 @@ class _Simulation:
             self.obu[vid] = new
             if state.phase is _IDLE and new.phase is not _IDLE:
                 del self.awaiting_sam[vid]
-        if out.transmissions or out.timers:   # a stored SAM or a heard ACK sends nothing
-            self._apply_output(vid, now, out)
+        if out.transmissions:   # a stored SAM or a heard ACK sends nothing
+            self._apply_output(now, out)
+        if new.retry_deadline != state.retry_deadline and new.retry_deadline is not None:
+            self.queue.push(new.retry_deadline, _RETRY_TIMER, vid)
 
     def _rsu_transition(self, now: TimeMs, event: str, fn, *args) -> None:
         state = self.rsu
-        self.rsu, out = fn(state, now, *args)
+        new, out = fn(state, now, *args)
+        self.rsu = new
         if self.trace is not None:
             self.trace(now, "rsu", event, f"pending:{len(state.pending)}",
-                       f"pending:{len(self.rsu.pending)}")
-        if out.transmissions or out.timers:   # most received SUMs only join the batch
-            self._apply_output(RSU_ID, now, out)
+                       f"pending:{len(new.pending)}")
+        if out.transmissions:   # most received SUMs only join the batch
+            self._apply_output(now, out)
+        if new.ack_deadline != state.ack_deadline and new.ack_deadline is not None:
+            self.queue.push(new.ack_deadline, EventKind.ACK_TIMER)
+        if new.next_sam_time != state.next_sam_time:
+            self.queue.push(new.next_sam_time, EventKind.SAM_TIMER)
 
     def _finalize(self, vid: int, outcome_if_incomplete: str) -> None:
         state = self.obu[vid]

@@ -1,10 +1,10 @@
 """Handshake state machines for the advertised transaction service.
 
-Both sides are pure transition functions: they take a state plus the current
-time, and return a new state together with the transmissions and timers the
-engine must schedule. Timer staleness is resolved by value: a timer event is
-acted on only if its fire time still equals the deadline stored in the state,
-so cancelled timers are absorbed without bookkeeping.
+Both sides are pure transition functions: a transition returns its state and
+its transmissions; a deadline it moves (``retry_deadline``, ``ack_deadline``,
+``next_sam_time``) is a timer the engine arms. Staleness is resolved by value:
+a timer event is acted on only if its fire time still equals the deadline
+stored in the state, so cancelled timers are absorbed without bookkeeping.
 
 Vehicle side (OBU): a SAM must have been stored before the trigger-line SUM
 can be sent. A vehicle that crosses the trigger before hearing any SAM defers
@@ -43,17 +43,10 @@ class ObuPhase(Enum):
     COMPLETE = "complete"
 
 
-class TimerKind(Enum):
-    RETRY = "retry"
-    ACK_FLUSH = "ack_flush"
-    SAM = "sam"
-
-
 class ProtocolOutput(NamedTuple):
-    """Transmissions to enqueue now plus (deadline, kind) timer requests."""
+    """Transmissions to enqueue now."""
 
     transmissions: tuple[Message, ...] = ()
-    timers: tuple[tuple[TimeMs, TimerKind], ...] = ()
 
 
 _NO_OUTPUT = ProtocolOutput()
@@ -72,21 +65,20 @@ class ObuState(NamedTuple):
 
 
 # Enum members the hot transitions read, bound once (see ``engine``).
-_SAM_STORED, _AWAITING_ACK, _COMPLETE = (
-    ObuPhase.SAM_STORED, ObuPhase.AWAITING_ACK, ObuPhase.COMPLETE)
-_SUM, _RETRY = MessageKind.SUM, TimerKind.RETRY
+_SAM_STORED, _AWAITING_ACK, _COMPLETE, _SUM = (
+    ObuPhase.SAM_STORED, ObuPhase.AWAITING_ACK, ObuPhase.COMPLETE, MessageKind.SUM)
 _new = tuple.__new__   # a named tuple from every field, without its Python __new__
 
 
 def _send_sum(state: ObuState, now: TimeMs, sam_rx_time: TimeMs | None,
               first_sum_tx_time: TimeMs, attempts: int) -> tuple[ObuState, ProtocolOutput]:
-    """Transmit SUM number ``attempts`` and arm its retry timer."""
-    vid, deadline = state.vehicle_id, now + state.t_sum
+    """Transmit SUM number ``attempts`` and move the retry deadline t_sum ahead."""
+    vid = state.vehicle_id
     # Awaiting an ACK, a vehicle has no ACK time and no deferred start.
     new = _new(ObuState, (vid, state.t_sum, _AWAITING_ACK, sam_rx_time, first_sum_tx_time,
-                          attempts, deadline, None, False))
+                          attempts, now + state.t_sum, None, False))
     msg = _new(Message, (_SUM, vid, ()))
-    return new, _new(ProtocolOutput, ((msg,), ((deadline, _RETRY),)))
+    return new, _new(ProtocolOutput, ((msg,),))
 
 
 def obu_on_sam(state: ObuState, now: TimeMs) -> tuple[ObuState, ProtocolOutput]:
@@ -165,11 +157,10 @@ def rsu_on_sum(state: RsuState, now: TimeMs, sender: int) -> tuple[RsuState, Pro
     pending += (sender,)
     if len(pending) == b_ack:
         return _flush_ack(state, now, pending)
-    out = _NO_OUTPUT
     if len(pending) == 1:
         ack_deadline = now + t_ack
-        out = ProtocolOutput(timers=((ack_deadline, TimerKind.ACK_FLUSH),))
-    return _new(RsuState, (b_ack, t_ack, sam_period, pending, ack_deadline, next_sam_time)), out
+    new = _new(RsuState, (b_ack, t_ack, sam_period, pending, ack_deadline, next_sam_time))
+    return new, _NO_OUTPUT
 
 
 def rsu_on_ack_timer(state: RsuState, now: TimeMs) -> tuple[RsuState, ProtocolOutput]:
@@ -180,11 +171,11 @@ def rsu_on_ack_timer(state: RsuState, now: TimeMs) -> tuple[RsuState, ProtocolOu
 
 
 def rsu_on_sam_timer(state: RsuState, now: TimeMs) -> tuple[RsuState, ProtocolOutput]:
-    """Periodic advertisement: broadcast one SAM and rearm the period timer."""
+    """Periodic advertisement: broadcast one SAM and move the next one a period ahead."""
     if now != state.next_sam_time:
         raise ProtocolError(
             f"SAM timer fired at {now} but next_sam_time is {state.next_sam_time}"
         )
     new = state._replace(next_sam_time=now + state.sam_period)
     sam = Message(kind=MessageKind.SAM, sender=RSU_ID)
-    return new, ProtocolOutput((sam,), ((new.next_sam_time, TimerKind.SAM),))
+    return new, ProtocolOutput((sam,))

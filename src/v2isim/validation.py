@@ -18,6 +18,8 @@ from .analytic import AnalyticParams, attempt_distances, first_success_pmf
 from .channel import per
 from .core import ConfigError
 
+MAX_TRIALS = 50_000_000   # a replay peaks near 18 B per trial: under 1 GB per point
+
 
 def mc_first_success_counts(params: AnalyticParams, trials: int,
                             rng: np.random.Generator, n_bins: int) -> np.ndarray:
@@ -53,8 +55,9 @@ class BinCheck:
 def check_against_pmf(params: AnalyticParams, trials: int,
                       rng: np.random.Generator, n_check: int = 6) -> list[BinCheck]:
     """Per-attempt binomial 3-sigma comparison for attempts 0..n_check-1."""
-    if trials < 10_000:
-        raise ConfigError(f"trials must be >= 10000 for a meaningful check (got {trials})")
+    if not 10_000 <= trials <= MAX_TRIALS:
+        raise ConfigError(f"trials must lie in [10000, {MAX_TRIALS}]: fewer make no meaningful "
+                          f"check, more take over 1 GB (got {trials})")
     pmf = first_success_pmf(params)
     pmf = pmf + [0.0] * max(0, n_check - len(pmf))
     counts = mc_first_success_counts(params, trials, rng, n_check)

@@ -70,18 +70,16 @@ def test_shipped_calibration_all_knot_pairs_non_decreasing():
 def test_sample_tau_fixed_and_degenerate():
     rng = np.random.default_rng(1)
     state = rng.bit_generator.state
-    fixed = ScenarioConfig(tau_mode="fixed", tau_fixed=100).tau_range
-    assert fixed == (100, 100)
-    assert sample_tau(rng, fixed) == 100
-    # A one-value range, fixed or uniform, leaves the generator untouched.
-    degenerate = ScenarioConfig(tau_low=50, tau_high=50).tau_range
-    assert all(sample_tau(rng, degenerate) == 50 for _ in range(100))
+    # A fixed tau is a one-value range, which leaves the generator untouched.
+    assert sample_tau(rng, (100, 100)) == 100
+    assert all(sample_tau(rng, (50, 50)) == 50 for _ in range(100))
     assert rng.bit_generator.state == state
 
 
 def test_sample_tau_uniform_bounds():
     rng = np.random.default_rng(5)
-    tau_range = ScenarioConfig().tau_range
+    cfg = ScenarioConfig()
+    tau_range = (cfg.tau_low, cfg.tau_high)
     assert tau_range == (8, 200)
     samples = [sample_tau(rng, tau_range) for _ in range(10_000)]
     assert min(samples) >= 8 and max(samples) <= 200
@@ -91,9 +89,8 @@ def test_sample_tau_uniform_bounds():
 
 def test_effective_tau():
     # The closed form's single tau is the midpoint of the config's range.
-    fixed = ScenarioConfig(tau_mode="fixed", tau_fixed=64, tau_low=8, tau_high=200)
-    assert fixed.tau_range == (64, 64)
-    assert params_from_config(fixed).tau_s == 0.064
+    assert params_from_config(ScenarioConfig(tau_low=64, tau_high=64)).tau_s == 0.064
+    assert params_from_config(ScenarioConfig(tau_low=64, tau_high=67)).tau_s == 0.065
     assert params_from_config(ScenarioConfig(tau_low=8, tau_high=200)).tau_s == 0.104
 
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import v2isim
-from v2isim import ScenarioConfig, channel, mobility
+from v2isim import ScenarioConfig, channel, mobility, validation
 from v2isim.cli import derive_cell_seed, main
 
 # Trigger near the entry edge so crossings start ~3 s in, keeping runs short.
@@ -54,6 +54,8 @@ def test_unknown_override_key_rejected(tmp_path, capsys):
     ("analytic", "--d-min=-1e308 --d-max=1e308", "--d-max"),
     ("validate", "--point nan:10", "d_t"),
     ("validate", "--point 0:0", "flow_rate"),
+    ("validate", "--trials 1000000000000000000000000000000 --point 0:10", "trials"),
+    ("analytic", "--densities ,", "--densities"),
     ("simulate", "--set d_t=1 --set d_t=2", "duplicate key 'd_t'"),
     ("simulate", "--set b_ack=x", "b_ack=x"),
     ("trace", "--set mean_speed=1e-320", "mean_speed"),
@@ -218,6 +220,30 @@ def test_validate_rejects_too_few_trials(capsys):
     assert "10000" in capsys.readouterr().err
 
 
+def test_validate_rejects_trials_past_the_bound_before_replaying(monkeypatch, capsys):
+    """One trial past MAX_TRIALS exits 2; at the bound the replay (stubbed) runs."""
+    calls = []
+    monkeypatch.setattr(validation, "mc_first_success_counts",
+                        lambda params, trials, rng, n_bins: calls.append(trials) or [0] * n_bins)
+    assert main(["validate", "--trials", str(validation.MAX_TRIALS + 1), "--point", "0:10"]) == 2
+    assert "trials" in capsys.readouterr().err and calls == []
+    main(["validate", "--trials", str(validation.MAX_TRIALS), "--point", "0:10"])
+    assert calls == [validation.MAX_TRIALS]
+
+
+@pytest.mark.parametrize("source", ["set", "file"])
+@pytest.mark.parametrize("key, value", [("tau_mode", "fixed"), ("tau_fixed", "64")])
+def test_removed_tau_keys_exit_2_naming_the_key(tmp_path, capsys, source, key, value):
+    """A fixed tau is ``tau_low = tau_high``; the old keys are unknown."""
+    if source == "set":
+        argv = ["--set", f"{key}={value}"]
+    else:
+        (tmp_path / "old.cfg").write_text(f"{key} = {value}\n")
+        argv = ["--config", str(tmp_path / "old.cfg")]
+    assert main(["simulate", "--out", str(tmp_path / "o"), *FAST, *argv]) == 2
+    assert f"unknown key {key!r}" in capsys.readouterr().err
+
+
 def test_validate_bad_point_spec(capsys):
     assert main(["validate", "--point", "nope"]) == 2
 
@@ -309,8 +335,8 @@ _FLOAT_EDGES = ["0", "-0.0", "-1", "nan", "inf", "-inf", "1e300", "-1e300", "5e-
 _INT_RANGES = {
     "b_ack": (1, 20), "t_sum": (50, 2000), "t_ack": (1, 2000), "sam_period": (1, 2000),
     "bsm_period": (1, 3000), "lane_count": (1, 40), "sim_duration": (1, 3000),
-    "warmup": (0, 3000), "rng_seed": (0, 2**32), "tau_fixed": (0, 300),
-    "tau_low": (0, 300), "tau_high": (0, 300), "bsm_probe_count": (0, 10),
+    "warmup": (0, 3000), "rng_seed": (0, 2**32), "tau_low": (0, 300),
+    "tau_high": (0, 300), "bsm_probe_count": (0, 10),
 }
 _FLOAT_RANGES = {
     "d_t": (-1600.0, 1600.0), "flow_rate": (0.01, 100.0), "mean_speed": (1.0, 60.0),
@@ -322,7 +348,6 @@ _FIELD_VALUES = {
        for name, bounds in _INT_RANGES.items()},
     **{name: st.one_of(st.sampled_from(_FLOAT_EDGES), st.floats(*bounds).map(repr))
        for name, bounds in _FLOAT_RANGES.items()},
-    "tau_mode": st.sampled_from(["fixed", "uniform", "gamma", "FIXED", ""]),
     "per_curve": st.sampled_from(["default", "no/such/calibration.per", ""]),
 }
 SHORT_RUN = {"sim_duration": "2000", "warmup": "0"}

@@ -100,7 +100,7 @@ def test_retry_timer_bound_rejects_a_tiny_t_sum():
     assert "retry timers" in violations[0]
 
 
-@pytest.mark.parametrize("field", ["tau_fixed", "rng_seed", "b_ack"])
+@pytest.mark.parametrize("field", ["tau_low", "rng_seed", "b_ack"])
 def test_int_fields_reject_fractional_values(field):
     violations = validate_config(ScenarioConfig(**{field: 50.5}))
     assert violations == [f"{field} must be a whole number (got 50.5)"]
@@ -170,8 +170,8 @@ def test_non_numeric_value_names_field():
 def test_round_trip_is_field_identical(tmp_path):
     src = tmp_path / "src.cfg"
     src.write_text(
-        "d_t = -100\nflow_rate = 27.5\nt_sum = 450\ntau_mode = fixed\n"
-        "tau_fixed = 64\nrng_seed = 987654321\n"
+        "d_t = -100\nflow_rate = 27.5\nt_sum = 450\ntau_low = 64\n"
+        "tau_high = 64\nrng_seed = 987654321\n"
     )
     cfg = load_config(str(src))
     out = tmp_path / "out.cfg"
@@ -200,7 +200,6 @@ _ROUND_TRIP_FIELDS = st.fixed_dictionaries({
     "lane_width": st.floats(0.5, 10.0), "rsu_x": st.floats(-200.0, 200.0),
     "rsu_y": st.floats(-50.0, 50.0), "sim_duration": st.integers(1, 1_000_000),
     "warmup": st.integers(0, 10**6), "rng_seed": st.integers(0, 2**63 - 1),
-    "tau_mode": st.sampled_from(["fixed", "uniform"]), "tau_fixed": st.integers(8, 200),
     "tau_low": st.integers(8, 104), "tau_high": st.integers(104, 200),
     "bsm_probe_count": st.integers(1, 10**6),
     "per_curve": st.one_of(st.just("default"), st.text(
@@ -250,9 +249,9 @@ def test_override_errors_follow_file_rules_and_name_the_item(items, message):
 def test_tau_range_validated():
     assert any("tau" in msg for msg in validate_config(ScenarioConfig(tau_low=4)))
     assert any("tau" in msg for msg in validate_config(ScenarioConfig(tau_high=300)))
-    assert any("tau_mode" in msg for msg in validate_config(ScenarioConfig(tau_mode="gamma")))
-    assert any("tau_fixed" in msg
-               for msg in validate_config(ScenarioConfig(tau_mode="fixed", tau_fixed=300)))
+    assert any("tau" in msg
+               for msg in validate_config(ScenarioConfig(tau_low=300, tau_high=300)))
+    assert any("tau" in msg for msg in validate_config(ScenarioConfig(tau_low=9, tau_high=8)))
     assert validate_config(ScenarioConfig(tau_low=8, tau_high=200)) == []
 
 

@@ -547,7 +547,7 @@ def test_sum_per_memo_holds_per_at_each_transmit_position(monkeypatch):
     summary = sim.run()
     sums = sum(r.attempts for r in summary.records)
     assert 0 < len(sim.sum_per) == len(calls) < sums / 5
-    (rx, ry), curve = cfg.rsu_position, cfg.channel()
+    rx, ry, curve = cfg.rsu_x, cfg.rsu_y, cfg.channel()
     for (tx, ty), value in sim.sum_per.items():
         dist = ((rx - tx) ** 2 + (ry - ty) ** 2) ** 0.5
         assert value.hex() == per(curve, dist, cfg.flow_rate).hex()

@@ -50,7 +50,8 @@ GOLDEN = [
     ),
     (
         "dt0_flow10_fixed_tau",
-        ["--set", "d_t=0", "--set", "flow_rate=10", "--set", "tau_mode=fixed", *_NO_BSM],
+        ["--set", "d_t=0", "--set", "flow_rate=10", "--set", "tau_low=104",
+         "--set", "tau_high=104", *_NO_BSM],
         "3ea543d6850bfe72fd3d63876e141398a81d0233b749f88ef9b1965124b9c1aa",
         "5e3e26bbf59efd95e5bb4e63e3a2f12913212d39abd594d362bf6d173773206e",
     ),
@@ -84,7 +85,7 @@ GOLDEN = [
         "436741b57b506a847f6e705856553e9fba1b8e4cb384b2eba2a7ebaca80fbe11",
     ),
     (
-        # Uniform mode over a one-value range: no tau draw.
+        # A one-value tau range, as in the fixed-tau cell: no tau draw.
         "dt300_flow30_tau_span_1",
         ["--set", "d_t=300", "--set", "flow_rate=30", "--set", "tau_low=104",
          "--set", "tau_high=104", *_NO_BSM],
@@ -123,7 +124,7 @@ def test_trace_bytes_are_pinned(tmp_path):
     out = tmp_path / "run.trace"
     assert main(["trace", "--out", str(out), "--seed", "7", "--set", "sim_duration=20000",
                  "--set", "warmup=0", "--set", "d_t=1400", "--set", "flow_rate=30",
-                 "--set", "tau_mode=uniform", "--set", "bsm_period=20001"]) == 0
+                 "--set", "bsm_period=20001"]) == 0
     assert _sha256(out) == "d2449fa25704525687894d0ad8f2051d1bf63a3f39eadf66fbe9d2535a505e94"
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from v2isim.core import Message, MessageKind, RSU_ID
 from v2isim.protocol import (
-    ObuPhase, ObuState, ProtocolError, RsuState, TimerKind, obu_on_ack, obu_on_retry_timer, obu_on_sam, obu_on_trigger,
+    ObuPhase, ObuState, ProtocolError, RsuState, obu_on_ack, obu_on_retry_timer, obu_on_sam, obu_on_trigger,
     rsu_on_ack_timer, rsu_on_sam_timer, rsu_on_sum,
 )
 
@@ -30,7 +30,7 @@ def test_sam_stores_advertisement():
     state, out = obu_on_sam(fresh_obu(), 1000)
     assert state.phase is ObuPhase.SAM_STORED
     assert state.sam_rx_time == 1000
-    assert out.transmissions == () and out.timers == ()
+    assert out.transmissions == () and state.retry_deadline is None
 
 
 def test_sam_refresh_is_noop_in_later_phases():
@@ -51,20 +51,19 @@ def test_trigger_sends_first_sum_and_arms_retry():
     assert state.first_sum_tx_time == 40_000
     assert state.retry_deadline == 40_600
     assert out.transmissions == (SUM_7,)
-    assert out.timers == ((40_600, TimerKind.RETRY),)
 
 
 def test_trigger_before_any_sam_defers_first_sum():
     state, out = obu_on_trigger(fresh_obu(), 40_000)
     assert state.phase is ObuPhase.IDLE and state.deferred_start
-    assert out.transmissions == ()
+    assert out.transmissions == () and state.retry_deadline is None
     released, out = obu_on_sam(state, 41_000)
     assert released.phase is ObuPhase.AWAITING_ACK
     assert released.sam_rx_time == 41_000
     assert released.first_sum_tx_time == 41_000
     assert released.attempts == 1
+    assert released.retry_deadline == 41_600
     assert out.transmissions == (SUM_7,)
-    assert out.timers == ((41_600, TimerKind.RETRY),)
 
 
 def test_second_trigger_is_contract_violation():
@@ -84,7 +83,6 @@ def test_retry_increments_attempts_and_reschedules():
     assert state.attempts == 2
     assert state.retry_deadline == 41_200
     assert out.transmissions == (SUM_7,)
-    assert out.timers == ((41_200, TimerKind.RETRY),)
 
 
 def test_stale_retry_after_completion_is_absorbed():
@@ -98,11 +96,11 @@ def test_stale_retry_after_completion_is_absorbed():
 def test_unbounded_retries_keep_cadence():
     stored, _ = obu_on_sam(fresh_obu(), 1000)
     state, out = obu_on_trigger(stored, 40_000)
-    deadlines = [out.timers[0][0]]
+    deadlines = [state.retry_deadline]
     for _ in range(10):
         state, out = obu_on_retry_timer(state, deadlines[-1])
         assert out.transmissions == (SUM_7,)
-        deadlines.append(out.timers[0][0])
+        deadlines.append(state.retry_deadline)
     assert state.attempts == 11
     assert state.phase is ObuPhase.AWAITING_ACK
     # Each retransmission, sent at the last deadline, re-arms exactly t_sum later.
@@ -137,8 +135,9 @@ def test_first_sum_arms_batch_deadline():
     state, out = rsu_on_sum(fresh_rsu(), 10_000, sender=7)
     assert state.pending == (7,)
     assert state.ack_deadline == 10_400
-    assert out.timers == ((10_400, TimerKind.ACK_FLUSH),)
     assert out.transmissions == ()
+    state, _ = rsu_on_sum(state, 10_100, sender=8)
+    assert state.ack_deadline == 10_400   # a later entry keeps the batch deadline
 
 
 def test_batch_full_flushes_immediately():
@@ -159,7 +158,7 @@ def test_batch_full_flushes_immediately():
 def test_duplicate_sum_does_not_duplicate_entry():
     state, _ = rsu_on_sum(fresh_rsu(), 10_000, sender=7)
     again, out = rsu_on_sum(state, 10_100, sender=7)
-    assert again == state and out.transmissions == () and out.timers == ()
+    assert again == state and out.transmissions == () and again.ack_deadline == 10_400
 
 
 def test_ack_timer_flushes_pending():
@@ -202,7 +201,7 @@ def test_sam_timer_period_and_bug_trap():
     for _ in range(3):
         state, out = rsu_on_sam_timer(state, now)
         assert out.transmissions == (Message(kind=MessageKind.SAM, sender=RSU_ID),)
-        assert out.timers == ((now + 1000, TimerKind.SAM),)
+        assert state.next_sam_time == now + 1000
         now += 1000
     assert state.next_sam_time == 3000
     with pytest.raises(ProtocolError):
