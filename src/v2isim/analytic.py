@@ -50,8 +50,7 @@ class AnalyticParams:
 
 
 def params_from_config(cfg: ScenarioConfig, d_t: SignedMeters | None = None,
-                       density: float | None = None,
-                       n_max: int | None = None) -> AnalyticParams:
+                       density: float | None = None) -> AnalyticParams:
     return AnalyticParams(
         d_t=cfg.d_t if d_t is None else d_t,
         mean_speed=cfg.mean_speed,
@@ -59,7 +58,6 @@ def params_from_config(cfg: ScenarioConfig, d_t: SignedMeters | None = None,
         tau_s=(cfg.tau_low + cfg.tau_high) // 2 / 1000.0,   # the range midpoint, in seconds
         curve=cfg.channel(),
         density=cfg.flow_rate if density is None else density,
-        n_max=n_max,
     )
 
 

@@ -256,11 +256,11 @@ def default_calibration() -> PerCurve:
     return PerCurve(levels=levels, tables=tables)
 
 
-def constant_per_curve(value: float, density_levels: tuple[float, ...] = (10.0, 30.0),
-                       max_distance: float = 10_000.0) -> PerCurve:
+def constant_per_curve(value: float, max_distance: float = 10_000.0) -> PerCurve:
     """Distance- and density-independent curve, mainly for tests and demos."""
-    tables = tuple(((0.0, value), (max_distance, value)) for _ in density_levels)
-    return PerCurve(levels=density_levels, tables=tables)
+    levels = (10.0, 30.0)
+    tables = tuple(((0.0, value), (max_distance, value)) for _ in levels)
+    return PerCurve(levels=levels, tables=tables)
 
 
 def parse_per_curve(text: str) -> PerCurve:

@@ -11,6 +11,8 @@ and are listed in the README only. One key=value parser serves config-file
 lines and overrides, taking each field's type from the ``ScenarioConfig``
 annotations; every parsed or derived config passes ``replace_config``. Tau
 is one range, ``tau_low..tau_high``; a fixed tau is ``tau_low = tau_high``.
+The fields are scenario parameters; the BSM probe count, a setting of the
+simulator's estimator, is the constant ``engine.BSM_PROBES``.
 """
 
 from __future__ import annotations
@@ -90,7 +92,6 @@ class ScenarioConfig:
     tau_low: TimeMs = 8              # exchange delay: uniform on [tau_low, tau_high],
     tau_high: TimeMs = 200           # fixed when the two are equal
     per_curve: str = "default"       # "default" or path to a calibration file
-    bsm_probe_count: int = 4         # sampled receivers per BSM transmission
 
     def channel(self) -> _channel.PerCurve:
         """Resolve the PER calibration for this scenario."""
@@ -182,8 +183,6 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
     if not lo <= cfg.tau_low <= cfg.tau_high <= hi:
         bad(f"tau range must satisfy {lo} <= tau_low <= tau_high <= {hi} "
             f"(got [{cfg.tau_low}, {cfg.tau_high}])")
-    if cfg.bsm_probe_count < 1:
-        bad(f"bsm_probe_count must be >= 1 (got {cfg.bsm_probe_count})")
     if cfg.rng_seed < 0:
         bad(f"rng_seed must be >= 0 (got {cfg.rng_seed})")
     # A config file line is cut at '#' and its value stripped: only such a path round-trips.

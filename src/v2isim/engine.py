@@ -37,17 +37,19 @@ Background safety broadcasts (BSMs) only feed the reception-rate metric and
 have no protocol effect, and positions are closed-form, so they are not
 events: one pass after the event loop (``bsm_counters``) handles every BSM
 tick in vectorized form. Every in-stretch vehicle transmits each tick, and
-reception is sampled toward a bounded random probe set per transmission (an
-unbiased estimate of the same packet error rate at a fraction of the cost of
-enumerating every in-stretch receiver). A probe's PER is read from a table
-built once per run (``channel.per_table``, 1 cm cells), not interpolated
-at its exact distance; the two differ by at most 1.8e-5 on the default
-curve.
+reception is sampled toward at most ``BSM_PROBES`` random receivers per
+transmission (an unbiased estimate of the same packet error rate at a
+fraction of the cost of enumerating every in-stretch receiver). The count is
+a constant, so the probe arrays of a tick with n vehicles hold at most 4 n. A
+probe's PER is read from a table built once per run (``channel.per_table``,
+1 cm cells), not interpolated at its exact distance; the two differ by at
+most 1.8e-5 on the default curve.
 """
 
 from __future__ import annotations
 
 import heapq
+import os
 from enum import Enum
 from typing import Any, Callable, NamedTuple, Sequence
 
@@ -143,6 +145,10 @@ def deliver_broadcast(sender: int,
     return {entity_id for entity_id, ok in zip(ids, heard.tolist()) if ok}
 
 
+# Receivers sampled per BSM transmission, fewer when a tick has fewer others.
+BSM_PROBES = 4
+
+
 def bsm_counters(cfg: ScenarioConfig, curve: chan.PerCurve,
                  by_direction: dict[mob.Direction, list[mob.VehicleKinematics]],
                  ) -> tuple[int, int, int]:
@@ -150,7 +156,7 @@ def bsm_counters(cfg: ScenarioConfig, curve: chan.PerCurve,
 
     Ticks fall at every positive multiple of ``bsm_period`` before
     ``sim_duration``. At a tick each of the n in-stretch vehicles transmits
-    once and is heard, or not, by min(bsm_probe_count, n - 1) other
+    once and is heard, or not, by min(BSM_PROBES, n - 1) other
     in-stretch vehicles drawn uniformly (a probe may repeat), with the PER
     of the run's ``per_table``. Draws come from the seed's BSM stream; the
     stream and the table are not built when there is no tick.
@@ -167,7 +173,7 @@ def bsm_counters(cfg: ScenarioConfig, curve: chan.PerCurve,
         lo, hi = mob.stretch_window(spawns, ticks, transit)
         counts += hi - lo
         sides.append((direction, spawns, lateral, lo.tolist(), hi.tolist()))
-    probe_counts = np.minimum(cfg.bsm_probe_count, counts - 1)
+    probe_counts = np.minimum(BSM_PROBES, counts - 1)
     heard = counts >= 2
     expected = int(np.dot(counts[heard], probe_counts[heard]))
     rng = np.random.default_rng(np.random.SeedSequence(cfg.rng_seed).spawn(1)[0])
@@ -430,17 +436,19 @@ def run_batch(cfgs: Sequence[ScenarioConfig], parallelism: int = 1) -> list[RunS
     failures are reported together in a BatchError. Results are identical
     whether the batch executes serially or in parallel. A pool gets the
     heaviest cells (by ``flow_rate * sim_duration``) first, which shortens
-    the makespan.
+    the makespan. Under fork a pool starts all its workers at the first
+    submit, so it has no more workers than cells or CPUs available.
     """
     if not cfgs:
         return []
     results: list[RunSummary | None] = [None] * len(cfgs)
     failures: dict[int, str] = {}
-    if parallelism > 1 and len(cfgs) > 1:
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(parallelism, len(cfgs), cpus or 1)
+    if workers > 1:
         try:
             from concurrent.futures import ProcessPoolExecutor   # only a pool needs it
-            # Under fork a pool starts all its workers at the first submit.
-            with ProcessPoolExecutor(max_workers=min(parallelism, len(cfgs))) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 order = sorted(range(len(cfgs)), reverse=True,
                                key=lambda i: cfgs[i].flow_rate * cfgs[i].sim_duration)
                 futures = {i: pool.submit(run, cfgs[i]) for i in order}
@@ -454,8 +462,8 @@ def run_batch(cfgs: Sequence[ScenarioConfig], parallelism: int = 1) -> list[RunS
             # the serial path produces identical results by construction.
             results = [None] * len(cfgs)
             failures.clear()
-            parallelism = 1
-    if parallelism <= 1 or len(cfgs) == 1:
+            workers = 1
+    if workers <= 1:
         for i, cfg in enumerate(cfgs):
             try:
                 results[i] = run(cfg)

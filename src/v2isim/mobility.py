@@ -98,8 +98,7 @@ def position_at(v: VehicleKinematics, t: TimeMs) -> tuple[float, float]:
     return (x, v.y)
 
 
-def trigger_crossing_time(v: VehicleKinematics, d_t: SignedMeters,
-                          rsu_x: float = 0.0) -> TimeMs:
+def trigger_crossing_time(v: VehicleKinematics, d_t: SignedMeters, rsu_x: float) -> TimeMs:
     """Unique instant at which the signed distance to the RSU equals d_t.
 
     Rounded up to the next whole millisecond. The trigger line must lie
@@ -113,11 +112,6 @@ def trigger_crossing_time(v: VehicleKinematics, d_t: SignedMeters,
             f"trigger d_t={d_t} lies behind vehicle {v.vehicle_id}'s spawn point"
         )
     return v.spawn_time + ceil_ms(meters_to_go / v.speed * 1000.0)
-
-
-def exit_time(v: VehicleKinematics, road_length: float) -> TimeMs:
-    """Despawn instant: when the vehicle reaches the exit edge."""
-    return v.spawn_time + transit_ms(road_length, v.speed)
 
 
 def transit_ms(road_length: float, speed: float) -> TimeMs:

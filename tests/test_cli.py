@@ -232,9 +232,11 @@ def test_validate_rejects_trials_past_the_bound_before_replaying(monkeypatch, ca
 
 
 @pytest.mark.parametrize("source", ["set", "file"])
-@pytest.mark.parametrize("key, value", [("tau_mode", "fixed"), ("tau_fixed", "64")])
+@pytest.mark.parametrize("key, value", [("tau_mode", "fixed"), ("tau_fixed", "64"),
+                                        ("bsm_probe_count", "4")])
 def test_removed_tau_keys_exit_2_naming_the_key(tmp_path, capsys, source, key, value):
-    """A fixed tau is ``tau_low = tau_high``; the old keys are unknown."""
+    """A fixed tau is ``tau_low = tau_high`` and the BSM probe count is the
+    constant ``engine.BSM_PROBES``; the old keys are unknown."""
     if source == "set":
         argv = ["--set", f"{key}={value}"]
     else:
@@ -336,7 +338,7 @@ _INT_RANGES = {
     "b_ack": (1, 20), "t_sum": (50, 2000), "t_ack": (1, 2000), "sam_period": (1, 2000),
     "bsm_period": (1, 3000), "lane_count": (1, 40), "sim_duration": (1, 3000),
     "warmup": (0, 3000), "rng_seed": (0, 2**32), "tau_low": (0, 300),
-    "tau_high": (0, 300), "bsm_probe_count": (0, 10),
+    "tau_high": (0, 300),
 }
 _FLOAT_RANGES = {
     "d_t": (-1600.0, 1600.0), "flow_rate": (0.01, 100.0), "mean_speed": (1.0, 60.0),

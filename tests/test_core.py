@@ -68,7 +68,7 @@ def test_non_finite_float_or_negative_seed_rejected_naming_field(field, value):
     ({"flow_rate": 1e-9, "sim_duration": 10**12}, "bsm_period"),
     ({"flow_rate": 1e-3, "sim_duration": 1_000_001, "bsm_period": 1}, "bsm_period"),
     ({"lane_count": 2**63}, "lane_count"),
-    ({"bsm_probe_count": 10**30}, "bsm_probe_count"),
+    ({"b_ack": 10**30}, "b_ack"),
     ({"sim_duration": 10**400}, "sim_duration"),
     ({"rng_seed": -2**63 - 1}, "rng_seed"),
 ])
@@ -201,7 +201,6 @@ _ROUND_TRIP_FIELDS = st.fixed_dictionaries({
     "rsu_y": st.floats(-50.0, 50.0), "sim_duration": st.integers(1, 1_000_000),
     "warmup": st.integers(0, 10**6), "rng_seed": st.integers(0, 2**63 - 1),
     "tau_low": st.integers(8, 104), "tau_high": st.integers(104, 200),
-    "bsm_probe_count": st.integers(1, 10**6),
     "per_curve": st.one_of(st.just("default"), st.text(
         st.characters(blacklist_categories=("Cs", "Cc", "Zl", "Zp"), blacklist_characters="#"),
         min_size=1).map(lambda name: "/" + name.strip() if name.strip() else "/x")),

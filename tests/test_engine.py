@@ -23,7 +23,7 @@ from v2isim.engine import (
 )
 from v2isim.metrics import CompletionRecord, OUTCOME_COMPLETE, OUTCOME_DESPAWN, OUTCOME_SIMEND
 from v2isim.mobility import (
-    Direction, entry_x, exit_time, generate_arrivals, position_at,
+    Direction, entry_x, generate_arrivals, position_at, transit_ms,
 )
 
 
@@ -236,9 +236,10 @@ def test_run_batch_heaviest_first_keeps_input_order_and_serial_parallel_agree():
 
 def test_run_batch_pool_is_no_larger_than_the_batch(monkeypatch):
     """Under fork a pool starts every worker at its first submit, so the pool
-    is sized by the batch. An inline stand-in records the size and starts no
-    process; ``run_batch`` imports the pool class only when it makes a pool,
-    so the stand-in replaces it in ``concurrent.futures``."""
+    is sized by the batch and by the CPUs available. An inline stand-in
+    records the size and starts no process; ``run_batch`` imports the pool
+    class only when it makes a pool, so the stand-in replaces it in
+    ``concurrent.futures``."""
     sizes = []
 
     class InlinePool:
@@ -256,11 +257,22 @@ def test_run_batch_pool_is_no_larger_than_the_batch(monkeypatch):
             future.set_result(fn(*args))
             return future
 
+    def cpus(n):
+        monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: set(range(n)),
+                            raising=False)
+
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     cfgs = [short_cfg(sim_duration=5_000, rng_seed=80 + i) for i in range(3)]
-    assert run_batch(cfgs, parallelism=5000) == run_batch(cfgs, parallelism=1)
+    cpus(8)
+    serial = run_batch(cfgs, parallelism=1)
+    assert run_batch(cfgs, parallelism=5000) == serial
     run_batch(cfgs[:2], parallelism=2)
     assert sizes == [3, 2]
+    cpus(2)   # fewer CPUs than cells or workers asked for
+    assert run_batch(cfgs, parallelism=5000) == serial
+    cpus(1)   # one CPU: the serial path, no pool
+    assert run_batch(cfgs, parallelism=5000) == serial
+    assert sizes == [3, 2, 2]
 
 
 def test_pool_records_are_named_tuples_equal_to_serial_ones():
@@ -343,7 +355,8 @@ def test_vehicle_state_lives_from_spawn_to_despawn(tmp_path):
     sim = engine._Simulation(cfg, trace=lambda *row: rows.append(row))
     summary = sim.run()
     vehicles = [v for arr in sim.by_direction.values() for v in arr]
-    exits = {v.vehicle_id: exit_time(v, cfg.road_length) for v in vehicles}
+    exits = {v.vehicle_id: v.spawn_time + transit_ms(cfg.road_length, v.speed)
+             for v in vehicles}
     sums_sent: dict[int, int] = {}
     for t, entity, _event, _before, after in rows:
         if entity.startswith("veh"):
@@ -378,7 +391,7 @@ def test_bsm_counters_consistent():
     summary = run(short_cfg(flow_rate=10.0))
     assert summary.bsm_tx_count > 0
     assert 0 < summary.bsm_rx_count <= summary.bsm_expected_rx_count
-    assert summary.bsm_expected_rx_count <= summary.bsm_tx_count * summary.cfg.bsm_probe_count
+    assert summary.bsm_expected_rx_count <= summary.bsm_tx_count * engine.BSM_PROBES
     assert 0.0 <= summary.bsm_per <= 1.0
 
 
@@ -408,7 +421,7 @@ def _brute_force_bsm_counts(cfg: ScenarioConfig) -> tuple[int, int]:
         n = len(positions)
         tx += n
         if n >= 2:
-            expected += n * min(cfg.bsm_probe_count, n - 1)
+            expected += n * min(engine.BSM_PROBES, n - 1)
     return tx, expected
 
 
@@ -418,9 +431,10 @@ def _brute_force_bsm_counts(cfg: ScenarioConfig) -> tuple[int, int]:
     (2.0, 1000, 2, 130_000),    # past one transit: vehicles leave the stretch
     (4.0, 30_000, 4, 30_000),   # a tick at the end instant is outside the run
 ])
-def test_bsm_counts_match_brute_force_positions(flow, period, probes, duration):
-    cfg = short_cfg(flow_rate=flow, bsm_period=period, bsm_probe_count=probes,
-                    sim_duration=duration)
+def test_bsm_counts_match_brute_force_positions(monkeypatch, flow, period, probes, duration):
+    # The count formula min(BSM_PROBES, n - 1) holds for any constant, not only 4.
+    monkeypatch.setattr(engine, "BSM_PROBES", probes)
+    cfg = short_cfg(flow_rate=flow, bsm_period=period, sim_duration=duration)
     summary = run(cfg)
     tx, expected = _brute_force_bsm_counts(cfg)
     assert (summary.bsm_tx_count, summary.bsm_expected_rx_count) == (tx, expected)
@@ -459,7 +473,7 @@ def test_bsm_receptions_match_all_pairs_expectation():
         hear = 1.0 - per_many(curve, dist, cfg.flow_rate)
         np.fill_diagonal(hear, 0.0)
         p = hear.sum(axis=1) / (n - 1)
-        k = min(cfg.bsm_probe_count, n - 1)
+        k = min(engine.BSM_PROBES, n - 1)
         mean += k * p.sum()
         var += k * (p * (1.0 - p)).sum()
     summary = run(cfg)

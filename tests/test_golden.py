@@ -132,8 +132,7 @@ def test_records_bytes_do_not_depend_on_bsm_settings(tmp_path):
     """BSMs only feed ``bsm_per``: their knobs must not move a protocol record."""
     cell = [*_SHORT, "--set", "d_t=300", "--set", "flow_rate=20"]
     variants = {
-        "probes4": ["--set", "bsm_probe_count=4"],
-        "probes3": ["--set", "bsm_probe_count=3"],
+        "period100": ["--set", "bsm_period=100"],
         "period200": ["--set", "bsm_period=200"],
         "off": _NO_BSM,
     }

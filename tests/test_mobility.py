@@ -10,7 +10,7 @@ import pytest
 
 from v2isim.core import ScenarioConfig
 from v2isim.mobility import (
-    Direction, MobilityError, VehicleKinematics, exit_time,
+    Direction, MobilityError, VehicleKinematics,
     generate_arrivals, position_at, stretch_window, transit_ms,
     trigger_crossing_time,
 )
@@ -93,15 +93,15 @@ def test_query_before_spawn_is_error():
 
 def test_trigger_crossing_examples():
     v = _east_vehicle()
-    assert trigger_crossing_time(v, 300.0) == 40_000
-    assert trigger_crossing_time(v, 0.0) == 50_000
-    assert trigger_crossing_time(v, -100.0) == 53_334  # ceil(1600/30*1000)
+    assert trigger_crossing_time(v, 300.0, 0.0) == 40_000
+    assert trigger_crossing_time(v, 0.0, 0.0) == 50_000
+    assert trigger_crossing_time(v, -100.0, 0.0) == 53_334  # ceil(1600/30*1000)
 
 
 def test_trigger_mirrored_for_opposing_direction():
     east, west = _east_vehicle(), _west_vehicle()
     for d_t in (300.0, 0.0, -100.0):
-        assert trigger_crossing_time(east, d_t) == trigger_crossing_time(west, d_t)
+        assert trigger_crossing_time(east, d_t, 0.0) == trigger_crossing_time(west, d_t, 0.0)
     # Signed distance to an RSU at x = 0 decreases through zero for both
     # directions.
     for v in (east, west):
@@ -110,7 +110,8 @@ def test_trigger_mirrored_for_opposing_direction():
 
 
 def test_exit_time_and_transit():
-    assert exit_time(_east_vehicle(), CFG.road_length) == 100_000
+    v = _east_vehicle()
+    assert v.spawn_time + transit_ms(CFG.road_length, v.speed) == 100_000
     assert transit_ms(3000.0, 30.0) == 100_000
 
 
@@ -137,5 +138,5 @@ def test_stretch_window_matches_in_stretch():
         lo, hi = stretch_window(spawns, t, transit)
         window_ids = {arrivals[i].vehicle_id for i in range(lo, hi)}
         truth = {v.vehicle_id for v in arrivals
-                 if v.spawn_time <= t < exit_time(v, CFG.road_length)}
+                 if v.spawn_time <= t < v.spawn_time + transit_ms(CFG.road_length, v.speed)}
         assert window_ids == truth
