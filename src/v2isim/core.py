@@ -1,8 +1,9 @@
 """Domain vocabulary, units, and the scenario configuration schema.
 
 All simulation times are integer milliseconds (``TimeMs``); distances are
-meters. Signed longitudinal distances are positive upstream of the RSU in a
-vehicle's own direction of travel and negative once it has passed the RSU.
+meters. The RSU is the origin (``RSU_POSITION``): the centre of the stretch,
+on the median. Signed longitudinal distances are positive upstream of the
+RSU in a vehicle's own direction of travel and negative once it has passed it.
 
 A ``Message`` is an immutable named tuple holding what goes over the air;
 the engine carries its transmit position beside it. The per-kind radio
@@ -32,8 +33,10 @@ TimeMs = int
 # Signed longitudinal distance to the RSU, meters (positive = not yet passed).
 SignedMeters = float
 
-# Entity id used by the road-side unit on the shared timeline.
+# The road-side unit's entity id on the shared timeline, and where it stands,
+# (x, y) in meters: the stretch centre, on the median.
 RSU_ID = -1
+RSU_POSITION = (0.0, 0.0)
 
 
 def ceil_ms(value_ms: float) -> TimeMs:
@@ -84,8 +87,6 @@ class ScenarioConfig:
     road_length: float = 3000.0      # m
     lane_count: int = 16             # total, split evenly per direction
     lane_width: float = 3.5          # m
-    rsu_x: float = 0.0               # longitudinal, stretch centered at 0
-    rsu_y: float = 0.0               # lateral, 0 = median
     sim_duration: TimeMs = 600_000
     warmup: TimeMs = 100_000         # one road-transit time at defaults
     rng_seed: int = 1
@@ -155,12 +156,11 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
     if cfg.sam_period > 0 and cfg.sim_duration / cfg.sam_period > MAX_UPFRONT_ITEMS:
         bad(f"sim_duration / sam_period must be at most {MAX_UPFRONT_ITEMS} SAM timers "
             f"(got {cfg.sim_duration} / {cfg.sam_period})")
-    if abs(cfg.d_t) + abs(cfg.rsu_x) >= cfg.road_length / 2:
-        bad(f"d_t and rsu_x must satisfy |d_t| + |rsu_x| < road_length/2 so the "
-            f"trigger line lies inside the stretch in both directions (got d_t="
-            f"{cfg.d_t}, rsu_x={cfg.rsu_x}, road_length={cfg.road_length})")
-    if cfg.mean_speed > 0 and not math.isfinite(cfg.road_length / cfg.mean_speed * 1e3):
-        bad(f"road_length / mean_speed must be a finite transit time in ms "
+    if abs(cfg.d_t) >= cfg.road_length / 2:
+        bad(f"d_t must satisfy |d_t| < road_length/2 so the trigger line lies inside "
+            f"the stretch (got d_t={cfg.d_t}, road_length={cfg.road_length})")
+    if cfg.mean_speed > 0 and not cfg.road_length / cfg.mean_speed * 1e3 < 2**63:
+        bad(f"road_length / mean_speed must be a transit time below 2**63 ms "
             f"(got {cfg.road_length} / {cfg.mean_speed})")
     elif cfg.mean_speed > 0 and cfg.t_sum > 0:
         transit = ceil_ms(cfg.road_length / cfg.mean_speed * 1000.0)
@@ -172,11 +172,10 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
     if not 2 <= cfg.lane_count <= 2**32 or cfg.lane_count % 2 != 0:
         bad(f"lane_count must be an even number in [2, 2**32] (got {cfg.lane_count})")
     # Any two positions lie within ``extent`` of each other on both axes.
-    extent = cfg.road_length + cfg.lane_count * cfg.lane_width + abs(cfg.rsu_y)
+    extent = cfg.road_length + cfg.lane_count * cfg.lane_width
     if not math.isfinite(2.0 * extent * extent):
-        bad(f"road_length + lane_count * lane_width + |rsu_y| must keep squared "
-            f"distances finite (got {cfg.road_length} + {cfg.lane_count} * "
-            f"{cfg.lane_width} + |{cfg.rsu_y}|)")
+        bad(f"road_length + lane_count * lane_width must keep squared distances "
+            f"finite (got {cfg.road_length} + {cfg.lane_count} * {cfg.lane_width})")
     if cfg.warmup < 0:
         bad(f"warmup must be >= 0 ms (got {cfg.warmup})")
     lo, hi = _channel.TAU_MIN_MS, _channel.TAU_MAX_MS

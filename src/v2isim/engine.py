@@ -9,15 +9,16 @@ of ``SeedSequence(seed)``, so no BSM setting moves a protocol outcome.
 Events are named tuples ``(time, seq, kind, payload)`` on a ``heapq`` heap,
 so the heap orders them with C tuple comparison. ``seq`` is unique, so a
 comparison is settled by ``(time, seq)`` and never reaches ``kind`` or
-``payload``. The main loop tests the two commonest kinds, message arrivals
-and retry timers, by identity and looks the rest up in a dict of handlers
-(``EventKind`` hashes by identity in C, not with ``Enum``'s Python hash).
-Hot code binds Enum members to module names, since on Python 3.11 a lookup
-on the class costs about 0.1 us. A message arrival's payload is ``(message,
-transmit position)``. A vehicle's state lives from spawn to despawn, so a
-retry timer that fires later is ignored. After a transition the engine queues
-its transmissions, then arms a ``RETRY_TIMER``, ``ACK_TIMER`` or ``SAM_TIMER``
-for each deadline the transition moved to a new value that is not None.
+``payload``. The main loop looks every kind up in one dict of handlers
+(``EventKind`` hashes by identity in C, not with ``Enum``'s Python hash);
+``SIM_END``'s handler ends it. Hot code binds Enum members to module names,
+since on Python 3.11 a lookup on the class costs about 0.2 us. A message
+arrival's payload is ``(message, transmit position)``; the RSU transmits
+from ``RSU_POSITION``, the origin. A vehicle's state lives from spawn to
+despawn, so a retry timer that fires later is ignored. After a transition the
+engine queues its transmissions, then arms a ``RETRY_TIMER``, ``ACK_TIMER``
+or ``SAM_TIMER`` for each deadline the transition moved to a new value that
+is not None.
 
 Transmission latency: each radio leg takes ceil(tau/2) ms, tau drawn from
 ``tau_low..tau_high`` per transmission, so an unbatched request/ACK round
@@ -59,7 +60,7 @@ from . import channel as chan
 from . import mobility as mob
 from . import protocol as proto
 from .core import (
-    Message, MessageKind, RSU_ID, ScenarioConfig, TimeMs, ceil_ms,
+    Message, MessageKind, RSU_ID, RSU_POSITION, ScenarioConfig, TimeMs,
     raise_violations, validate_config,
 )
 from .metrics import (
@@ -202,8 +203,6 @@ TraceFn = Callable[[TimeMs, str, str, str, str], None]
 
 _SUM, _IDLE = MessageKind.SUM, proto.ObuPhase.IDLE
 _MSG_ARRIVAL, _RETRY_TIMER = EventKind.MSG_ARRIVAL, EventKind.RETRY_TIMER
-# One radio leg's flight time, ceil(tau/2) ms, for every tau validate_config accepts.
-_FLIGHT_MS = {tau: ceil_ms(tau / 2.0) for tau in range(chan.TAU_MIN_MS, chan.TAU_MAX_MS + 1)}
 # Entries of a run's SUM reception PER memo, which is cleared when full.
 _SUM_PER_CACHE_SIZE = 4096
 
@@ -220,7 +219,6 @@ class _Simulation:
         self.curve = cfg.channel()
         self.tau_range = (cfg.tau_low, cfg.tau_high)
         self.density = cfg.flow_rate
-        self.rsu_position = (cfg.rsu_x, cfg.rsu_y)
         self.transit = mob.transit_ms(cfg.road_length, cfg.mean_speed)
         self.sum_per: dict[tuple[float, float], float] = {}
         self.queue = EventQueue()
@@ -239,9 +237,10 @@ class _Simulation:
         east = mob.generate_arrivals(cfg, mob.Direction.EAST, self.rng, id_start=0)
         west = mob.generate_arrivals(cfg, mob.Direction.WEST, self.rng, id_start=len(east))
         self.by_direction = {mob.Direction.EAST: east, mob.Direction.WEST: west}
-        # A direction's vehicles share a spawn point and a speed: one trigger offset each.
-        self.trigger_after = {d: mob.trigger_crossing_time(arr[0], cfg.d_t, cfg.rsu_x)
-                              - arr[0].spawn_time for d, arr in self.by_direction.items() if arr}
+        # Both directions spawn road_length/2 upstream of the RSU at one speed, so
+        # every vehicle reaches the trigger line the same time after spawning.
+        for v in (east or west)[:1]:   # no vehicle, no trigger
+            self.trigger_after = mob.trigger_crossing_time(v, cfg.d_t) - v.spawn_time
 
         self.queue.push(self.rsu.next_sam_time, EventKind.SAM_TIMER)
         self.queue.push(cfg.sim_duration, EventKind.SIM_END)
@@ -254,12 +253,12 @@ class _Simulation:
     def _apply_output(self, now: TimeMs, out: proto.ProtocolOutput) -> None:
         for msg in out.transmissions:
             if msg.sender == RSU_ID:
-                pos = self.rsu_position
+                pos = RSU_POSITION
             else:
                 pos = mob.position_at(self.active[msg.sender], now)
                 if msg.kind is _SUM:
                     self.sum_tx_count[msg.sender] = self.sum_tx_count.get(msg.sender, 0) + 1
-            flight = _FLIGHT_MS[chan.sample_tau(self.rng, self.tau_range)]
+            flight = (chan.sample_tau(self.rng, self.tau_range) + 1) // 2   # ceil(tau/2)
             self.queue.push(now + flight, _MSG_ARRIVAL, (msg, pos))
 
     def _obu_transition(self, vid: int, now: TimeMs, event: str, fn, *args) -> None:
@@ -313,8 +312,7 @@ class _Simulation:
         self.active[vid] = v
         self.awaiting_sam[vid] = None
         self.obu[vid] = proto.ObuState(vid, self.cfg.t_sum)
-        self.queue.push(v.spawn_time + self.trigger_after[v.direction],
-                        EventKind.TRIGGER_CROSS, vid)
+        self.queue.push(v.spawn_time + self.trigger_after, EventKind.TRIGGER_CROSS, vid)
         self.queue.push(v.spawn_time + self.transit, EventKind.VEHICLE_DESPAWN, vid)
 
     def _on_trigger(self, now: TimeMs, vid: int) -> None:
@@ -331,7 +329,7 @@ class _Simulation:
             if per is None:
                 if len(self.sum_per) >= _SUM_PER_CACHE_SIZE:
                     self.sum_per.clear()
-                (rx, ry), (tx, ty) = self.rsu_position, pos   # the one candidate
+                (rx, ry), (tx, ty) = RSU_POSITION, pos   # the one candidate
                 dist = ((rx - tx) ** 2 + (ry - ty) ** 2) ** 0.5
                 per = self.sum_per[pos] = chan.per(self.curve, dist, self.density)
             if self.next_double(self.rng_state) >= per:
@@ -374,24 +372,21 @@ class _Simulation:
         handlers = {
             EventKind.VEHICLE_SPAWN: self._on_spawn,
             EventKind.TRIGGER_CROSS: self._on_trigger,
+            _RETRY_TIMER: self._on_retry_timer,
             EventKind.ACK_TIMER: self._on_ack_timer,
             EventKind.SAM_TIMER: self._on_sam_timer,
+            _MSG_ARRIVAL: self._on_msg_arrival,
             EventKind.VEHICLE_DESPAWN: self._on_despawn,
+            EventKind.SIM_END: lambda now, _payload: True,   # the one that ends the loop
         }
         queue = self.queue
         while True:   # SIM_END, queued at init, ends the loop
             now, _, kind, payload = queue.pop()
-            if kind is _MSG_ARRIVAL:
-                self._on_msg_arrival(now, payload)
-            elif kind is _RETRY_TIMER:
-                self._on_retry_timer(now, payload)
-            elif kind is EventKind.SIM_END:
+            handler = handlers.get(kind)
+            if handler is None:
+                raise EngineError(f"unhandled event kind {kind}")
+            if handler(now, payload):
                 break
-            else:
-                handler = handlers.get(kind)
-                if handler is None:
-                    raise EngineError(f"unhandled event kind {kind}")
-                handler(now, payload)
         for vid in list(self.active):
             self._finalize(vid, OUTCOME_SIMEND)
         bsm_tx, bsm_rx, bsm_expected = bsm_counters(self.cfg, self.curve, self.by_direction)

@@ -3,7 +3,8 @@
 The stretch is centered at x = 0: eastbound traffic enters at -road_length/2
 travelling toward +x, westbound enters at +road_length/2 travelling toward
 -x. Lateral lane offsets keep the two directions on opposite sides of the
-median, where the RSU sits by default.
+median. The RSU stands at the origin, so both directions start road_length/2
+upstream of it and reach the trigger line the same time after spawning.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import uniform_int
-from .core import ScenarioConfig, SignedMeters, TimeMs, ceil_ms
+from .core import RSU_POSITION, ScenarioConfig, SignedMeters, TimeMs, ceil_ms
 
 
 class MobilityError(ValueError):
@@ -98,14 +99,14 @@ def position_at(v: VehicleKinematics, t: TimeMs) -> tuple[float, float]:
     return (x, v.y)
 
 
-def trigger_crossing_time(v: VehicleKinematics, d_t: SignedMeters, rsu_x: float) -> TimeMs:
+def trigger_crossing_time(v: VehicleKinematics, d_t: SignedMeters) -> TimeMs:
     """Unique instant at which the signed distance to the RSU equals d_t.
 
     Rounded up to the next whole millisecond. The trigger line must lie
     downstream of the spawn point, which holds whenever |d_t| is inside the
     stretch and vehicles spawn at the entry edge.
     """
-    start = (rsu_x - v.spawn_x) * v.direction.sign
+    start = (RSU_POSITION[0] - v.spawn_x) * v.direction.sign
     meters_to_go = start - d_t
     if meters_to_go < 0:
         raise MobilityError(

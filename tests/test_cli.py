@@ -70,6 +70,17 @@ def test_non_finite_value_or_negative_seed_exits_2_naming_field(
     assert "line 1" not in err
 
 
+@pytest.mark.parametrize("bad", ["mean_speed=1e-300", "road_length=1e150"])
+def test_transit_time_past_int64_exits_2_naming_the_fields(tmp_path, capsys, bad):
+    # With so few arrivals the retry-timer bound passes; the BSM pass's int64
+    # stretch window cannot hold the transit time.
+    argv = ["simulate", "--out", str(tmp_path / "o"), "--set", bad, "--set", "flow_rate=1e-300"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "road_length / mean_speed must be a transit time below 2**63 ms" in err
+    assert "Traceback" not in err
+
+
 def test_trigger_outside_stretch_still_accepted_by_model_commands(tmp_path, capsys):
     """The closed form has no stretch: analytic and validate accept any finite d_t."""
     out = tmp_path / "ana.csv"
@@ -233,10 +244,12 @@ def test_validate_rejects_trials_past_the_bound_before_replaying(monkeypatch, ca
 
 @pytest.mark.parametrize("source", ["set", "file"])
 @pytest.mark.parametrize("key, value", [("tau_mode", "fixed"), ("tau_fixed", "64"),
-                                        ("bsm_probe_count", "4")])
+                                        ("bsm_probe_count", "4"), ("rsu_x", "0"),
+                                        ("rsu_y", "0")])
 def test_removed_tau_keys_exit_2_naming_the_key(tmp_path, capsys, source, key, value):
-    """A fixed tau is ``tau_low = tau_high`` and the BSM probe count is the
-    constant ``engine.BSM_PROBES``; the old keys are unknown."""
+    """A fixed tau is ``tau_low = tau_high``, the BSM probe count is the
+    constant ``engine.BSM_PROBES`` and the RSU stands at the origin
+    (``core.RSU_POSITION``); the old keys are unknown."""
     if source == "set":
         argv = ["--set", f"{key}={value}"]
     else:
@@ -342,8 +355,7 @@ _INT_RANGES = {
 }
 _FLOAT_RANGES = {
     "d_t": (-1600.0, 1600.0), "flow_rate": (0.01, 100.0), "mean_speed": (1.0, 60.0),
-    "road_length": (100.0, 6000.0), "lane_width": (0.5, 10.0), "rsu_x": (-200.0, 200.0),
-    "rsu_y": (-50.0, 50.0),
+    "road_length": (100.0, 6000.0), "lane_width": (0.5, 10.0),
 }
 _FIELD_VALUES = {
     **{name: st.one_of(st.sampled_from(_INT_EDGES), st.integers(*bounds).map(str))

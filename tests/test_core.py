@@ -50,12 +50,11 @@ def test_validation_reports_all_violations_without_raising():
 
 @pytest.mark.parametrize("field, value", [
     ("d_t", math.nan), ("flow_rate", math.inf), ("mean_speed", math.nan),
-    ("road_length", math.inf), ("lane_width", math.nan), ("rsu_x", -math.inf),
-    ("rsu_y", math.nan), ("rng_seed", -1),
+    ("road_length", math.inf), ("lane_width", math.nan), ("rng_seed", -1),
     # Finite, but the transit time, a per-direction rate or a squared
     # distance overflows or underflows.
     ("mean_speed", 1e-320), ("road_length", 1e308), ("flow_rate", 5e-324),
-    ("lane_width", 1e308), ("rsu_y", 1e200),
+    ("lane_width", 1e308),
 ])
 def test_non_finite_float_or_negative_seed_rejected_naming_field(field, value):
     violations = validate_config(ScenarioConfig(**{field: value}))
@@ -113,11 +112,26 @@ def test_up_front_size_bound_is_inclusive():
 
 
 def test_trigger_line_must_lie_inside_stretch_in_both_directions():
-    # With the RSU off-center, one direction's trigger line moves outward.
-    assert validate_config(ScenarioConfig(rsu_x=1000.0, d_t=-400.0)) == []
-    for rsu_x, d_t in ((1400.0, -1400.0), (-1400.0, 1400.0), (200.0, 1400.0)):
-        violations = validate_config(ScenarioConfig(rsu_x=rsu_x, d_t=d_t))
-        assert len(violations) == 1 and "d_t" in violations[0]
+    # The RSU is mid-stretch, so one bound serves both directions.
+    half = ScenarioConfig().road_length / 2
+    inside = math.nextafter(half, 0.0)
+    for d_t in (inside, -inside):
+        assert validate_config(ScenarioConfig(d_t=d_t)) == []
+    for d_t in (half, -half):
+        violations = validate_config(ScenarioConfig(d_t=d_t))
+        assert len(violations) == 1 and "|d_t| < road_length/2" in violations[0]
+
+
+@pytest.mark.parametrize("overrides", [
+    {"mean_speed": 1e-300, "flow_rate": 1e-300},
+    {"road_length": 1e150, "flow_rate": 1e-300},
+])
+def test_transit_time_past_int64_is_rejected_naming_the_fields(overrides):
+    # Finite transit times that int64 arithmetic (the BSM pass) cannot hold.
+    violations = validate_config(ScenarioConfig(**overrides))
+    assert violations == [
+        f"road_length / mean_speed must be a transit time below 2**63 ms (got "
+        f"{overrides.get('road_length', 3000.0)} / {overrides.get('mean_speed', 30.0)})"]
 
 
 def test_load_partial_file_fills_defaults(tmp_path):
@@ -197,8 +211,7 @@ _ROUND_TRIP_FIELDS = st.fixed_dictionaries({
     "sam_period": st.integers(1, 5000), "bsm_period": st.integers(1, 5000),
     "flow_rate": st.floats(1e-3, 30.0), "mean_speed": st.floats(10.0, 60.0),
     "road_length": st.floats(2500.0, 6000.0), "lane_count": st.integers(1, 32).map(lambda n: 2 * n),
-    "lane_width": st.floats(0.5, 10.0), "rsu_x": st.floats(-200.0, 200.0),
-    "rsu_y": st.floats(-50.0, 50.0), "sim_duration": st.integers(1, 1_000_000),
+    "lane_width": st.floats(0.5, 10.0), "sim_duration": st.integers(1, 1_000_000),
     "warmup": st.integers(0, 10**6), "rng_seed": st.integers(0, 2**63 - 1),
     "tau_low": st.integers(8, 104), "tau_high": st.integers(104, 200),
     "per_curve": st.one_of(st.just("default"), st.text(

@@ -16,7 +16,7 @@ from v2isim import engine
 from v2isim.channel import (
     constant_per_curve, default_calibration, dumps_per_curve, per, per_many,
 )
-from v2isim.core import ConfigError, ScenarioConfig
+from v2isim.core import RSU_POSITION, ConfigError, ScenarioConfig
 from v2isim.engine import (
     BatchError, EngineError, Event, EventKind, EventQueue, deliver_broadcast, run,
     run_batch,
@@ -561,7 +561,7 @@ def test_sum_per_memo_holds_per_at_each_transmit_position(monkeypatch):
     summary = sim.run()
     sums = sum(r.attempts for r in summary.records)
     assert 0 < len(sim.sum_per) == len(calls) < sums / 5
-    rx, ry, curve = cfg.rsu_x, cfg.rsu_y, cfg.channel()
+    (rx, ry), curve = RSU_POSITION, cfg.channel()
     for (tx, ty), value in sim.sum_per.items():
         dist = ((rx - tx) ** 2 + (ry - ty) ** 2) ** 0.5
         assert value.hex() == per(curve, dist, cfg.flow_rate).hex()

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from v2isim.core import ScenarioConfig
+from v2isim.core import ScenarioConfig, ceil_ms
 from v2isim.mobility import (
     Direction, MobilityError, VehicleKinematics,
     generate_arrivals, position_at, stretch_window, transit_ms,
@@ -93,15 +93,21 @@ def test_query_before_spawn_is_error():
 
 def test_trigger_crossing_examples():
     v = _east_vehicle()
-    assert trigger_crossing_time(v, 300.0, 0.0) == 40_000
-    assert trigger_crossing_time(v, 0.0, 0.0) == 50_000
-    assert trigger_crossing_time(v, -100.0, 0.0) == 53_334  # ceil(1600/30*1000)
+    assert trigger_crossing_time(v, 300.0) == 40_000
+    assert trigger_crossing_time(v, 0.0) == 50_000
+    assert trigger_crossing_time(v, -100.0) == 53_334  # ceil(1600/30*1000)
+
+
+@pytest.mark.parametrize("d_t", [300.0, 0.0, -100.0, 1499.5, -1499.5])
+def test_one_trigger_offset_for_both_directions(d_t):
+    """The RSU is mid-stretch: both directions spawn road_length/2 upstream of it."""
+    offsets = {trigger_crossing_time(v, d_t) - v.spawn_time
+               for v in (_east_vehicle(spawn_time=700), _west_vehicle(spawn_time=1234))}
+    assert offsets == {ceil_ms((1500.0 - d_t) / 30.0 * 1000.0)}
 
 
 def test_trigger_mirrored_for_opposing_direction():
     east, west = _east_vehicle(), _west_vehicle()
-    for d_t in (300.0, 0.0, -100.0):
-        assert trigger_crossing_time(east, d_t, 0.0) == trigger_crossing_time(west, d_t, 0.0)
     # Signed distance to an RSU at x = 0 decreases through zero for both
     # directions.
     for v in (east, west):
