@@ -4,10 +4,12 @@ Every scenario parameter can be overridden from the command line with
 repeated ``--set key=value`` flags using the same keys and rules as the
 configuration file. Every scenario a command runs (a sweep cell, an analytic
 density, a validate point) is built with ``replace_config``, so it passes the
-same validation as the base scenario. Diagnostics go to stderr; tabular data
-goes to files (the validate subcommand prints its comparison table, which is
-its work product). Exit status: 0 when all requested work succeeded, 1 when
-a run or an export failed, 2 when the input was rejected.
+same validation as a simulated scenario; the base scenario of those commands
+is checked through them, so a field that each of them replaces is not checked
+on its own. Diagnostics go to stderr; tabular data goes to files (the
+validate subcommand prints its comparison table, which is its work product).
+Exit status: 0 when all requested work succeeded, 1 when a run or an export
+failed, 2 when the input was rejected.
 """
 
 from __future__ import annotations
@@ -42,11 +44,16 @@ def derive_cell_seed(base_seed: int, d_t: float, flow: float) -> int:
     return (base_seed ^ int.from_bytes(digest[:8], "big")) & (2**63 - 1)
 
 
-def _load(args: argparse.Namespace) -> ScenarioConfig:
-    """The base scenario: --config, then --set and --seed, with its calibration read."""
+def _load(args: argparse.Namespace, validate: bool = True) -> ScenarioConfig:
+    """The base scenario: --config, then --set and --seed, with its calibration read.
+
+    A command that sets fields per scenario (a sweep cell, an analytic density,
+    a validate point) loads the base with ``validate`` false and validates each
+    scenario it builds, so a ``--set`` value that its grid replaces is never checked.
+    """
     cfg = load_config(args.config) if args.config else ScenarioConfig()
     seed = [] if args.seed is None else [f"rng_seed={args.seed}"]
-    cfg = override_config(cfg, args.set + seed)
+    cfg = override_config(cfg, args.set + seed, validate)
     cfg.channel()  # an unreadable or invalid calibration file is rejected input
     return cfg
 
@@ -70,14 +77,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = _load(args)
+    cfg = _load(args, validate=False)
     d_values = _floats(args.d_t)
     flows = _floats(args.flows)
     if not d_values or not flows:
         raise ConfigError("sweep grid must be non-empty")
+    # Each cell is validated with the base seed; the seed derived from it is in range.
     cells = [
-        replace_config(cfg, d_t=d, flow_rate=f,
-                       rng_seed=derive_cell_seed(cfg.rng_seed, d, f))
+        dataclasses.replace(replace_config(cfg, d_t=d, flow_rate=f),
+                            rng_seed=derive_cell_seed(cfg.rng_seed, d, f))
         for d in d_values for f in flows
     ]
     os.makedirs(args.out, exist_ok=True)
@@ -106,7 +114,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_analytic(args: argparse.Namespace) -> int:
-    cfg = _load(args)
+    cfg = _load(args, validate=False)
     flags = {"--d-min": args.d_min, "--d-max": args.d_max, "--d-step": args.d_step}
     bad = [f"{flag} must be a finite number (got {value})"
            for flag, value in flags.items() if not math.isfinite(value)]
@@ -137,7 +145,7 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    cfg = _load(args)
+    cfg = _load(args, validate=False)
     points = []
     for spec_str in args.point or ["300:30", "0:10", "-100:20"]:
         d_str, _, flow_str = spec_str.partition(":")

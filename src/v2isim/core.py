@@ -105,8 +105,9 @@ class ScenarioConfig:
 _FIELD_TYPES: dict[str, type] = get_type_hints(ScenarioConfig)
 
 # Arrivals and BSM ticks are built before a run starts. A run peaks near 540 B
-# per arrival (1e5 arrivals at 30 veh/s), so this many stay under 1 GB. The
-# same bound caps the periodic SAM timer's events, so every run can end.
+# per arrival with BSMs on and 450 B with them off (1e5 arrivals at 30 veh/s,
+# ru_maxrss), so this many stay under 1 GB. The same bound caps the periodic
+# SAM timer's events, so every run can end.
 MAX_UPFRONT_ITEMS = 1_000_000
 
 # Worst case of retry timers: every arrival retries every t_sum for its whole
@@ -254,13 +255,17 @@ def parse_config(text: str, base_dir: str = ".") -> ScenarioConfig:
     return replace_config(ScenarioConfig(), **values)
 
 
-def override_config(cfg: ScenarioConfig, assignments: list[str]) -> ScenarioConfig:
+def override_config(cfg: ScenarioConfig, assignments: list[str],
+                    validate: bool = True) -> ScenarioConfig:
     """Apply ``key=value`` overrides on top of an existing config, revalidating.
 
-    A relative per_curve path is resolved against the working directory.
+    With ``validate`` false the result is only parsed; the caller validates
+    every config it builds from it. A relative per_curve path is resolved
+    against the working directory.
     """
-    return replace_config(cfg, **_parse_assignments(
-        ((f"override {item!r}", item) for item in assignments), os.getcwd()))
+    values = _parse_assignments(
+        ((f"override {item!r}", item) for item in assignments), os.getcwd())
+    return (replace_config if validate else dataclasses.replace)(cfg, **values)
 
 
 def load_config(path: str) -> ScenarioConfig:

@@ -15,10 +15,12 @@ comparison is settled by ``(time, seq)`` and never reaches ``kind`` or
 since on Python 3.11 a lookup on the class costs about 0.2 us. A message
 arrival's payload is ``(message, transmit position)``; the RSU transmits
 from ``RSU_POSITION``, the origin. A vehicle's state lives from spawn to
-despawn, so a retry timer that fires later is ignored. After a transition the
-engine queues its transmissions, then arms a ``RETRY_TIMER``, ``ACK_TIMER``
-or ``SAM_TIMER`` for each deadline the transition moved to a new value that
-is not None.
+despawn, so a retry timer that fires later is ignored. At despawn, or at
+``SIM_END`` for a vehicle still in the stretch, a vehicle that sent a
+request appends its record to the run's ``metrics.RecordTable``, which the
+summary holds as it is. After a transition the engine queues its
+transmissions, then arms a ``RETRY_TIMER``, ``ACK_TIMER`` or ``SAM_TIMER``
+for each deadline the transition moved to a new value that is not None.
 
 Transmission latency: each radio leg takes ceil(tau/2) ms, tau drawn from
 ``tau_low..tau_high`` per transmission, so an unbatched request/ACK round
@@ -64,8 +66,7 @@ from .core import (
     raise_violations, validate_config,
 )
 from .metrics import (
-    CompletionRecord, OUTCOME_COMPLETE, OUTCOME_DESPAWN, OUTCOME_SIMEND,
-    RunSummary,
+    OUTCOME_COMPLETE, OUTCOME_DESPAWN, OUTCOME_SIMEND, RecordTable, RunSummary,
 )
 
 
@@ -231,7 +232,7 @@ class _Simulation:
         self.rsu = proto.RsuState(
             b_ack=cfg.b_ack, t_ack=cfg.t_ack, sam_period=cfg.sam_period,
         )
-        self.records: list[CompletionRecord] = []
+        self.records = RecordTable()
 
         # Arrivals are generated up front; the BSM pass reads them after the run.
         east = mob.generate_arrivals(cfg, mob.Direction.EAST, self.rng, id_start=0)
@@ -301,9 +302,8 @@ class _Simulation:
             )
         outcome = OUTCOME_COMPLETE if state.phase is proto.ObuPhase.COMPLETE \
             else outcome_if_incomplete
-        self.records.append(tuple.__new__(CompletionRecord, (
-            vid, self.active[vid].direction, state.sam_rx_time, state.first_sum_tx_time,
-            state.ack_rx_time, state.attempts, outcome)))
+        self.records.append(vid, self.active[vid].direction, state.sam_rx_time,
+                            state.first_sum_tx_time, state.ack_rx_time, state.attempts, outcome)
 
     # -- event handlers ----------------------------------------------------
 
@@ -392,7 +392,7 @@ class _Simulation:
         bsm_tx, bsm_rx, bsm_expected = bsm_counters(self.cfg, self.curve, self.by_direction)
         return RunSummary(
             cfg=self.cfg,
-            records=tuple(self.records),
+            records=self.records,
             bsm_tx_count=bsm_tx,
             bsm_rx_count=bsm_rx,
             bsm_expected_rx_count=bsm_expected,

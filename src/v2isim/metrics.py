@@ -6,13 +6,21 @@ completed transactions. Aggregates exclude records whose first request fell
 inside the warmup window, keeping the statistics steady-state; incomplete
 records are reported with their outcome tag but never enter SCT or attempt
 aggregates.
+
+A run's records are a ``RecordTable``: one ``bytearray`` of seven native
+int64 values per record, in ``CompletionRecord`` field order, with the
+direction and outcome as codes and a missing SAM or ACK time as -1 (every
+event time is >= 0). The aggregates read those ints; their sums, counts and
+ranks are exact, and a mean or rate is one int divided by another.
 """
 
 from __future__ import annotations
 
 import math
+import struct
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple
 
 from .core import ScenarioConfig, TimeMs, dumps_config
 from .mobility import Direction
@@ -49,10 +57,72 @@ class CompletionRecord(NamedTuple):
         return self.ack_rx_time - self.first_sum_tx_time
 
 
+# A direction or outcome is stored as its index in these tuples.
+_DIRECTIONS = tuple(Direction)
+_OUTCOMES = (OUTCOME_COMPLETE, OUTCOME_DESPAWN, OUTCOME_SIMEND)
+_RECORD = struct.Struct(f"{len(CompletionRecord._fields)}q")   # native int64s
+# Columns the aggregates read, and the complete outcome's code.
+_FIRST_SUM_TX, _ACK_RX, _ATTEMPTS, _OUTCOME = 3, 4, 5, 6
+_COMPLETE = _OUTCOMES.index(OUTCOME_COMPLETE)
+
+
+def _row(values: tuple[int, ...]) -> CompletionRecord:
+    vid, direction, sam, first, ack, attempts, outcome = values
+    return tuple.__new__(CompletionRecord, (
+        vid, _DIRECTIONS[direction], None if sam < 0 else sam, first,
+        None if ack < 0 else ack, attempts, _OUTCOMES[outcome]))
+
+
+class RecordTable(Sequence):
+    """Completion records packed as seven int64 values each: 56 B per record.
+
+    ``append`` takes the ``CompletionRecord`` fields; indexing and iteration
+    give ``CompletionRecord`` rows back. Two tables are equal when their
+    values are, and a pickle carries the values' bytes.
+    """
+
+    __slots__ = ("_data",)
+
+    def __init__(self, data: bytes = b"") -> None:
+        self._data = bytearray(data)
+
+    def append(self, vehicle_id: int, direction: Direction, sam_rx_time: TimeMs | None,
+               first_sum_tx_time: TimeMs, ack_rx_time: TimeMs | None, attempts: int,
+               outcome: str) -> None:
+        self._data += _RECORD.pack(
+            vehicle_id, _DIRECTIONS.index(direction),
+            -1 if sam_rx_time is None else sam_rx_time, first_sum_tx_time,
+            -1 if ack_rx_time is None else ack_rx_time, attempts, _OUTCOMES.index(outcome))
+
+    def int_rows(self) -> Iterator[tuple[int, ...]]:
+        """Each record's seven values as stored: codes, and -1 for a missing time."""
+        return _RECORD.iter_unpack(self._data)
+
+    def __len__(self) -> int:
+        return len(self._data) // _RECORD.size
+
+    def __getitem__(self, index):
+        picked = range(len(self))[index]   # an int, or a range for a slice
+        if isinstance(picked, range):
+            return tuple(map(self.__getitem__, picked))
+        return _row(_RECORD.unpack_from(self._data, picked * _RECORD.size))
+
+    def __iter__(self) -> Iterator[CompletionRecord]:
+        return map(_row, self.int_rows())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RecordTable):
+            return NotImplemented
+        return self._data == other._data
+
+    def __reduce__(self):
+        return RecordTable, (bytes(self._data),)
+
+
 @dataclass(frozen=True)
 class RunSummary:
     cfg: ScenarioConfig
-    records: tuple[CompletionRecord, ...]
+    records: RecordTable
     bsm_tx_count: int
     bsm_rx_count: int
     bsm_expected_rx_count: int
@@ -64,15 +134,31 @@ class RunSummary:
         return 1.0 - self.bsm_rx_count / self.bsm_expected_rx_count
 
 
-def measured_records(summary: RunSummary) -> list[CompletionRecord]:
-    """Records outside the warmup window (first request at or after warmup)."""
-    return [r for r in summary.records if r.first_sum_tx_time >= summary.cfg.warmup]
+class _Measured(NamedTuple):
+    """Aggregates over the records outside the warmup window."""
+
+    records: int
+    complete: int
+    attempts: int        # summed over complete records
+    scts: list[TimeMs]   # sorted SCTs of complete records
+
+    @property
+    def completion_rate(self) -> float | None:
+        return self.complete / self.records if self.records else None
+
+    @property
+    def attempts_mean(self) -> float | None:
+        return self.attempts / self.complete if self.complete else None
 
 
-def _sorted_scts(recs: list[CompletionRecord]) -> list[TimeMs]:
-    scts = [r.sct for r in recs if r.sct is not None]
-    scts.sort()
-    return scts
+def _measure(summary: RunSummary) -> _Measured:
+    # Python ints, not a numpy view of the table: numpy's mask and sort kernels
+    # page in 0.6-0.8 MB of code that a run with BSMs off never touches.
+    warmup = summary.cfg.warmup
+    rows = [r for r in summary.records.int_rows() if r[_FIRST_SUM_TX] >= warmup]
+    done = [r for r in rows if r[_OUTCOME] == _COMPLETE]
+    scts = sorted(r[_ACK_RX] - r[_FIRST_SUM_TX] for r in done if r[_ACK_RX] >= 0)
+    return _Measured(len(rows), len(done), sum(r[_ATTEMPTS] for r in done), scts)
 
 
 def _nearest_rank(scts: list[TimeMs], q: float) -> TimeMs | None:
@@ -89,29 +175,16 @@ def sct_percentile(summary: RunSummary, q: float) -> TimeMs | None:
 
     q must lie in (0, 100]. Returns None when no complete record exists.
     """
-    return _nearest_rank(_sorted_scts(measured_records(summary)), q)
-
-
-def _mean_attempts(recs: list[CompletionRecord]) -> float | None:
-    attempts = [r.attempts for r in recs if r.complete]
-    if not attempts:
-        return None
-    return sum(attempts) / len(attempts)
+    return _nearest_rank(_measure(summary).scts, q)
 
 
 def mean_attempts_empirical(summary: RunSummary) -> float | None:
     """Mean request count over completed, post-warmup records (None if none)."""
-    return _mean_attempts(measured_records(summary))
-
-
-def _completion_rate(recs: list[CompletionRecord]) -> float | None:
-    if not recs:
-        return None
-    return sum(1 for r in recs if r.complete) / len(recs)
+    return _measure(summary).attempts_mean
 
 
 def completion_rate(summary: RunSummary) -> float | None:
-    return _completion_rate(measured_records(summary))
+    return _measure(summary).completion_rate
 
 
 def _fmt(value) -> str:
@@ -135,16 +208,16 @@ SUMMARY_COLUMNS = (
 
 
 def summary_row(summary: RunSummary) -> dict[str, object]:
-    recs = measured_records(summary)
-    scts = _sorted_scts(recs)
+    m = _measure(summary)
+    scts = m.scts
     return {
         "d_t": summary.cfg.d_t,
         "flow_rate": summary.cfg.flow_rate,
         "seed": summary.cfg.rng_seed,
-        "records": len(recs),
-        "complete": sum(1 for r in recs if r.complete),
-        "completion_rate": _completion_rate(recs),
-        "attempts_mean": _mean_attempts(recs),
+        "records": m.records,
+        "complete": m.complete,
+        "completion_rate": m.completion_rate,
+        "attempts_mean": m.attempts_mean,
         "sct_min_ms": scts[0] if scts else None,
         "sct_median_ms": _nearest_rank(scts, 50),
         "sct_p90_ms": _nearest_rank(scts, 90),
@@ -165,11 +238,8 @@ def _write_table(path: str, header: tuple[str, ...], rows: Iterable[Sequence[obj
 
 def export_records(summary: RunSummary, path: str) -> None:
     """One row per completion record, in simulation order. Deterministic bytes."""
-    rows = [
-        [r.vehicle_id, r.direction.value, r.sam_rx_time, r.first_sum_tx_time,
-         r.ack_rx_time, r.attempts, r.outcome, r.sct]
-        for r in summary.records
-    ]
+    rows = ((r.vehicle_id, r.direction.value, r.sam_rx_time, r.first_sum_tx_time,
+             r.ack_rx_time, r.attempts, r.outcome, r.sct) for r in summary.records)
     _write_table(path, RECORD_COLUMNS, rows)
 
 

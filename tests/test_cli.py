@@ -43,6 +43,9 @@ def test_unknown_override_key_rejected(tmp_path, capsys):
     ("simulate", "--set flow_rate=inf", "flow_rate"),
     ("simulate", "--seed -1", "rng_seed"),
     ("validate", "--seed -1", "rng_seed"),
+    ("sweep", "--seed -1", "rng_seed"),
+    ("analytic", "--set lane_width=nan", "lane_width"),
+    ("validate", "--set b_ack=0", "b_ack"),
     ("sweep", "--d-t 5000 --flows 10", "d_t"),
     ("sweep", "--set per_curve=TMP/missing.per", "TMP/missing.per"),
     ("analytic", "--densities nan", "flow_rate"),
@@ -89,6 +92,22 @@ def test_trigger_outside_stretch_still_accepted_by_model_commands(tmp_path, caps
     assert len(out.read_text().splitlines()) == 1 + 6
     assert main(["validate", "--trials", "10000", "--point", "2000:10"]) == 0
     assert "d_t=2000 flow=10 n=0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command, argv", [
+    ("sweep", "--set sim_duration=3000 --set warmup=0 --set flow_rate=1e6 --flows 10 --d-t 0"),
+    ("sweep", "--set d_t=2000 --d-t 0 --flows 10 --set sim_duration=3000 --set warmup=0"),
+    ("analytic", "--set flow_rate=1e9 --densities 10"),
+    ("validate", "--set flow_rate=1e9 --trials 10000 --point 0:10"),
+])
+def test_set_values_that_every_scenario_replaces_are_not_validated(
+        tmp_path, capsys, command, argv):
+    """Each sweep cell, density or point is validated, not the base it replaces."""
+    out = [] if command == "validate" else ["--out", str(tmp_path / "o")]
+    assert main([command, *out, *argv.split()]) == 0
+    if command == "sweep":
+        assert len((tmp_path / "o" / "sweep_summary.csv").read_text().splitlines()) == 2
+    assert "invalid configuration" not in capsys.readouterr().err
 
 
 def test_simulate_writes_tables(tmp_path):

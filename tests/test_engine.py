@@ -187,7 +187,7 @@ def test_blocked_channel_zero_completions(blocked_curve_file):
     summary = run(short_cfg(per_curve=blocked_curve_file, flow_rate=8.0))
     assert all(not r.complete for r in summary.records)
     # No advertisement is ever received, so no request is ever sent.
-    assert summary.records == ()
+    assert len(summary.records) == 0
     assert summary.bsm_rx_count == 0
 
 
@@ -317,7 +317,7 @@ def test_invalid_config_rejected():
 
 def test_flow_too_low_for_any_arrival_runs_empty():
     summary = run(short_cfg(flow_rate=1e-307))
-    assert summary.records == () and summary.bsm_tx_count == 0
+    assert len(summary.records) == 0 and summary.bsm_tx_count == 0
 
 
 # -- behavior ------------------------------------------------------------

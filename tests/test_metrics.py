@@ -3,14 +3,18 @@
 from __future__ import annotations
 
 import dataclasses
+import math
+import pickle
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from v2isim.core import ScenarioConfig
 from v2isim.engine import run
 from v2isim.metrics import (
-    CompletionRecord, OUTCOME_COMPLETE, OUTCOME_DESPAWN, RunSummary,
-    export_analytic, export_records, export_summaries,
+    CompletionRecord, OUTCOME_COMPLETE, OUTCOME_DESPAWN, OUTCOME_SIMEND, RecordTable,
+    RunSummary, completion_rate, export_analytic, export_records, export_summaries,
     mean_attempts_empirical, sct_percentile, summary_row, write_metadata,
 )
 from v2isim.mobility import Direction
@@ -25,9 +29,16 @@ def record(vid, first_tx=0, sct=None, attempts=1, outcome=OUTCOME_COMPLETE):
     )
 
 
+def table(records) -> RecordTable:
+    t = RecordTable()
+    for r in records:
+        t.append(*r)
+    return t
+
+
 def summary(records, warmup=0, **cfg_overrides) -> RunSummary:
     cfg = dataclasses.replace(ScenarioConfig(), warmup=warmup, **cfg_overrides)
-    return RunSummary(cfg=cfg, records=tuple(records), bsm_tx_count=10,
+    return RunSummary(cfg=cfg, records=table(records), bsm_tx_count=10,
                       bsm_rx_count=6, bsm_expected_rx_count=10)
 
 
@@ -109,7 +120,7 @@ def test_empty_summary_exports_header_only(tmp_path):
 def test_bsm_per_from_counters():
     s = summary([])
     assert s.bsm_per == pytest.approx(0.4)
-    empty = RunSummary(cfg=ScenarioConfig(), records=(), bsm_tx_count=0,
+    empty = RunSummary(cfg=ScenarioConfig(), records=RecordTable(), bsm_tx_count=0,
                        bsm_rx_count=0, bsm_expected_rx_count=0)
     assert empty.bsm_per is None
 
@@ -160,3 +171,93 @@ def test_export_analytic_rows(tmp_path):
     assert lines[0] == "density,d_t,mean_attempts,success_mass"
     assert lines[1] == "10,-20,1.25,1"
     assert lines[2] == "10,0,,0"
+
+
+# -- the record table ------------------------------------------------------
+
+def reference_row(records: list[CompletionRecord], warmup: int) -> dict[str, object]:
+    """``summary_row``'s aggregates over a list of records, as first defined."""
+    recs = [r for r in records if r.first_sum_tx_time >= warmup]
+    scts = sorted(r.sct for r in recs if r.sct is not None)
+    attempts = [r.attempts for r in recs if r.complete]
+
+    def rank(q):
+        return scts[max(1, math.ceil(q / 100.0 * len(scts))) - 1] if scts else None
+    return {
+        "records": len(recs),
+        "complete": len(attempts),
+        "completion_rate": len(attempts) / len(recs) if recs else None,
+        "attempts_mean": sum(attempts) / len(attempts) if attempts else None,
+        "sct_min_ms": scts[0] if scts else None,
+        "sct_median_ms": rank(50),
+        "sct_p90_ms": rank(90),
+        "sct_max_ms": scts[-1] if scts else None,
+        **{f"p{q}": rank(q) for q in (1, 50, 90, 100)},
+    }
+
+
+WARMUP = 5000
+_times = st.integers(0, 2**40)
+_records = st.lists(st.builds(
+    CompletionRecord,
+    vehicle_id=st.integers(0, 2**40),
+    direction=st.sampled_from(Direction),
+    sam_rx_time=st.none() | _times,
+    first_sum_tx_time=st.sampled_from([0, WARMUP - 1, WARMUP, WARMUP + 1]) | _times,
+    ack_rx_time=st.none() | _times,
+    attempts=st.integers(1, 2**20),
+    outcome=st.sampled_from([OUTCOME_COMPLETE, OUTCOME_DESPAWN, OUTCOME_SIMEND]),
+), max_size=200)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(_records)
+def test_table_aggregates_equal_the_list_definitions(records):
+    s = summary(records, warmup=WARMUP)
+    assert list(s.records) == records
+    assert all(type(r) is CompletionRecord for r in s.records)
+    n = len(records)
+    assert [s.records[i] for i in range(-n, n)] == records * 2
+    assert s.records[1:-1] == tuple(records[1:-1])
+    want = reference_row(records, WARMUP)
+    row = summary_row(s)
+    assert {k: row[k] for k in row if k in want} == {k: want[k] for k in row if k in want}
+    assert [sct_percentile(s, q) for q in (1, 50, 90, 100)] \
+        == [want[f"p{q}"] for q in (1, 50, 90, 100)]
+    assert completion_rate(s) == want["completion_rate"]
+    assert mean_attempts_empirical(s) == want["attempts_mean"]
+
+
+def test_table_index_out_of_range():
+    t = table([record(1, sct=5)])
+    with pytest.raises(IndexError):
+        t[1]
+    with pytest.raises(IndexError):
+        t[-2]
+
+
+def test_pickle_round_trip_keeps_rows_and_their_type():
+    records = [record(1, sct=150), record(2, first_tx=7, outcome=OUTCOME_DESPAWN, attempts=3),
+               record(3, outcome=OUTCOME_SIMEND)._replace(sam_rx_time=None)]
+    s = summary(records)
+    loaded = pickle.loads(pickle.dumps(s))
+    assert loaded == s
+    assert list(loaded.records) == records
+    assert all(type(r) is CompletionRecord for r in loaded.records)
+
+
+def test_unpickled_summary_holds_at_most_80_bytes_per_record():
+    """A sweep's parent holds every cell's records as its pool worker pickled them."""
+    n = 10_000
+    data = pickle.dumps(summary(
+        [record(i, first_tx=1000 + 600 * i, sct=300 + i % 700, attempts=1 + i % 3)
+         for i in range(n)]))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loaded = pickle.loads(data)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(loaded.records) == n
+    assert held <= 80 * n, f"{held / n:.1f} B per record"
