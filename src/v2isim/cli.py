@@ -58,6 +58,11 @@ def _load(args: argparse.Namespace, validate: bool = True) -> ScenarioConfig:
     return cfg
 
 
+def _model_scenario(cfg: ScenarioConfig, flow: float) -> ScenarioConfig:
+    """A validated density or point: the closed form sets its own d_t, so 0 stands in."""
+    return replace_config(cfg, d_t=0.0, flow_rate=flow)
+
+
 def _floats(csv: str) -> list[float]:
     try:
         return [float(tok) for tok in csv.split(",") if tok.strip()]
@@ -132,7 +137,7 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
     if not densities:
         bad.append(f"--densities must list at least one density (got {args.densities!r})")
     raise_violations(bad)
-    cells = [replace_config(cfg, flow_rate=rho) for rho in densities]
+    cells = [_model_scenario(cfg, rho) for rho in densities]
     d_values = list(np.arange(args.d_min, args.d_max + args.d_step / 2, args.d_step))
     params = ana.params_from_config(cfg)
     # Written one density at a time: the rows are never all held at once.
@@ -155,7 +160,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             raise ConfigError(f"--point expects D_T:FLOW, got {spec_str!r}") from None
         if not math.isfinite(d_t):
             raise_violations([f"--point {spec_str}: d_t must be a finite number"])
-        points.append((d_t, replace_config(cfg, flow_rate=flow)))
+        points.append((d_t, _model_scenario(cfg, flow)))
     base = ana.params_from_config(cfg)
     all_ok = True
     for d_t, cell in points:

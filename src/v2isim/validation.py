@@ -1,10 +1,11 @@
 """Monte-Carlo consistency check of the closed-form first-success model.
 
-Replays the model's exact assumptions per trial: a single vehicle crossing
-the trigger line, a fixed effective exchange delay, and no batching wait.
-Each attempt draws the request and acknowledgment receptions independently at
-the distances the closed form evaluates, so the empirical first-success
-histogram must match the analytic pmf within binomial sampling error.
+Samples the model's exact assumptions: a single vehicle crossing the trigger
+line, a fixed effective exchange delay, and no batching wait. Each attempt
+receives its request and acknowledgment independently at the distances the
+closed form evaluates. The first-success counts are drawn as one binomial per
+attempt, which has exactly the distribution of a trial-by-trial replay, so
+they must match the analytic pmf within binomial sampling error.
 """
 
 from __future__ import annotations
@@ -18,24 +19,29 @@ from .analytic import AnalyticParams, attempt_distances, first_success_pmf
 from .channel import per
 from .core import ConfigError
 
-MAX_TRIALS = 50_000_000   # a replay peaks near 11 B of arrays per trial: under 1 GB per point
+# An input range, not a cost bound: the chain below takes the same time and
+# memory at any trial count.
+MAX_TRIALS = 50_000_000
 N_CHECK = 6               # attempts 0..N_CHECK-1 are compared
 
 
 def mc_first_success_counts(params: AnalyticParams, trials: int,
                             rng: np.random.Generator, n_bins: int) -> np.ndarray:
-    """Count first successes at attempts 0..n_bins-1 over independent trials."""
-    alive = np.ones(trials, dtype=bool)
+    """Count first successes at attempts 0..n_bins-1 over independent trials.
+
+    Of the trials still alive at attempt n, each succeeds with probability
+    ``(1 - per(d_req)) * (1 - per(d_ack))`` on its own, so the count is one
+    binomial draw (the conditional-binomial construction of the multinomial,
+    Devroye 1986, ch. XI).
+    """
     counts = np.zeros(n_bins, dtype=np.int64)
-    draws = np.empty(trials)   # one buffer for every draw: the same stream as rng.random(trials)
+    alive = trials
     for n in range(n_bins):
         d_req, d_ack = attempt_distances(params, n)
-        p_req = per(params.curve, d_req, params.density)
-        p_ack = per(params.curve, d_ack, params.density)
-        succeeded = alive & (rng.random(out=draws) >= p_req)
-        succeeded &= rng.random(out=draws) >= p_ack
-        counts[n] = int(succeeded.sum())
-        alive &= ~succeeded
+        success = ((1.0 - per(params.curve, d_req, params.density))
+                   * (1.0 - per(params.curve, d_ack, params.density)))
+        counts[n] = rng.binomial(alive, success)
+        alive -= int(counts[n])
     return counts
 
 
@@ -58,7 +64,7 @@ def check_against_pmf(params: AnalyticParams, trials: int,
     """Per-attempt binomial 3-sigma comparison for attempts 0..N_CHECK-1."""
     if not 10_000 <= trials <= MAX_TRIALS:
         raise ConfigError(f"trials must lie in [10000, {MAX_TRIALS}]: fewer make no meaningful "
-                          f"check, more take over 1 GB (got {trials})")
+                          f"check (got {trials})")
     pmf = first_success_pmf(params)
     pmf = pmf + [0.0] * max(0, N_CHECK - len(pmf))
     counts = mc_first_success_counts(params, trials, rng, N_CHECK)

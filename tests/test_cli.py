@@ -99,6 +99,8 @@ def test_trigger_outside_stretch_still_accepted_by_model_commands(tmp_path, caps
     ("sweep", "--set d_t=2000 --d-t 0 --flows 10 --set sim_duration=3000 --set warmup=0"),
     ("analytic", "--set flow_rate=1e9 --densities 10"),
     ("validate", "--set flow_rate=1e9 --trials 10000 --point 0:10"),
+    ("analytic", "--set d_t=2000 --densities 10"),
+    ("validate", "--set d_t=2000 --trials 10000 --point 0:10"),
 ])
 def test_set_values_that_every_scenario_replaces_are_not_validated(
         tmp_path, capsys, command, argv):
