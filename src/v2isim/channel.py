@@ -202,6 +202,7 @@ def per_table(curve: PerCurve, density: float) -> PerTable:
     return PerTable(per_many(curve, np.append(mids, last), density), cells_per_m)
 
 
+# Unused by the engine; kept while perfbench/tracer.py wraps it by name.
 def reception_mask(rng: np.random.Generator, table: PerTable,
                    distances: np.ndarray) -> np.ndarray:
     """Vectorized reception sampling, one draw per non-negative distance."""

@@ -39,11 +39,10 @@ as k scalar draws, and the same PER as k one-element ``per`` calls.
 Background safety broadcasts (BSMs) only feed the reception-rate metric and
 have no protocol effect, and positions are closed-form, so they are not
 events: one pass after the event loop (``bsm_counters``) handles every BSM
-tick in vectorized form. Every in-stretch vehicle transmits each tick, and
-reception is sampled toward at most ``BSM_PROBES`` random receivers per
-transmission (an unbiased estimate of the same packet error rate at a
-fraction of the cost of enumerating every in-stretch receiver). The count is
-a constant, so the probe arrays of a tick with n vehicles hold at most 4 n. A
+tick in vectorized form. Every in-stretch vehicle transmits each tick toward
+``BSM_PROBES`` (one) receiver drawn from the other in-stretch vehicles. The
+probe scores its expected reception, 1 - PER, not a sampled one: the same
+mean, with only the receiver choice left random (Rao-Blackwell). A
 probe's PER is read from a table built once per run (``channel.per_table``,
 1 cm cells), not interpolated at its exact distance; the two differ by at
 most 1.8e-5 on the default curve.
@@ -147,25 +146,27 @@ def deliver_broadcast(sender: int,
     return {entity_id for entity_id, ok in zip(ids, heard.tolist()) if ok}
 
 
-# Receivers sampled per BSM transmission, fewer when a tick has fewer others.
-BSM_PROBES = 4
+# Receivers probed per BSM transmission, fewer when a tick has fewer others.
+BSM_PROBES = 1
 
 
 def bsm_counters(cfg: ScenarioConfig, curve: chan.PerCurve,
                  by_direction: dict[mob.Direction, list[mob.VehicleKinematics]],
-                 ) -> tuple[int, int, int]:
-    """BSM transmissions, receptions and expected receptions over one run.
+                 ) -> tuple[int, float, int]:
+    """BSM transmissions, expected receptions and probes over one run.
 
     Ticks fall at every positive multiple of ``bsm_period`` before
     ``sim_duration``. At a tick each of the n in-stretch vehicles transmits
-    once and is heard, or not, by min(BSM_PROBES, n - 1) other
-    in-stretch vehicles drawn uniformly (a probe may repeat), with the PER
-    of the run's ``per_table``. Draws come from the seed's BSM stream; the
-    stream and the table are not built when there is no tick.
+    once toward min(BSM_PROBES, n - 1) other in-stretch vehicles drawn
+    uniformly (a probe may repeat). Each probe scores its reception
+    probability, 1 - PER from the run's ``per_table``, so the expected
+    receptions are the probes less the sum of their PERs; no reception is
+    drawn. Probes come from the seed's BSM stream; the stream and the table
+    are not built when there is no tick.
     """
     ticks = np.arange(cfg.bsm_period, cfg.sim_duration, cfg.bsm_period, dtype=np.int64)
     if len(ticks) == 0:
-        return 0, 0, 0
+        return 0, 0.0, 0
     transit = mob.transit_ms(cfg.road_length, cfg.mean_speed)
     sides = []
     counts = np.zeros(len(ticks), dtype=np.int64)
@@ -181,7 +182,7 @@ def bsm_counters(cfg: ScenarioConfig, curve: chan.PerCurve,
     rng = np.random.default_rng(np.random.SeedSequence(cfg.rng_seed).spawn(1)[0])
     table = chan.per_table(curve, cfg.flow_rate)
     rows = np.arange(int(counts.max()))[:, None]
-    received = 0
+    per_sum = 0.0
     for i in np.flatnonzero(heard).tolist():
         t = int(ticks[i])
         # Positions as complex x + iy: one take per tick gathers both axes.
@@ -194,10 +195,8 @@ def bsm_counters(cfg: ScenarioConfig, curve: chan.PerCurve,
         probes = rng.integers(0, n - 1, size=(n, int(probe_counts[i])))
         probes += probes >= rows[:n]  # skip self: shift indices at or past the sender
         # validate_config keeps every distance finite.
-        dist = np.abs(z.take(probes) - z[:, None])
-        received += int(np.count_nonzero(
-            chan.reception_mask(rng, table, dist.ravel())))
-    return int(counts.sum()), received, expected
+        per_sum += float(table.lookup(np.abs(z.take(probes) - z[:, None])).sum())
+    return int(counts.sum()), expected - per_sum, expected
 
 
 TraceFn = Callable[[TimeMs, str, str, str, str], None]

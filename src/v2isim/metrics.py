@@ -124,7 +124,8 @@ class RunSummary:
     cfg: ScenarioConfig
     records: RecordTable
     bsm_tx_count: int
-    bsm_rx_count: int
+    # Receptions expected given the probes drawn: each scores 1 - its PER.
+    bsm_rx_count: float
     bsm_expected_rx_count: int
 
     @property

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from v2isim import engine
 from v2isim.channel import (
-    constant_per_curve, default_calibration, dumps_per_curve, per, per_many,
+    constant_per_curve, default_calibration, dumps_per_curve, per, per_many, per_table,
 )
 from v2isim.core import RSU_POSITION, ConfigError, ScenarioConfig
 from v2isim.engine import (
@@ -441,24 +441,25 @@ def test_bsm_counts_match_brute_force_positions(monkeypatch, flow, period, probe
 
 
 def test_bsm_reception_rate_matches_constant_per(tmp_path):
+    # Every probe scores 1 - 0.3 whatever its distance: the estimate is exact.
     per_value = 0.3
     curve_path = tmp_path / "const.per"
     curve_path.write_text(dumps_per_curve(constant_per_curve(per_value)))
     summary = run(short_cfg(flow_rate=10.0, per_curve=str(curve_path), bsm_period=100))
     n = summary.bsm_expected_rx_count
     assert n > 100_000
-    sigma = math.sqrt(per_value * (1.0 - per_value) / n)
-    assert abs(summary.bsm_rx_count / n - (1.0 - per_value)) <= 4 * sigma
+    assert summary.bsm_rx_count == pytest.approx((1.0 - per_value) * n, rel=1e-9)
 
 
 def test_bsm_receptions_match_all_pairs_expectation():
-    """The probe estimator against the exact all-pairs reference.
+    """The scored-probe estimator against the exact all-pairs reference.
 
-    Sender i's k_t probes are uniform over the other in-stretch vehicles, so
-    each is received with probability p_i = mean_{j != i}(1 - per(d_ij)):
-    E[rx] = sum_t k_t sum_i p_i and Var[rx] = sum_t k_t sum_i p_i (1 - p_i).
-    A 1 km stretch keeps most pairs on the curve's slope; 15 veh/s blends
-    two density levels.
+    Sender i's k_t probes are uniform over the other in-stretch vehicles, and
+    a probe of j scores h_ij = 1 - per(d_ij). With p_i = mean_{j != i} h_ij,
+    E[rx] = sum_t k_t sum_i p_i. Only the receiver choice is random (no
+    reception is drawn), so Var[rx] = sum_t k_t sum_i Var_{j != i}(h_ij), the
+    Rao-Blackwell variance, with no Bernoulli term. A 1 km stretch keeps most
+    pairs on the curve's slope; 15 veh/s blends two density levels.
     """
     cfg = short_cfg(flow_rate=15.0, road_length=1000.0, sim_duration=40_000,
                     bsm_period=250)
@@ -475,10 +476,56 @@ def test_bsm_receptions_match_all_pairs_expectation():
         p = hear.sum(axis=1) / (n - 1)
         k = min(engine.BSM_PROBES, n - 1)
         mean += k * p.sum()
-        var += k * (p * (1.0 - p)).sum()
+        var += k * ((hear ** 2).sum(axis=1) / (n - 1) - p ** 2).sum()
     summary = run(cfg)
     assert var > 1000.0
     assert abs(summary.bsm_rx_count - mean) <= 4.0 * math.sqrt(var), (summary.bsm_rx_count, mean)
+
+
+def _scalar_bsm_pass(cfg: ScenarioConfig):
+    """The BSM pass replayed one probe at a time from the seed's BSM stream:
+    (transmissions, expected receptions, probes) and the stream's final state."""
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.rng_seed).spawn(1)[0])
+    table = per_table(cfg.channel(), cfg.flow_rate)
+    tx = probes = 0
+    rx = 0.0
+    for positions in _in_stretch_positions(cfg):
+        n = len(positions)
+        tx += n
+        if n < 2:
+            continue
+        k = min(engine.BSM_PROBES, n - 1)
+        probes += n * k
+        for i, row in enumerate(rng.integers(0, n - 1, size=(n, k)).tolist()):
+            xi, yi = positions[i]
+            for j in row:
+                xj, yj = positions[j + (j >= i)]   # skip the sender
+                d = abs(complex(xj - xi, yj - yi))
+                rx += 1.0 - float(table.lookup(np.array([d]))[0])
+    return (tx, rx, probes), rng.bit_generator.state
+
+
+@pytest.mark.parametrize("probes", [1, 4])
+def test_bsm_pass_matches_a_scalar_replay_per_probe(monkeypatch, probes):
+    """Same transmissions and probes, the same expected receptions up to the
+    order of summation, and the same number of draws from the BSM stream."""
+    monkeypatch.setattr(engine, "BSM_PROBES", probes)
+    cfg = short_cfg(flow_rate=0.5, bsm_period=250, sim_duration=30_000)
+    ticks = list(_in_stretch_positions(cfg))
+    sizes = [len(p) for p in ticks]
+    assert 2 in sizes and max(sizes) > probes   # n = 2 (n - 1 < k at k = 4), and n - 1 >= k
+    assert any(min(y for _, y in p) < 0 < max(y for _, y in p) for p in ticks if p)   # both directions
+    (want_tx, want_rx, want_probes), want_state = _scalar_bsm_pass(cfg)
+
+    sim = engine._Simulation(cfg)
+    streams = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda *a: streams.append(default_rng(*a)) or streams[-1])
+    tx, rx, expected = engine.bsm_counters(cfg, sim.curve, sim.by_direction)
+    assert (tx, expected) == (want_tx, want_probes)
+    assert rx == pytest.approx(want_rx, rel=1e-9)
+    assert [g.bit_generator.state for g in streams] == [want_state]
 
 
 def test_bsm_sender_never_probes_itself(tmp_path):

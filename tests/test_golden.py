@@ -20,6 +20,12 @@ distance: a probe whose uniform draw falls between the two PER values is
 decided the other way, so ``bsm_per`` moved in its sixth decimal (0.522794
 to 0.522795). Its ``records.csv`` digest is unchanged.
 
+It was re-pinned a third time when the BSM pass stopped drawing a reception
+per probe and began to score each probe by its expected reception (1 - PER),
+with one probe per transmission instead of four: ``bsm_per`` became an
+expected rate and moved from 0.522795 to 0.522669. Its ``records.csv``
+digest did not move.
+
 The one-lane and one-value tau range cells were pinned before scalar draws
 went straight to the bit generator: both spans are 1, so neither draws.
 
@@ -52,7 +58,7 @@ GOLDEN = [
         "dt300_flow30_bsm",
         ["--set", "d_t=300", "--set", "flow_rate=30"],
         "0ecc1d7ce726f2bc3acd6f669894fa7d7a4a49fe4d2fddfa3f4ba18314f71986",
-        "57d3048d6c1adeb8f6bc92df340774fa45026e3509a0f01f6e2bf864ad94debc",
+        "987ce9db06a5d85050af47db80e4c656aa0742f5546ea822e9c6daea4844b76a",
     ),
     (
         "dt0_flow10_fixed_tau",
