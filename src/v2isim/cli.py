@@ -130,7 +130,9 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
     if not bad:
         # The length of the np.arange grid below; inf when its stop overflows.
         points = (args.d_max + args.d_step / 2 - args.d_min) / args.d_step
-        if not points <= MAX_ANALYTIC_POINTS:
+        if any(d + args.d_step / 2 == d for d in (args.d_min, args.d_max)):   # an empty grid
+            bad.append(f"--d-step must move --d-min and --d-max by half a step (got {args.d_step})")
+        elif not points <= MAX_ANALYTIC_POINTS:
             bad.append(f"--d-min, --d-max and --d-step must give at most "
                        f"{MAX_ANALYTIC_POINTS} points per density (got {points:.3g})")
     densities = _floats(args.densities)

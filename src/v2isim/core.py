@@ -12,8 +12,8 @@ and are listed in the README only. One key=value parser serves config-file
 lines and overrides, taking each field's type from the ``ScenarioConfig``
 annotations; every parsed or derived config passes ``replace_config``. Tau
 is one range, ``tau_low..tau_high``; a fixed tau is ``tau_low = tau_high``.
-The fields are scenario parameters; the BSM probe count, a setting of the
-simulator's estimator, is the constant ``engine.BSM_PROBES``.
+The fields are scenario parameters; the BSM pass probes one receiver per
+transmission, with no setting.
 """
 
 from __future__ import annotations

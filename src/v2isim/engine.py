@@ -40,9 +40,9 @@ Background safety broadcasts (BSMs) only feed the reception-rate metric and
 have no protocol effect, and positions are closed-form, so they are not
 events: one pass after the event loop (``bsm_counters``) handles every BSM
 tick in vectorized form. Every in-stretch vehicle transmits each tick toward
-``BSM_PROBES`` (one) receiver drawn from the other in-stretch vehicles. The
-probe scores its expected reception, 1 - PER, not a sampled one: the same
-mean, with only the receiver choice left random (Rao-Blackwell). A
+one receiver drawn from the other in-stretch vehicles. The probe scores its
+expected reception, 1 - PER, not a sampled one: the same mean, with only the
+receiver choice left random (Rao-Blackwell). A
 probe's PER is read from a table built once per run (``channel.per_table``,
 1 cm cells), not interpolated at its exact distance; the two differ by at
 most 1.8e-5 on the default curve.
@@ -146,23 +146,17 @@ def deliver_broadcast(sender: int,
     return {entity_id for entity_id, ok in zip(ids, heard.tolist()) if ok}
 
 
-# Receivers probed per BSM transmission, fewer when a tick has fewer others.
-BSM_PROBES = 1
-
-
 def bsm_counters(cfg: ScenarioConfig, curve: chan.PerCurve,
                  by_direction: dict[mob.Direction, list[mob.VehicleKinematics]],
                  ) -> tuple[int, float, int]:
     """BSM transmissions, expected receptions and probes over one run.
 
     Ticks fall at every positive multiple of ``bsm_period`` before
-    ``sim_duration``. At a tick each of the n in-stretch vehicles transmits
-    once toward min(BSM_PROBES, n - 1) other in-stretch vehicles drawn
-    uniformly (a probe may repeat). Each probe scores its reception
-    probability, 1 - PER from the run's ``per_table``, so the expected
-    receptions are the probes less the sum of their PERs; no reception is
-    drawn. Probes come from the seed's BSM stream; the stream and the table
-    are not built when there is no tick.
+    ``sim_duration``. At a tick each in-stretch vehicle transmits once and
+    probes one other, drawn uniformly (none when it is alone). The probe
+    scores its reception probability, 1 - PER from the run's ``per_table``;
+    no reception is drawn. Probes come from the seed's BSM stream; the
+    stream and the table are not built when there is no tick.
     """
     ticks = np.arange(cfg.bsm_period, cfg.sim_duration, cfg.bsm_period, dtype=np.int64)
     if len(ticks) == 0:
@@ -176,12 +170,11 @@ def bsm_counters(cfg: ScenarioConfig, curve: chan.PerCurve,
         lo, hi = mob.stretch_window(spawns, ticks, transit)
         counts += hi - lo
         sides.append((direction, spawns, lateral, lo.tolist(), hi.tolist()))
-    probe_counts = np.minimum(BSM_PROBES, counts - 1)
     heard = counts >= 2
-    expected = int(np.dot(counts[heard], probe_counts[heard]))
+    expected = int(counts[heard].sum())
     rng = np.random.default_rng(np.random.SeedSequence(cfg.rng_seed).spawn(1)[0])
     table = chan.per_table(curve, cfg.flow_rate)
-    rows = np.arange(int(counts.max()))[:, None]
+    senders = np.arange(int(counts.max()))
     per_sum = 0.0
     for i in np.flatnonzero(heard).tolist():
         t = int(ticks[i])
@@ -192,10 +185,10 @@ def bsm_counters(cfg: ScenarioConfig, curve: chan.PerCurve,
             for direction, spawns, lateral, lo, hi in sides
         ])
         n = len(z)
-        probes = rng.integers(0, n - 1, size=(n, int(probe_counts[i])))
-        probes += probes >= rows[:n]  # skip self: shift indices at or past the sender
+        probes = rng.integers(0, n - 1, size=n)
+        probes += probes >= senders[:n]  # skip self: shift indices at or past the sender
         # validate_config keeps every distance finite.
-        per_sum += float(table.lookup(np.abs(z.take(probes) - z[:, None])).sum())
+        per_sum += float(table.lookup(np.abs(z.take(probes) - z)).sum())
     return int(counts.sum()), expected - per_sum, expected
 
 
@@ -333,24 +326,19 @@ class _Simulation:
                 per = self.sum_per[pos] = chan.per(self.curve, dist, self.density)
             if self.next_double(self.rng_state) >= per:
                 self._rsu_transition(now, "sum_rx", proto.rsu_on_sum, msg.sender)
-        elif msg.kind is MessageKind.ACK:
-            receivers = [
-                (vid, mob.position_at(self.active[vid], now))
-                for vid in msg.recipients if vid in self.active
-            ]
-            for vid in sorted(deliver_broadcast(msg.sender, receivers, pos, self.curve,
-                                                self.density, self.rng)):
-                self._obu_transition(vid, now, "ack_rx", proto.obu_on_ack, msg.recipients)
+            return
+        if msg.kind is MessageKind.ACK:
+            candidates = [vid for vid in msg.recipients if vid in self.active]
+            event, fn, args = "ack_rx", proto.obu_on_ack, (msg.recipients,)
         elif msg.kind is MessageKind.SAM:
             # Only vehicles still waiting on an advertisement can change state.
-            receivers = [
-                (vid, mob.position_at(self.active[vid], now)) for vid in self.awaiting_sam
-            ]
-            for vid in sorted(deliver_broadcast(msg.sender, receivers, pos, self.curve,
-                                                self.density, self.rng)):
-                self._obu_transition(vid, now, "sam_rx", proto.obu_on_sam)
+            candidates, event, fn, args = self.awaiting_sam, "sam_rx", proto.obu_on_sam, ()
         else:
             raise EngineError(f"unexpected arrival kind {msg.kind}")
+        receivers = [(vid, mob.position_at(self.active[vid], now)) for vid in candidates]
+        for vid in sorted(deliver_broadcast(msg.sender, receivers, pos, self.curve,
+                                            self.density, self.rng)):
+            self._obu_transition(vid, now, event, fn, *args)
 
     def _on_ack_timer(self, now: TimeMs, _payload: None) -> None:
         self._rsu_transition(now, "ack_timer", proto.rsu_on_ack_timer)

@@ -167,7 +167,7 @@ def _nearest_rank(scts: list[TimeMs], q: float) -> TimeMs | None:
         raise ValueError(f"percentile must lie in (0, 100] (got {q})")
     if not scts:
         return None
-    rank = max(1, math.ceil(q / 100.0 * len(scts)))
+    rank = max(1, math.ceil(q * len(scts) / 100))
     return scts[rank - 1]
 
 

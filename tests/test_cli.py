@@ -55,6 +55,8 @@ def test_unknown_override_key_rejected(tmp_path, capsys):
     ("analytic", "--d-min 10 --d-max 0", "--d-max"),
     ("analytic", "--d-step 1e-300", "--d-step"),
     ("analytic", "--d-min=-1e308 --d-max=1e308", "--d-max"),
+    ("analytic", "--d-min 1e17 --d-max 1e17 --d-step 1", "--d-step"),
+    ("analytic", "--d-min 1e17 --d-max 1e17 --d-step 16", "--d-step"),   # one ulp
     ("validate", "--point nan:10", "d_t"),
     ("validate", "--point 0:0", "flow_rate"),
     ("validate", "--trials 1000000000000000000000000000000 --point 0:10", "trials"),
@@ -268,8 +270,8 @@ def test_validate_rejects_trials_past_the_bound_before_replaying(monkeypatch, ca
                                         ("bsm_probe_count", "4"), ("rsu_x", "0"),
                                         ("rsu_y", "0")])
 def test_removed_tau_keys_exit_2_naming_the_key(tmp_path, capsys, source, key, value):
-    """A fixed tau is ``tau_low = tau_high``, the BSM probe count is the
-    constant ``engine.BSM_PROBES`` and the RSU stands at the origin
+    """A fixed tau is ``tau_low = tau_high``, the BSM pass probes one
+    receiver per transmission and the RSU stands at the origin
     (``core.RSU_POSITION``); the old keys are unknown."""
     if source == "set":
         argv = ["--set", f"{key}={value}"]

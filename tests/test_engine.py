@@ -16,7 +16,7 @@ from v2isim import engine
 from v2isim.channel import (
     constant_per_curve, default_calibration, dumps_per_curve, per, per_many, per_table,
 )
-from v2isim.core import RSU_POSITION, ConfigError, ScenarioConfig
+from v2isim.core import RSU_POSITION, ConfigError, Message, ScenarioConfig
 from v2isim.engine import (
     BatchError, EngineError, Event, EventKind, EventQueue, deliver_broadcast, run,
     run_batch,
@@ -391,7 +391,7 @@ def test_bsm_counters_consistent():
     summary = run(short_cfg(flow_rate=10.0))
     assert summary.bsm_tx_count > 0
     assert 0 < summary.bsm_rx_count <= summary.bsm_expected_rx_count
-    assert summary.bsm_expected_rx_count <= summary.bsm_tx_count * engine.BSM_PROBES
+    assert summary.bsm_expected_rx_count <= summary.bsm_tx_count
     assert 0.0 <= summary.bsm_per <= 1.0
 
 
@@ -420,20 +420,18 @@ def _brute_force_bsm_counts(cfg: ScenarioConfig) -> tuple[int, int]:
     for positions in _in_stretch_positions(cfg):
         n = len(positions)
         tx += n
-        if n >= 2:
-            expected += n * min(engine.BSM_PROBES, n - 1)
+        if n >= 2:   # one probe per sender; a lone vehicle probes none
+            expected += n
     return tx, expected
 
 
-@pytest.mark.parametrize("flow, period, probes, duration", [
-    (4.0, 100, 4, 30_000),
-    (0.5, 250, 3, 30_000),      # sparse: ticks with n < 2 and with n - 1 < probes
-    (2.0, 1000, 2, 130_000),    # past one transit: vehicles leave the stretch
-    (4.0, 30_000, 4, 30_000),   # a tick at the end instant is outside the run
+@pytest.mark.parametrize("flow, period, duration", [
+    (4.0, 100, 30_000),
+    (0.5, 250, 30_000),      # sparse: ticks with n < 2
+    (2.0, 1000, 130_000),    # past one transit: vehicles leave the stretch
+    (4.0, 30_000, 30_000),   # a tick at the end instant is outside the run
 ])
-def test_bsm_counts_match_brute_force_positions(monkeypatch, flow, period, probes, duration):
-    # The count formula min(BSM_PROBES, n - 1) holds for any constant, not only 4.
-    monkeypatch.setattr(engine, "BSM_PROBES", probes)
+def test_bsm_counts_match_brute_force_positions(flow, period, duration):
     cfg = short_cfg(flow_rate=flow, bsm_period=period, sim_duration=duration)
     summary = run(cfg)
     tx, expected = _brute_force_bsm_counts(cfg)
@@ -454,10 +452,10 @@ def test_bsm_reception_rate_matches_constant_per(tmp_path):
 def test_bsm_receptions_match_all_pairs_expectation():
     """The scored-probe estimator against the exact all-pairs reference.
 
-    Sender i's k_t probes are uniform over the other in-stretch vehicles, and
+    Sender i's one probe is uniform over the other in-stretch vehicles, and
     a probe of j scores h_ij = 1 - per(d_ij). With p_i = mean_{j != i} h_ij,
-    E[rx] = sum_t k_t sum_i p_i. Only the receiver choice is random (no
-    reception is drawn), so Var[rx] = sum_t k_t sum_i Var_{j != i}(h_ij), the
+    E[rx] = sum_t sum_i p_i. Only the receiver choice is random (no
+    reception is drawn), so Var[rx] = sum_t sum_i Var_{j != i}(h_ij), the
     Rao-Blackwell variance, with no Bernoulli term. A 1 km stretch keeps most
     pairs on the curve's slope; 15 veh/s blends two density levels.
     """
@@ -474,9 +472,8 @@ def test_bsm_receptions_match_all_pairs_expectation():
         hear = 1.0 - per_many(curve, dist, cfg.flow_rate)
         np.fill_diagonal(hear, 0.0)
         p = hear.sum(axis=1) / (n - 1)
-        k = min(engine.BSM_PROBES, n - 1)
-        mean += k * p.sum()
-        var += k * ((hear ** 2).sum(axis=1) / (n - 1) - p ** 2).sum()
+        mean += p.sum()
+        var += ((hear ** 2).sum(axis=1) / (n - 1) - p ** 2).sum()
     summary = run(cfg)
     assert var > 1000.0
     assert abs(summary.bsm_rx_count - mean) <= 4.0 * math.sqrt(var), (summary.bsm_rx_count, mean)
@@ -494,26 +491,22 @@ def _scalar_bsm_pass(cfg: ScenarioConfig):
         tx += n
         if n < 2:
             continue
-        k = min(engine.BSM_PROBES, n - 1)
-        probes += n * k
-        for i, row in enumerate(rng.integers(0, n - 1, size=(n, k)).tolist()):
+        probes += n
+        for i, j in enumerate(rng.integers(0, n - 1, size=n).tolist()):
             xi, yi = positions[i]
-            for j in row:
-                xj, yj = positions[j + (j >= i)]   # skip the sender
-                d = abs(complex(xj - xi, yj - yi))
-                rx += 1.0 - float(table.lookup(np.array([d]))[0])
+            xj, yj = positions[j + (j >= i)]   # skip the sender
+            d = abs(complex(xj - xi, yj - yi))
+            rx += 1.0 - float(table.lookup(np.array([d]))[0])
     return (tx, rx, probes), rng.bit_generator.state
 
 
-@pytest.mark.parametrize("probes", [1, 4])
-def test_bsm_pass_matches_a_scalar_replay_per_probe(monkeypatch, probes):
+def test_bsm_pass_matches_a_scalar_replay_per_probe(monkeypatch):
     """Same transmissions and probes, the same expected receptions up to the
     order of summation, and the same number of draws from the BSM stream."""
-    monkeypatch.setattr(engine, "BSM_PROBES", probes)
     cfg = short_cfg(flow_rate=0.5, bsm_period=250, sim_duration=30_000)
     ticks = list(_in_stretch_positions(cfg))
     sizes = [len(p) for p in ticks]
-    assert 2 in sizes and max(sizes) > probes   # n = 2 (n - 1 < k at k = 4), and n - 1 >= k
+    assert 2 in sizes and max(sizes) > 2   # a pair, and ticks with a choice of receiver
     assert any(min(y for _, y in p) < 0 < max(y for _, y in p) for p in ticks if p)   # both directions
     (want_tx, want_rx, want_probes), want_state = _scalar_bsm_pass(cfg)
 
@@ -537,6 +530,14 @@ def test_bsm_sender_never_probes_itself(tmp_path):
     summary = run(short_cfg(flow_rate=10.0, per_curve=str(curve_path), bsm_period=100))
     assert summary.bsm_expected_rx_count > 0
     assert summary.bsm_rx_count == 0
+
+
+def test_arrival_of_an_undelivered_kind_raises_before_any_draw():
+    sim = engine._Simulation(short_cfg(flow_rate=2.0))
+    state = sim.rng.bit_generator.state
+    with pytest.raises(EngineError, match="unexpected arrival kind bsm"):
+        sim._on_msg_arrival(0, (Message("bsm", sender=0), RSU_POSITION))
+    assert sim.rng.bit_generator.state == state
 
 
 def test_trace_file_records_transitions(tmp_path):

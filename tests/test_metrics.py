@@ -55,6 +55,15 @@ def test_nearest_rank_90th_of_ten():
     assert sct_percentile(s, 50) == 500
 
 
+@pytest.mark.parametrize("q", [7, 14, 17, 28, 34, 50, 55, 56, 68, 81, 90])
+def test_nearest_rank_is_exact_in_integers(q):
+    # The rank is ceil(q * n / 100) in exact arithmetic. Scaling q first
+    # rounds: 7 / 100.0 * 100 is 7.000000000000001, whose ceiling is 8.
+    records = [record(i, sct=i) for i in range(1, 301)]
+    for n in range(1, 301):
+        assert sct_percentile(summary(records[:n]), q) == -(-q * n // 100), (q, n)
+
+
 def test_percentile_monotone_in_q():
     s = summary([record(i, sct=(37 * i) % 991) for i in range(1, 60)])
     values = [sct_percentile(s, q) for q in range(1, 101)]
