@@ -15,10 +15,14 @@ along a row in attempt order, continued from the previous column block: a
 ``cumprod`` for the never-succeeded mass, ``cumsum``s for the mass and mean.
 That is the scalar recurrence and Python's left-to-right ``sum`` bit for
 bit; ``np.sum`` adds pairwise and would move last digits.
+
+``bsm_per`` is the steady-state mean of the engine's post-warmup BSM pass,
+a quadrature over the gap between a probe's sender and receiver.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -34,6 +38,8 @@ _HARD_CAP = 100_000
 # Kernel block: trigger distances x attempts, 8,192 cells per temporary.
 _ROW_BLOCK = 256
 _COL_BLOCK = 32
+# Node spacing (m) of the BSM model's quadrature over the longitudinal gap.
+_BSM_GAP_STEP = 0.5
 
 
 @dataclass(frozen=True)
@@ -149,3 +155,26 @@ def sweep_trigger(params: AnalyticParams,
     means, masses, _ = _first_success(params, d_range)
     return [SweepPoint(d_t=d, mean_attempts=mean, success_mass=mass)
             for d, mean, mass in zip(d_range, means, masses)]
+
+
+def bsm_per(cfg: ScenarioConfig) -> float:
+    """Steady-state BSM packet error rate, the mean that the engine's
+    post-warmup BSM pass estimates.
+
+    A probe's sender and receiver are two independent uniform in-stretch
+    vehicles: uniform along the road, so the longitudinal gap r has density
+    2(L - r)/L^2 on [0, L] with L = ``road_length``, and over the
+    ``lane_count`` lanes at y = +-(lane + 0.5) * ``lane_width``, so the
+    lateral gap ranges over the ``lane_count**2`` lane pairs, equally
+    weighted. The PER at their distance is ``per_many`` at ``flow_rate``;
+    the integral over r is a trapezoid on nodes at most 0.5 m apart. The
+    model has no d_t, and no protocol message loads the curve.
+    """
+    length = cfg.road_length
+    half = (np.arange(cfg.lane_count // 2) + 0.5) * cfg.lane_width
+    lanes_y = np.concatenate((half, -half))
+    dy, pairs = np.unique(np.abs(lanes_y[:, None] - lanes_y), return_counts=True)
+    r = np.linspace(0.0, length, math.ceil(length / _BSM_GAP_STEP) + 1)
+    per_at = chan.per_many(cfg.channel(), np.hypot(r, dy[:, None]), cfg.flow_rate)
+    f = (pairs / pairs.sum()) @ per_at * (2.0 * (length - r) / length ** 2)
+    return float((f.sum() - (f[0] + f[-1]) / 2.0) * (r[1] - r[0]))

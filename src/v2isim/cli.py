@@ -36,6 +36,8 @@ from .validation import check_against_pmf
 # Points per density. A 5 cm step across the whole default stretch (60,001
 # points) fits; at the bound three densities take 2.1 s and 60 MB on a 2-vCPU Xeon.
 MAX_ANALYTIC_POINTS = 100_000
+# How far the step between rows may lie from --d-step, relative to it.
+ANALYTIC_STEP_RTOL = 1e-6
 
 
 def derive_cell_seed(base_seed: int, d_t: float, flow: float) -> int:
@@ -120,18 +122,24 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_analytic(args: argparse.Namespace) -> int:
     cfg = _load(args, validate=False)
-    flags = {"--d-min": args.d_min, "--d-max": args.d_max, "--d-step": args.d_step}
+    lo, hi, step = args.d_min, args.d_max, args.d_step
+    flags = {"--d-min": lo, "--d-max": hi, "--d-step": step}
     bad = [f"{flag} must be a finite number (got {value})"
            for flag, value in flags.items() if not math.isfinite(value)]
-    if args.d_step <= 0:
-        bad.append(f"--d-step must be > 0 (got {args.d_step})")
-    if args.d_min > args.d_max:
-        bad.append(f"--d-min must not exceed --d-max (got {args.d_min} > {args.d_max})")
+    if step <= 0:
+        bad.append(f"--d-step must be > 0 (got {step})")
+    if lo > hi:
+        bad.append(f"--d-min must not exceed --d-max (got {lo} > {hi})")
     if not bad:
-        # The length of the np.arange grid below; inf when its stop overflows.
-        points = (args.d_max + args.d_step / 2 - args.d_min) / args.d_step
-        if any(d + args.d_step / 2 == d for d in (args.d_min, args.d_max)):   # an empty grid
-            bad.append(f"--d-step must move --d-min and --d-max by half a step (got {args.d_step})")
+        points = (hi - lo) / step + 1   # inf when the span overflows
+        # The step the grid realises next to each end, as rounding moves it.
+        realised = ((lo + step) - lo, hi - (hi - step))
+        if any(d + step / 2 == d for d in (lo, hi)):   # a step of about one ulp or less
+            bad.append(f"--d-step must move --d-min and --d-max by half a step (got {step})")
+        elif any(abs(r - step) > ANALYTIC_STEP_RTOL * step for r in realised):
+            bad.append(f"--d-step must be realised to a relative {ANALYTIC_STEP_RTOL:g} at "
+                       f"--d-min and --d-max (got {step}; realised {realised[0]!r} and "
+                       f"{realised[1]!r})")
         elif not points <= MAX_ANALYTIC_POINTS:
             bad.append(f"--d-min, --d-max and --d-step must give at most "
                        f"{MAX_ANALYTIC_POINTS} points per density (got {points:.3g})")
@@ -140,7 +148,10 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
         bad.append(f"--densities must list at least one density (got {args.densities!r})")
     raise_violations(bad)
     cells = [_model_scenario(cfg, rho) for rho in densities]
-    d_values = list(np.arange(args.d_min, args.d_max + args.d_step / 2, args.d_step))
+    # Row k is d_min + k * d_step while it stays within d_max (np.arange steps
+    # by (d_min + d_step) - d_min, which rounding can move far from d_step).
+    grid = lo + np.arange(int((hi - lo) / step) + 2) * step
+    d_values = grid[grid <= hi].tolist()
     params = ana.params_from_config(cfg)
     # Written one density at a time: the rows are never all held at once.
     rows = ((cell.flow_rate, p.d_t, p.mean_attempts, p.success_mass)

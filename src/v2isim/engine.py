@@ -39,10 +39,11 @@ as k scalar draws, and the same PER as k one-element ``per`` calls.
 Background safety broadcasts (BSMs) only feed the reception-rate metric and
 have no protocol effect, and positions are closed-form, so they are not
 events: one pass after the event loop (``bsm_counters``) handles every BSM
-tick in vectorized form. Every in-stretch vehicle transmits each tick toward
-one receiver drawn from the other in-stretch vehicles. The probe scores its
-expected reception, 1 - PER, not a sampled one: the same mean, with only the
-receiver choice left random (Rao-Blackwell). A
+tick from ``warmup`` on in vectorized form; ``analytic.bsm_per`` is the
+steady-state mean it estimates. Every in-stretch vehicle transmits each tick
+toward one receiver drawn from the other in-stretch vehicles. The probe
+scores its expected reception, 1 - PER, not a sampled one: the same mean,
+with only the receiver choice left random (Rao-Blackwell). A
 probe's PER is read from a table built once per run (``channel.per_table``,
 1 cm cells), not interpolated at its exact distance; the two differ by at
 most 1.8e-5 on the default curve.
@@ -151,16 +152,19 @@ def bsm_counters(cfg: ScenarioConfig, curve: chan.PerCurve,
                  ) -> tuple[int, float, int]:
     """BSM transmissions, expected receptions and probes over one run.
 
-    Ticks fall at every positive multiple of ``bsm_period`` before
-    ``sim_duration``. At a tick each in-stretch vehicle transmits once and
-    probes one other, drawn uniformly (none when it is alone). The probe
-    scores its reception probability, 1 - PER from the run's ``per_table``;
-    no reception is drawn. Probes come from the seed's BSM stream; the
-    stream and the table are not built when there is no tick.
+    Ticks fall at every positive multiple of ``bsm_period`` at or after
+    ``warmup`` and before ``sim_duration``, so, like the record aggregates,
+    the counters leave out the stretch's fill-up. At a tick each in-stretch
+    vehicle transmits once and probes one other, drawn uniformly (none when
+    it is alone). The probe scores its reception probability, 1 - PER from
+    the run's ``per_table``; no reception is drawn. Probes come from the
+    seed's BSM stream, whose first draw is at the first tick; the stream and
+    the table are not built when there is no tick.
     """
-    ticks = np.arange(cfg.bsm_period, cfg.sim_duration, cfg.bsm_period, dtype=np.int64)
-    if len(ticks) == 0:
+    first = max(1, -(-cfg.warmup // cfg.bsm_period)) * cfg.bsm_period   # exact integer ceil
+    if first >= cfg.sim_duration:
         return 0, 0.0, 0
+    ticks = np.arange(first, cfg.sim_duration, cfg.bsm_period, dtype=np.int64)
     transit = mob.transit_ms(cfg.road_length, cfg.mean_speed)
     sides = []
     counts = np.zeros(len(ticks), dtype=np.int64)

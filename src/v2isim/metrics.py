@@ -123,6 +123,7 @@ class RecordTable(Sequence):
 class RunSummary:
     cfg: ScenarioConfig
     records: RecordTable
+    # The BSM counters cover the ticks from warmup on (engine.bsm_counters).
     bsm_tx_count: int
     # Receptions expected given the probes drawn: each scores 1 - its PER.
     bsm_rx_count: float

@@ -19,11 +19,13 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from v2isim.analytic import (
-    AnalyticParams, attempt_distances, first_success_pmf, mean_attempts,
+    AnalyticParams, attempt_distances, bsm_per, first_success_pmf, mean_attempts,
     params_from_config, sweep_trigger,
 )
 from v2isim.channel import PerCurve, constant_per_curve, default_calibration, per
 from v2isim.core import ScenarioConfig
+
+from conftest import write_constant_curve
 
 CAL = default_calibration()
 
@@ -317,3 +319,11 @@ def test_kernel_receding_stop_needs_the_request_behind_the_rsu():
                             curve=constant_per_curve(1.0, max_distance=1.0), density=20.0)
     assert first_success_pmf(params) == [0.0, 0.0]
     assert_kernel_matches_scalar(params, [5.0, 3.0, -2.0, 40.0])
+
+
+@pytest.mark.parametrize("road_length", [3000.0, 0.5])   # 0.5 m: the two end nodes alone
+def test_bsm_model_of_a_constant_per_is_that_constant(tmp_path, road_length):
+    """The gap and lane-pair weights each sum to one, and the trapezoid is
+    exact on the linear gap density."""
+    cfg = ScenarioConfig(per_curve=write_constant_curve(tmp_path, 0.3), road_length=road_length)
+    assert bsm_per(cfg) == pytest.approx(0.3, rel=1e-12)

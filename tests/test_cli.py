@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import v2isim
-from v2isim import ScenarioConfig, channel, mobility, validation
+from v2isim import ScenarioConfig, analytic, channel, mobility, validation
 from v2isim.cli import derive_cell_seed, main
 
 # Trigger near the entry edge so crossings start ~3 s in, keeping runs short.
@@ -57,6 +57,9 @@ def test_unknown_override_key_rejected(tmp_path, capsys):
     ("analytic", "--d-min=-1e308 --d-max=1e308", "--d-max"),
     ("analytic", "--d-min 1e17 --d-max 1e17 --d-step 1", "--d-step"),
     ("analytic", "--d-min 1e17 --d-max 1e17 --d-step 16", "--d-step"),   # one ulp
+    # Rounding at 1e17 makes a 24 m step 32 m.
+    ("analytic", "--d-min 1e17 --d-max 100000000000000096 --d-step 24 --densities 10",
+     "--d-step"),
     ("validate", "--point nan:10", "d_t"),
     ("validate", "--point 0:0", "flow_rate"),
     ("validate", "--trials 1000000000000000000000000000000 --point 0:10", "trials"),
@@ -217,6 +220,18 @@ def test_analytic_default_grid_row_count(tmp_path):
     assert main(["analytic", "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
     assert len(lines) == 1 + 41 * 3  # header + 123 rows
+
+
+def test_analytic_grid_never_passes_d_max(tmp_path, monkeypatch):
+    """At a 0.1 m step from -300 m, np.arange's grid ends 1.8e-10 m past 500."""
+    grids = []
+    sweep = analytic.sweep_trigger
+    monkeypatch.setattr(analytic, "sweep_trigger",
+                        lambda params, d_range: grids.append(d_range) or sweep(params, d_range))
+    assert main(["analytic", "--out", str(tmp_path / "ana.csv"), "--d-min", "-300",
+                 "--d-max", "500", "--d-step", "0.1", "--densities", "10"]) == 0
+    (grid,) = grids
+    assert len(grid) == 8001 and grid[0] == -300.0 and max(grid) <= 500.0
 
 
 def test_analytic_single_point_is_sweep_minimum(tmp_path):

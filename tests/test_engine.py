@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from v2isim import engine
+from v2isim import analytic, engine
 from v2isim.channel import (
     constant_per_curve, default_calibration, dumps_per_curve, per, per_many, per_table,
 )
+from v2isim.cli import main
 from v2isim.core import RSU_POSITION, ConfigError, Message, ScenarioConfig
 from v2isim.engine import (
     BatchError, EngineError, Event, EventKind, EventQueue, deliver_broadcast, run,
@@ -397,12 +398,15 @@ def test_bsm_counters_consistent():
 
 def _in_stretch_positions(cfg: ScenarioConfig):
     """Yield each BSM tick's in-stretch positions, one position_at call per
-    vehicle and tick, over the same arrivals as the engine."""
+    vehicle and tick, over the same arrivals as the engine. The ticks are
+    the positive multiples of bsm_period at or after warmup."""
     rng = np.random.default_rng(cfg.rng_seed)
     vehicles = []
     for direction in (Direction.EAST, Direction.WEST):
         vehicles += generate_arrivals(cfg, direction, rng, id_start=len(vehicles))
     for t in range(cfg.bsm_period, cfg.sim_duration, cfg.bsm_period):
+        if t < cfg.warmup:
+            continue
         positions = []
         for v in vehicles:
             if v.spawn_time > t:
@@ -415,7 +419,8 @@ def _in_stretch_positions(cfg: ScenarioConfig):
 
 
 def _brute_force_bsm_counts(cfg: ScenarioConfig) -> tuple[int, int]:
-    """BSM transmissions and expected receptions from per-vehicle positions."""
+    """BSM transmissions and probes from per-vehicle positions at the ticks
+    from warmup on."""
     tx = expected = 0
     for positions in _in_stretch_positions(cfg):
         n = len(positions)
@@ -425,17 +430,30 @@ def _brute_force_bsm_counts(cfg: ScenarioConfig) -> tuple[int, int]:
     return tx, expected
 
 
-@pytest.mark.parametrize("flow, period, duration", [
-    (4.0, 100, 30_000),
-    (0.5, 250, 30_000),      # sparse: ticks with n < 2
-    (2.0, 1000, 130_000),    # past one transit: vehicles leave the stretch
-    (4.0, 30_000, 30_000),   # a tick at the end instant is outside the run
-])
-def test_bsm_counts_match_brute_force_positions(flow, period, duration):
-    cfg = short_cfg(flow_rate=flow, bsm_period=period, sim_duration=duration)
+@pytest.mark.parametrize("flow, period, duration, warmup", [
+    (4.0, 100, 30_000, 0),
+    (0.5, 250, 30_000, 0),        # sparse: ticks with n < 2
+    (2.0, 1000, 130_000, 0),      # past one transit: vehicles leave the stretch
+    (4.0, 30_000, 30_000, 0),     # a tick at the end instant is outside the run
+    (4.0, 300, 30_000, 10_050),   # the next tick is the first
+    (4.0, 250, 30_000, 10_000),   # that tick counts
+    (4.0, 100, 30_000, 30_000),   # no tick
+], ids=["4.0-100-30000", "0.5-250-30000", "2.0-1000-130000", "4.0-30000-30000",
+        "warmup-between-ticks", "warmup-on-a-tick", "warmup-covers-the-run"])
+def test_bsm_counts_match_brute_force_positions(flow, period, duration, warmup):
+    cfg = short_cfg(flow_rate=flow, bsm_period=period, sim_duration=duration, warmup=warmup)
     summary = run(cfg)
     tx, expected = _brute_force_bsm_counts(cfg)
     assert (summary.bsm_tx_count, summary.bsm_expected_rx_count) == (tx, expected)
+    assert (summary.bsm_per is None) == (expected == 0)
+
+
+def test_bsm_per_cell_is_empty_when_warmup_covers_the_run(tmp_path):
+    out = tmp_path / "run"
+    assert main(["simulate", "--out", str(out), "--set", "sim_duration=30000",
+                 "--set", "warmup=30000", "--set", "flow_rate=4"]) == 0
+    header, row = (out / "summary.csv").read_text().splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["bsm_per"] == ""
 
 
 def test_bsm_reception_rate_matches_constant_per(tmp_path):
@@ -502,23 +520,50 @@ def _scalar_bsm_pass(cfg: ScenarioConfig):
 
 def test_bsm_pass_matches_a_scalar_replay_per_probe(monkeypatch):
     """Same transmissions and probes, the same expected receptions up to the
-    order of summation, and the same number of draws from the BSM stream."""
-    cfg = short_cfg(flow_rate=0.5, bsm_period=250, sim_duration=30_000)
-    ticks = list(_in_stretch_positions(cfg))
-    sizes = [len(p) for p in ticks]
-    assert 2 in sizes and max(sizes) > 2   # a pair, and ticks with a choice of receiver
-    assert any(min(y for _, y in p) < 0 < max(y for _, y in p) for p in ticks if p)   # both directions
-    (want_tx, want_rx, want_probes), want_state = _scalar_bsm_pass(cfg)
+    order of summation, and the same number of draws from the BSM stream.
+    With a warmup (3.1 s: between two ticks, before the last pair) the
+    replay's first draw is at the first tick from warmup on, so the pass
+    draws nothing at the ticks before it."""
+    for warmup in (0, 3_100):
+        cfg = short_cfg(flow_rate=0.5, bsm_period=250, sim_duration=30_000, warmup=warmup)
+        ticks = list(_in_stretch_positions(cfg))
+        sizes = [len(p) for p in ticks]
+        assert 2 in sizes and max(sizes) > 2   # a pair, and ticks with a choice of receiver
+        assert any(min(y for _, y in p) < 0 < max(y for _, y in p) for p in ticks if p)   # both directions
+        (want_tx, want_rx, want_probes), want_state = _scalar_bsm_pass(cfg)
 
-    sim = engine._Simulation(cfg)
-    streams = []
-    default_rng = np.random.default_rng
-    monkeypatch.setattr(np.random, "default_rng",
-                        lambda *a: streams.append(default_rng(*a)) or streams[-1])
-    tx, rx, expected = engine.bsm_counters(cfg, sim.curve, sim.by_direction)
-    assert (tx, expected) == (want_tx, want_probes)
-    assert rx == pytest.approx(want_rx, rel=1e-9)
-    assert [g.bit_generator.state for g in streams] == [want_state]
+        sim = engine._Simulation(cfg)
+        streams = []
+        default_rng = np.random.default_rng
+        with monkeypatch.context() as patch:
+            patch.setattr(np.random, "default_rng",
+                          lambda *a: streams.append(default_rng(*a)) or streams[-1])
+            tx, rx, expected = engine.bsm_counters(cfg, sim.curve, sim.by_direction)
+        assert (tx, expected) == (want_tx, want_probes), warmup
+        assert rx == pytest.approx(want_rx, rel=1e-9), warmup
+        assert [g.bit_generator.state for g in streams] == [want_state], warmup
+
+
+@pytest.mark.parametrize("flow", [10.0, 30.0])
+def test_steady_state_bsm_per_matches_the_closed_form(flow):
+    """The post-warmup BSM pass against ``analytic.bsm_per``, over 12 seeds.
+
+    Past warmup the in-stretch vehicles are uniform along the road and over
+    the lanes, so a probe's gap is that of two independent uniform vehicles.
+    The bound is 4 sample standard errors: with 11 degrees of freedom a
+    correct pass fails about 0.2 % of the time. Counting the fill-up ticks
+    puts the mean 3-5e-3 under the model, dozens of standard errors.
+    """
+    base = dataclasses.replace(ScenarioConfig(), flow_rate=flow, sim_duration=200_000)
+    pers = []
+    for seed in range(12):
+        cfg = dataclasses.replace(base, rng_seed=seed)
+        sim = engine._Simulation(cfg)   # arrivals only: the BSM pass needs no event loop
+        _, rx, probes = engine.bsm_counters(cfg, sim.curve, sim.by_direction)
+        pers.append(1.0 - rx / probes)
+    model = analytic.bsm_per(base)
+    se = np.std(pers, ddof=1) / math.sqrt(len(pers))
+    assert abs(np.mean(pers) - model) <= 4.0 * se, (np.mean(pers), model, se)
 
 
 def test_bsm_sender_never_probes_itself(tmp_path):
