@@ -104,10 +104,10 @@ class ScenarioConfig:
 # Field name -> int, float or str, in declaration order.
 _FIELD_TYPES: dict[str, type] = get_type_hints(ScenarioConfig)
 
-# Arrivals and BSM ticks are built before a run starts. A run peaks near 540 B
-# per arrival with BSMs on and 450 B with them off (1e5 arrivals at 30 veh/s,
-# ru_maxrss), so this many stay under 1 GB. The same bound caps the periodic
-# SAM timer's events, so every run can end.
+# Arrivals (16 B each, in arrays) and BSM ticks are built before a run starts.
+# A run's peak grows by about 285 B per arrival with BSMs on and 165 B with
+# them off (1e5 arrivals at 30 veh/s, ru_maxrss), so this many stay under
+# 1 GB. The same bound caps the periodic SAM timer's events, so every run can end.
 MAX_UPFRONT_ITEMS = 1_000_000
 
 # Worst case of retry timers: every arrival retries every t_sum for its whole

@@ -1,10 +1,25 @@
 """Deterministic discrete-event core: queue, clock, delivery, orchestration.
 
 Every run is a pure function of (config, seed): events are totally ordered by
-(time, insertion sequence) and the clock never moves backward. Randomness
+(time, sequence number) and the clock never moves backward. Randomness
 comes from two streams of the seed. Arrivals and the protocol draw from
 ``default_rng(seed)`` in event order; the BSM pass draws from the first child
 of ``SeedSequence(seed)``, so no BSM setting moves a protocol outcome.
+
+Besides its records, a run holds the vehicles between spawn and despawn and
+16 B per arrival. The arrivals are drawn at init into two arrays per
+direction (``mob.Arrivals``: spawn times and lateral offsets), and one
+``VEHICLE_SPAWN`` per direction is pending: a spawn builds its vehicle's
+``VehicleKinematics`` and queues its direction's next spawn. Every spawn
+keeps the seq that pushing all of them at init would give it
+(``EventQueue.reserve``): east 2..E+1, west E+2..N+1, and every other event
+numbers from N+2. So the pop order is the eager schedule's:
+
+1. every event keeps its ``(time, seq)`` key;
+2. a direction's spawn keys rise with its arrival index, so its earliest
+   unfired spawn has the least key of that direction's spawns;
+3. the least key of the eager heap is a non-spawn event's or such a spawn's,
+   and both are in the smaller heap.
 
 Events are named tuples ``(time, seq, kind, payload)`` on a ``heapq`` heap,
 so the heap orders them with C tuple comparison. ``seq`` is unique, so a
@@ -104,15 +119,25 @@ class EventQueue:
         self._next_seq = 0
         self._clock: TimeMs = 0
 
-    def push(self, time: TimeMs, kind: EventKind, payload: Any = None) -> None:
+    def push(self, time: TimeMs, kind: EventKind, payload: Any = None,
+             seq: int | None = None) -> None:
+        """Queue an event under the next seq, or under ``seq`` from ``reserve``."""
         if time < self._clock:
             raise EngineError(
                 f"attempt to schedule {kind.value} at {time} ms behind the "
                 f"clock ({self._clock} ms)"
             )
+        if seq is None:
+            seq = self._next_seq
+            self._next_seq += 1
         # tuple.__new__ skips the named tuple's Python-level constructor.
-        heapq.heappush(self._heap, tuple.__new__(Event, (time, self._next_seq, kind, payload)))
-        self._next_seq += 1
+        heapq.heappush(self._heap, tuple.__new__(Event, (time, seq, kind, payload)))
+
+    def reserve(self, count: int) -> int:
+        """Set aside the next ``count`` seqs for later pushes; returns the first."""
+        first = self._next_seq
+        self._next_seq += count
+        return first
 
     def pop(self) -> Event:
         event = heapq.heappop(self._heap)
@@ -148,7 +173,7 @@ def deliver_broadcast(sender: int,
 
 
 def bsm_counters(cfg: ScenarioConfig, curve: chan.PerCurve,
-                 by_direction: dict[mob.Direction, list[mob.VehicleKinematics]],
+                 by_direction: dict[mob.Direction, mob.Arrivals],
                  ) -> tuple[int, float, int]:
     """BSM transmissions, expected receptions and probes over one run.
 
@@ -159,7 +184,9 @@ def bsm_counters(cfg: ScenarioConfig, curve: chan.PerCurve,
     it is alone). The probe scores its reception probability, 1 - PER from
     the run's ``per_table``; no reception is drawn. Probes come from the
     seed's BSM stream, whose first draw is at the first tick; the stream and
-    the table are not built when there is no tick.
+    the table are not built when there is no tick. Spawn times and lateral
+    offsets come from each direction's ``mob.Arrivals`` arrays; no vehicle
+    object is built.
     """
     first = max(1, -(-cfg.warmup // cfg.bsm_period)) * cfg.bsm_period   # exact integer ceil
     if first >= cfg.sim_duration:
@@ -168,9 +195,9 @@ def bsm_counters(cfg: ScenarioConfig, curve: chan.PerCurve,
     transit = mob.transit_ms(cfg.road_length, cfg.mean_speed)
     sides = []
     counts = np.zeros(len(ticks), dtype=np.int64)
-    for direction, vehicles in by_direction.items():
-        spawns = np.array([v.spawn_time for v in vehicles], dtype=np.int64)
-        lateral = 1j * np.array([v.y for v in vehicles], dtype=float)
+    for direction, arrivals in by_direction.items():
+        spawns = np.array(arrivals.spawn_times, dtype=np.int64)
+        lateral = 1j * np.array(arrivals.ys, dtype=float)
         lo, hi = mob.stretch_window(spawns, ticks, transit)
         counts += hi - lo
         sides.append((direction, spawns, lateral, lo.tolist(), hi.tolist()))
@@ -230,7 +257,7 @@ class _Simulation:
         )
         self.records = RecordTable()
 
-        # Arrivals are generated up front; the BSM pass reads them after the run.
+        # Arrivals are generated up front as arrays; the BSM pass reads them after the run.
         east = mob.generate_arrivals(cfg, mob.Direction.EAST, self.rng, id_start=0)
         west = mob.generate_arrivals(cfg, mob.Direction.WEST, self.rng, id_start=len(east))
         self.by_direction = {mob.Direction.EAST: east, mob.Direction.WEST: west}
@@ -241,11 +268,18 @@ class _Simulation:
 
         self.queue.push(self.rsu.next_sam_time, EventKind.SAM_TIMER)
         self.queue.push(cfg.sim_duration, EventKind.SIM_END)
-        for arr in self.by_direction.values():
-            for v in arr:
-                self.queue.push(v.spawn_time, EventKind.VEHICLE_SPAWN, v)
+        # Vehicle v spawns under seq spawn_seq + v's id; other events number after all of them.
+        self.spawn_seq = self.queue.reserve(len(east) + len(west))
+        for arrivals in (east, west):
+            self._push_spawn(arrivals, 0)
 
     # -- helpers ---------------------------------------------------------
+
+    def _push_spawn(self, arrivals: mob.Arrivals, i: int) -> None:
+        """Queue the direction's i-th arrival, if it has one: one spawn pending per direction."""
+        if i < len(arrivals):
+            self.queue.push(arrivals.spawn_times[i], EventKind.VEHICLE_SPAWN, (arrivals, i),
+                            seq=self.spawn_seq + arrivals.id_start + i)
 
     def _apply_output(self, now: TimeMs, out: proto.ProtocolOutput) -> None:
         for msg in out.transmissions:
@@ -303,13 +337,16 @@ class _Simulation:
 
     # -- event handlers ----------------------------------------------------
 
-    def _on_spawn(self, now: TimeMs, v: mob.VehicleKinematics) -> None:
+    def _on_spawn(self, now: TimeMs, spawn: tuple[mob.Arrivals, int]) -> None:
+        arrivals, i = spawn
+        v = arrivals[i]
         vid = v.vehicle_id
         self.active[vid] = v
         self.awaiting_sam[vid] = None
         self.obu[vid] = proto.ObuState(vid, self.cfg.t_sum)
         self.queue.push(v.spawn_time + self.trigger_after, EventKind.TRIGGER_CROSS, vid)
         self.queue.push(v.spawn_time + self.transit, EventKind.VEHICLE_DESPAWN, vid)
+        self._push_spawn(arrivals, i + 1)
 
     def _on_trigger(self, now: TimeMs, vid: int) -> None:
         self._obu_transition(vid, now, "trigger_cross", proto.obu_on_trigger)

@@ -154,13 +154,26 @@ class _Measured(NamedTuple):
 
 
 def _measure(summary: RunSummary) -> _Measured:
-    # Python ints, not a numpy view of the table: numpy's mask and sort kernels
-    # page in 0.6-0.8 MB of code that a run with BSMs off never touches.
+    """One streamed pass over the table's int rows: counts, and the SCT list only.
+
+    Python ints, not a numpy view of the table: numpy's mask and sort kernels
+    page in 0.6-0.8 MB of code that a run with BSMs off never touches. No row
+    is kept, so the pass holds one int per complete record, not a tuple per
+    record.
+    """
     warmup = summary.cfg.warmup
-    rows = [r for r in summary.records.int_rows() if r[_FIRST_SUM_TX] >= warmup]
-    done = [r for r in rows if r[_OUTCOME] == _COMPLETE]
-    scts = sorted(r[_ACK_RX] - r[_FIRST_SUM_TX] for r in done if r[_ACK_RX] >= 0)
-    return _Measured(len(rows), len(done), sum(r[_ATTEMPTS] for r in done), scts)
+    records = complete = attempts = 0
+    scts: list[TimeMs] = []
+    for row in summary.records.int_rows():
+        if row[_FIRST_SUM_TX] >= warmup:
+            records += 1
+            if row[_OUTCOME] == _COMPLETE:
+                complete += 1
+                attempts += row[_ATTEMPTS]
+                if row[_ACK_RX] >= 0:
+                    scts.append(row[_ACK_RX] - row[_FIRST_SUM_TX])
+    scts.sort()
+    return _Measured(records, complete, attempts, scts)
 
 
 def _nearest_rank(scts: list[TimeMs], q: float) -> TimeMs | None:
@@ -197,6 +210,17 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _fmt_key(value) -> str:
+    """A key column's float: ``.6g`` when that reads back as the same float, else ``repr``.
+
+    So rows whose keys differ past the sixth significant digit still print apart.
+    """
+    text = _fmt(value)
+    if isinstance(value, float) and float(text) != value:   # NaN's repr is its text too
+        return repr(float(value))   # a numpy float64 would repr with its type
+    return text
+
+
 RECORD_COLUMNS = (
     "vehicle_id", "direction", "sam_rx_ms", "first_sum_tx_ms", "ack_rx_ms",
     "attempts", "outcome", "sct_ms",
@@ -228,12 +252,14 @@ def summary_row(summary: RunSummary) -> dict[str, object]:
     }
 
 
-def _write_table(path: str, header: tuple[str, ...], rows: Iterable[Sequence[object]]) -> None:
+def _write_table(path: str, header: tuple[str, ...], rows: Iterable[Sequence[object]],
+                 keys: int = 0) -> None:
+    """Write a CSV; the first ``keys`` columns of each row print with ``_fmt_key``."""
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(header) + "\n")
             for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+                fh.write(",".join([*map(_fmt_key, row[:keys]), *map(_fmt, row[keys:])]) + "\n")
     except OSError as exc:
         raise ExportError(f"cannot write {path}: {exc}") from exc
 
@@ -246,15 +272,22 @@ def export_records(summary: RunSummary, path: str) -> None:
 
 
 def export_summaries(summaries: list[RunSummary], path: str) -> None:
-    """One aggregate row per run, keyed by (d_t, flow_rate)."""
+    """One aggregate row per run, keyed by (d_t, flow_rate).
+
+    A key prints in ``.6g`` when that reads back as the same float, else as
+    ``repr``, so no two distinct keys print alike.
+    """
     rows = [[row[c] for c in SUMMARY_COLUMNS] for row in map(summary_row, summaries)]
-    _write_table(path, SUMMARY_COLUMNS, rows)
+    _write_table(path, SUMMARY_COLUMNS, rows, keys=2)
 
 
 def export_analytic(points: Iterable[tuple[float, float, float | None, float]],
                     path: str) -> None:
-    """Rows of (density, d_t, mean_attempts, success_mass), written as they come."""
-    _write_table(path, ("density", "d_t", "mean_attempts", "success_mass"), points)
+    """Rows of (density, d_t, mean_attempts, success_mass), written as they come.
+
+    density and d_t are keys, printed as ``export_summaries`` prints its keys.
+    """
+    _write_table(path, ("density", "d_t", "mean_attempts", "success_mass"), points, keys=2)
 
 
 def write_metadata(summary: RunSummary, path: str) -> None:

@@ -9,6 +9,8 @@ upstream of it and reach the trigger line the same time after spawning.
 
 from __future__ import annotations
 
+import struct
+from collections.abc import Sequence
 from enum import Enum
 from typing import NamedTuple
 
@@ -49,8 +51,52 @@ def entry_x(direction: Direction, road_length: float) -> float:
     return -direction.sign * road_length / 2.0
 
 
+# One native int64 spawn time (ms) or float64 lateral offset (m), packed.
+_PACK_TIME, _PACK_Y = struct.Struct("q").pack, struct.Struct("d").pack
+
+
+class Arrivals(Sequence):
+    """One direction's arrivals, spawn-time ordered: 16 B per vehicle.
+
+    ``spawn_times`` (int64, ms) and ``ys`` (float64 lateral offsets, m) are
+    typed arrays, memoryviews cast over packed bytes (the ``array`` module
+    would load one more extension into every process). They hold what
+    differs from vehicle to vehicle; the direction, the entry point and the
+    speed are shared. ``len()`` is the vehicle count, and indexing or
+    iterating builds each vehicle's ``VehicleKinematics``, with ids counted
+    from ``id_start``. Two sequences are equal when their fields and arrays
+    are.
+    """
+
+    __slots__ = ("direction", "id_start", "spawn_x", "speed", "spawn_times", "ys")
+
+    def __init__(self, direction: Direction, id_start: int, spawn_x: float, speed: float,
+                 spawn_times: bytearray, ys: bytearray) -> None:
+        self.direction, self.id_start = direction, id_start
+        self.spawn_x, self.speed = spawn_x, speed
+        self.spawn_times = memoryview(spawn_times).cast("q")
+        self.ys = memoryview(ys).cast("d")
+
+    def __len__(self) -> int:
+        return len(self.spawn_times)
+
+    def __getitem__(self, index):
+        picked = range(len(self.spawn_times))[index]   # an int, or a range for a slice
+        if isinstance(picked, range):
+            return tuple(map(self.__getitem__, picked))
+        # Fields in order (id, direction, spawn_time, spawn_x, y, speed).
+        return tuple.__new__(VehicleKinematics, (
+            self.id_start + picked, self.direction, self.spawn_times[picked],
+            self.spawn_x, self.ys[picked], self.speed))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Arrivals):
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
+
+
 def generate_arrivals(cfg: ScenarioConfig, direction: Direction,
-                      rng: np.random.Generator, id_start: int = 0) -> list[VehicleKinematics]:
+                      rng: np.random.Generator, id_start: int = 0) -> Arrivals:
     """Generate the direction's arrivals over the run, spawn-time ordered.
 
     Inter-arrival gaps are exponential at half of ``flow_rate``, up to the
@@ -65,9 +111,8 @@ def generate_arrivals(cfg: ScenarioConfig, direction: Direction,
     if rate <= 0:
         raise MobilityError(f"arrival rate must be > 0 (got {rate})")
     lanes = cfg.lane_count // 2
-    x0 = entry_x(direction, cfg.road_length)
-    sign, width, speed = direction.sign, cfg.lane_width, cfg.mean_speed
-    out: list[VehicleKinematics] = []
+    sign, width = direction.sign, cfg.lane_width
+    times, ys = bytearray(), bytearray()
     t_s = 0.0
     prev_ms = 0
     while True:
@@ -79,12 +124,12 @@ def generate_arrivals(cfg: ScenarioConfig, direction: Direction,
         if t_ms > cfg.sim_duration:
             break
         lane = uniform_int(rng, 0, lanes - 1)
-        # Fields in order (id, direction, spawn_time, spawn_x, y, speed). Eastbound
-        # lanes on +y, westbound on -y; lane 0 borders the median.
-        out.append(tuple.__new__(VehicleKinematics, (
-            id_start + len(out), direction, t_ms, x0, sign * (lane + 0.5) * width, speed)))
+        times += _PACK_TIME(t_ms)
+        # Eastbound lanes on +y, westbound on -y; lane 0 borders the median.
+        ys += _PACK_Y(sign * (lane + 0.5) * width)
         prev_ms = t_ms
-    return out
+    return Arrivals(direction, id_start, entry_x(direction, cfg.road_length), cfg.mean_speed,
+                    times, ys)
 
 
 def position_at(v: VehicleKinematics, t: TimeMs) -> tuple[float, float]:

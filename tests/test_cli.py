@@ -234,6 +234,20 @@ def test_analytic_grid_never_passes_d_max(tmp_path, monkeypatch):
     assert len(grid) == 8001 and grid[0] == -300.0 and max(grid) <= 500.0
 
 
+@pytest.mark.parametrize("d_min, d_max, d_step", [
+    ("1000000", "1000002", "0.5"),            # steps past .6g's sixth digit
+    ("1e17", "100000000000000096", "32"),     # two ulps a step
+])
+def test_analytic_rows_print_apart_and_read_back_as_the_grid(tmp_path, d_min, d_max, d_step):
+    out = tmp_path / "ana.csv"
+    assert main(["analytic", "--out", str(out), "--d-min", d_min, "--d-max", d_max,
+                 "--d-step", d_step, "--densities", "10"]) == 0
+    keys = [line.split(",")[1] for line in out.read_text().splitlines()[1:]]
+    assert len(keys) >= 4 and len(set(keys)) == len(keys)
+    lo, step = float(d_min), float(d_step)
+    assert [float(k) for k in keys] == [lo + k * step for k in range(len(keys))]
+
+
 def test_analytic_single_point_is_sweep_minimum(tmp_path):
     full = tmp_path / "full.csv"
     single = tmp_path / "single.csv"

@@ -6,13 +6,16 @@ import concurrent.futures
 import dataclasses
 import heapq
 import math
+import tempfile
+from collections import Counter
 from concurrent.futures import Future
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from v2isim import analytic, engine
+from v2isim import analytic, engine, metrics
 from v2isim.channel import (
     constant_per_curve, default_calibration, dumps_per_curve, per, per_many, per_table,
 )
@@ -355,9 +358,9 @@ def test_vehicle_state_lives_from_spawn_to_despawn(tmp_path):
     rows = []
     sim = engine._Simulation(cfg, trace=lambda *row: rows.append(row))
     summary = sim.run()
-    vehicles = [v for arr in sim.by_direction.values() for v in arr]
-    exits = {v.vehicle_id: v.spawn_time + transit_ms(cfg.road_length, v.speed)
-             for v in vehicles}
+    spawns = {arrivals.id_start + i: t for arrivals in sim.by_direction.values()
+              for i, t in enumerate(arrivals.spawn_times)}
+    exits = {vid: t + transit_ms(cfg.road_length, cfg.mean_speed) for vid, t in spawns.items()}
     sums_sent: dict[int, int] = {}
     for t, entity, _event, _before, after in rows:
         if entity.startswith("veh"):
@@ -372,11 +375,98 @@ def test_vehicle_state_lives_from_spawn_to_despawn(tmp_path):
                if r not in despawned)
     assert {r.vehicle_id: r.attempts for r in summary.records} == sums_sent
     assert all(r.attempts > 1 for r in despawned)
-    in_stretch = {v.vehicle_id for v in vehicles
-                  if v.spawn_time < cfg.sim_duration <= exits[v.vehicle_id]}
+    in_stretch = {vid for vid, t in spawns.items() if t < cfg.sim_duration <= exits[vid]}
     assert in_stretch and set(sim.obu) == set(sim.active) == in_stretch
     assert set(sim.sum_tx_count) == {r.vehicle_id for r in summary.records
                                      if r.outcome == OUTCOME_SIMEND}
+
+
+# -- one pending spawn per direction ---------------------------------------
+
+
+class _EagerSpawns(engine._Simulation):
+    """The eager schedule: every arrival's spawn is pushed at init under seq
+    2 + its id (after SAM_TIMER and SIM_END), and a spawn pushes no next one."""
+
+    def _push_spawn(self, arrivals, i):
+        if i == 0:
+            for j, t in enumerate(arrivals.spawn_times):
+                self.queue.push(t, EventKind.VEHICLE_SPAWN, (arrivals, j),
+                                seq=2 + arrivals.id_start + j)
+
+
+def _run_recording(sim, after_pop=None):
+    """Run ``sim``; its popped (time, seq, kind) keys and its CSV bytes."""
+    keys = []
+    pop = sim.queue.pop
+
+    def recording_pop():
+        event = pop()
+        keys.append(event[:3])
+        if after_pop is not None:
+            after_pop(sim)
+        return event
+
+    sim.queue.pop = recording_pop
+    summary = sim.run()
+    with tempfile.TemporaryDirectory() as tmp:
+        records, summaries = Path(tmp, "records.csv"), Path(tmp, "summary.csv")
+        metrics.export_records(summary, str(records))
+        metrics.export_summaries([summary], str(summaries))
+        return keys, records.read_bytes(), summaries.read_bytes()
+
+
+@st.composite
+def tie_heavy_configs(draw):
+    """Short runs full of same-millisecond events: a fixed tau whose half is a
+    multiple of the timer unit, timers that are multiples of one another,
+    spawns 1 ms apart at the higher flows, and a warmup."""
+    unit = draw(st.sampled_from([50, 100]))
+    tau = draw(st.sampled_from([8, 100, 200]))
+    road = draw(st.sampled_from([300.0, 600.0]))
+    duration = draw(st.integers(2_000, 9_000))
+    return short_cfg(
+        flow_rate=draw(st.sampled_from([10.0, 120.0, 400.0])), road_length=road,
+        mean_speed=draw(st.sampled_from([30.0, 60.0])),
+        d_t=draw(st.sampled_from([-0.25 * road, 0.0, 0.4 * road])),
+        b_ack=draw(st.sampled_from([1, 4, 16])),
+        t_sum=unit * draw(st.integers(1, 6)), t_ack=unit * draw(st.integers(1, 4)),
+        sam_period=unit * draw(st.integers(1, 8)), bsm_period=unit * draw(st.integers(1, 10)),
+        tau_low=tau, tau_high=tau, sim_duration=duration,
+        warmup=draw(st.integers(1, duration // 2)), rng_seed=draw(st.integers(0, 2**32)))
+
+
+@settings(derandomize=True, max_examples=25, deadline=None, database=None)
+@given(tie_heavy_configs())
+def test_one_pending_spawn_per_direction_keeps_the_eager_order_and_bytes(cfg):
+    """Each spawn keeps its seq, so each event keeps its (time, seq) key, and
+    the minimum of the lazy heap is the minimum of the eager one: it is either
+    a non-spawn event or the earliest unfired spawn of its direction."""
+    lazy, eager = engine._Simulation(cfg), _EagerSpawns(cfg)
+    arrivals = sum(map(len, lazy.by_direction.values()))
+    assert lazy.queue._next_seq == eager.queue._next_seq == 2 + arrivals
+    got, want = _run_recording(lazy), _run_recording(eager)
+    assert got[0] == want[0]   # the popped keys, in order
+    assert got[1:] == want[1:]   # records.csv and summary.csv bytes
+    assert sum(kind is EventKind.VEHICLE_SPAWN for _, _, kind in got[0]) > 0
+
+
+def test_at_most_one_spawn_per_direction_is_pending():
+    cfg = short_cfg(flow_rate=20.0, sim_duration=20_000)
+    sim = engine._Simulation(cfg)
+    east = len(sim.by_direction[Direction.EAST])
+    assert east and len(sim.by_direction[Direction.WEST])
+    pending_counts = []
+
+    def check(sim):
+        # Spawn seqs run 2.. in id order, east before west.
+        pending = Counter(e.seq < 2 + east for e in sim.queue._heap
+                          if e.kind is EventKind.VEHICLE_SPAWN)
+        pending_counts.append(max(pending.values(), default=0))
+
+    check(sim)
+    keys, _, _ = _run_recording(sim, after_pop=check)
+    assert max(pending_counts) == 1 and len(pending_counts) == len(keys) + 1
 
 
 def test_completion_fraction_regression():

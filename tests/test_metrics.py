@@ -147,6 +147,18 @@ def test_sweep_summary_one_row_per_cell(tmp_path):
     assert len(set(keys)) == 9
 
 
+def test_summary_keys_print_apart_and_read_back(tmp_path):
+    """A key prints in .6g when that reads back as the same float, else in repr."""
+    keys = [(1000000.0, 10.0), (1000000.5, 10.0), (1000000.0, 10.000001),
+            (-100.0, 1e-05), (1e17 + 32, 30.0)]
+    path = tmp_path / "cells.csv"
+    export_summaries([summary([], d_t=d, flow_rate=f) for d, f in keys], str(path))
+    printed = [tuple(line.split(",")[:2]) for line in path.read_text().splitlines()[1:]]
+    assert printed == [("1e+06", "10"), ("1000000.5", "10"), ("1e+06", "10.000001"),
+                       ("-100", "1e-05"), ("1.0000000000000003e+17", "30")]
+    assert [(float(d), float(f)) for d, f in printed] == keys
+
+
 def test_exports_byte_identical_across_reruns(tmp_path):
     cfg = dataclasses.replace(ScenarioConfig(), sim_duration=40_000, warmup=0,
                               flow_rate=5.0, rng_seed=13, bsm_period=500)
