@@ -31,6 +31,7 @@ from . import channel as chan
 # ``per`` is not called here: perfbench/tracer.py wraps ``analytic.per``.
 from .channel import PerCurve, per  # noqa: F401
 from .core import ScenarioConfig, SignedMeters
+from .mobility import Direction, lane_y
 
 # Auto mode stops once the residual never-succeeded mass is below this.
 _TAIL_EPS = 1e-9
@@ -164,15 +165,15 @@ def bsm_per(cfg: ScenarioConfig) -> float:
     A probe's sender and receiver are two independent uniform in-stretch
     vehicles: uniform along the road, so the longitudinal gap r has density
     2(L - r)/L^2 on [0, L] with L = ``road_length``, and over the
-    ``lane_count`` lanes at y = +-(lane + 0.5) * ``lane_width``, so the
-    lateral gap ranges over the ``lane_count**2`` lane pairs, equally
-    weighted. The PER at their distance is ``per_many`` at ``flow_rate``;
-    the integral over r is a trapezoid on nodes at most 0.5 m apart. The
-    model has no d_t, and no protocol message loads the curve.
+    ``lane_count`` lanes (``mobility.lane_y``), so the lateral gap ranges
+    over the ``lane_count**2`` lane pairs, equally weighted. The PER at
+    their distance is ``per_many`` at ``flow_rate``; the integral over r is
+    a trapezoid on nodes at most 0.5 m apart. The model has no d_t, and no
+    protocol message loads the curve.
     """
     length = cfg.road_length
-    half = (np.arange(cfg.lane_count // 2) + 0.5) * cfg.lane_width
-    lanes_y = np.concatenate((half, -half))
+    lanes = np.arange(cfg.lane_count // 2)
+    lanes_y = np.concatenate([lane_y(d, lanes, cfg.lane_width) for d in Direction])
     dy, pairs = np.unique(np.abs(lanes_y[:, None] - lanes_y), return_counts=True)
     r = np.linspace(0.0, length, math.ceil(length / _BSM_GAP_STEP) + 1)
     per_at = chan.per_many(cfg.channel(), np.hypot(r, dy[:, None]), cfg.flow_rate)

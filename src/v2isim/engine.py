@@ -10,10 +10,12 @@ Besides its records, a run holds the vehicles between spawn and despawn and
 16 B per arrival. The arrivals are drawn at init into two arrays per
 direction (``mob.Arrivals``: spawn times and lateral offsets), and one
 ``VEHICLE_SPAWN`` per direction is pending: a spawn builds its vehicle's
-``VehicleKinematics`` and queues its direction's next spawn. Every spawn
-keeps the seq that pushing all of them at init would give it
-(``EventQueue.reserve``): east 2..E+1, west E+2..N+1, and every other event
-numbers from N+2. So the pop order is the eager schedule's:
+``VehicleKinematics`` and queues its ``TRIGGER_CROSS`` at spawn plus
+``mob.trigger_offset_ms(cfg)`` (one offset for every vehicle, derived at
+init), its despawn and its direction's next spawn. Every spawn keeps the seq
+that pushing all of them at init would give it (``EventQueue.reserve``):
+east 2..E+1, west E+2..N+1, and every other event numbers from N+2. So the
+pop order is the eager schedule's:
 
 1. every event keeps its ``(time, seq)`` key;
 2. a direction's spawn keys rise with its arrival index, so its earliest
@@ -185,8 +187,9 @@ def bsm_counters(cfg: ScenarioConfig, curve: chan.PerCurve,
     the run's ``per_table``; no reception is drawn. Probes come from the
     seed's BSM stream, whose first draw is at the first tick; the stream and
     the table are not built when there is no tick. Spawn times and lateral
-    offsets come from each direction's ``mob.Arrivals`` arrays; no vehicle
-    object is built.
+    offsets come from each direction's ``mob.Arrivals`` arrays, and each
+    tick's window bounds from int64 arrays; no vehicle object or per-tick
+    list is built.
     """
     first = max(1, -(-cfg.warmup // cfg.bsm_period)) * cfg.bsm_period   # exact integer ceil
     if first >= cfg.sim_duration:
@@ -200,14 +203,14 @@ def bsm_counters(cfg: ScenarioConfig, curve: chan.PerCurve,
         lateral = 1j * np.array(arrivals.ys, dtype=float)
         lo, hi = mob.stretch_window(spawns, ticks, transit)
         counts += hi - lo
-        sides.append((direction, spawns, lateral, lo.tolist(), hi.tolist()))
+        sides.append((direction, spawns, lateral, lo, hi))
     heard = counts >= 2
     expected = int(counts[heard].sum())
     rng = np.random.default_rng(np.random.SeedSequence(cfg.rng_seed).spawn(1)[0])
     table = chan.per_table(curve, cfg.flow_rate)
     senders = np.arange(int(counts.max()))
     per_sum = 0.0
-    for i in np.flatnonzero(heard).tolist():
+    for i in np.flatnonzero(heard):
         t = int(ticks[i])
         # Positions as complex x + iy: one take per tick gathers both axes.
         z = np.concatenate([
@@ -261,10 +264,7 @@ class _Simulation:
         east = mob.generate_arrivals(cfg, mob.Direction.EAST, self.rng, id_start=0)
         west = mob.generate_arrivals(cfg, mob.Direction.WEST, self.rng, id_start=len(east))
         self.by_direction = {mob.Direction.EAST: east, mob.Direction.WEST: west}
-        # Both directions spawn road_length/2 upstream of the RSU at one speed, so
-        # every vehicle reaches the trigger line the same time after spawning.
-        for v in (east or west)[:1]:   # no vehicle, no trigger
-            self.trigger_after = mob.trigger_crossing_time(v, cfg.d_t) - v.spawn_time
+        self.trigger_after = mob.trigger_offset_ms(cfg)
 
         self.queue.push(self.rsu.next_sam_time, EventKind.SAM_TIMER)
         self.queue.push(cfg.sim_duration, EventKind.SIM_END)

@@ -3,8 +3,9 @@
 The stretch is centered at x = 0: eastbound traffic enters at -road_length/2
 travelling toward +x, westbound enters at +road_length/2 travelling toward
 -x. Lateral lane offsets keep the two directions on opposite sides of the
-median. The RSU stands at the origin, so both directions start road_length/2
-upstream of it and reach the trigger line the same time after spawning.
+median (``lane_y``, the one lane rule). The RSU stands at the origin, so both
+directions start road_length/2 upstream of it and reach the trigger line the
+same time after spawning: one offset per config (``trigger_offset_ms``).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import uniform_int
-from .core import RSU_POSITION, ScenarioConfig, SignedMeters, TimeMs, ceil_ms
+from .core import ScenarioConfig, TimeMs, ceil_ms
 
 
 class MobilityError(ValueError):
@@ -51,6 +52,19 @@ def entry_x(direction: Direction, road_length: float) -> float:
     return -direction.sign * road_length / 2.0
 
 
+def lane_y(direction: Direction, lane: int | np.ndarray,
+           lane_width: float) -> float | np.ndarray:
+    """Lateral offset of a lane (an int or an int array): lane 0 borders the
+    median, eastbound lanes lie on +y and westbound on -y."""
+    return direction.sign * (lane + 0.5) * lane_width
+
+
+def trigger_offset_ms(cfg: ScenarioConfig) -> TimeMs:
+    """Spawn-to-trigger time of every vehicle, rounded up to whole ms: each spawns
+    road_length/2 upstream of the RSU, and ``validate_config`` keeps |d_t| below that."""
+    return ceil_ms((cfg.road_length / 2.0 - cfg.d_t) / cfg.mean_speed * 1000.0)
+
+
 # One native int64 spawn time (ms) or float64 lateral offset (m), packed.
 _PACK_TIME, _PACK_Y = struct.Struct("q").pack, struct.Struct("d").pack
 
@@ -80,10 +94,8 @@ class Arrivals(Sequence):
     def __len__(self) -> int:
         return len(self.spawn_times)
 
-    def __getitem__(self, index):
-        picked = range(len(self.spawn_times))[index]   # an int, or a range for a slice
-        if isinstance(picked, range):
-            return tuple(map(self.__getitem__, picked))
+    def __getitem__(self, index: int) -> VehicleKinematics:
+        picked = range(len(self.spawn_times))[index]   # wraps negatives; IndexError past the end
         # Fields in order (id, direction, spawn_time, spawn_x, y, speed).
         return tuple.__new__(VehicleKinematics, (
             self.id_start + picked, self.direction, self.spawn_times[picked],
@@ -110,8 +122,7 @@ def generate_arrivals(cfg: ScenarioConfig, direction: Direction,
     rate = cfg.flow_rate / 2.0
     if rate <= 0:
         raise MobilityError(f"arrival rate must be > 0 (got {rate})")
-    lanes = cfg.lane_count // 2
-    sign, width = direction.sign, cfg.lane_width
+    lanes_y = lane_y(direction, np.arange(cfg.lane_count // 2), cfg.lane_width).tolist()
     times, ys = bytearray(), bytearray()
     t_s = 0.0
     prev_ms = 0
@@ -123,10 +134,9 @@ def generate_arrivals(cfg: ScenarioConfig, direction: Direction,
         t_ms = max(ceil_ms(t_s * 1000.0), prev_ms + 1)
         if t_ms > cfg.sim_duration:
             break
-        lane = uniform_int(rng, 0, lanes - 1)
+        lane = uniform_int(rng, 0, len(lanes_y) - 1)
         times += _PACK_TIME(t_ms)
-        # Eastbound lanes on +y, westbound on -y; lane 0 borders the median.
-        ys += _PACK_Y(sign * (lane + 0.5) * width)
+        ys += _PACK_Y(lanes_y[lane])
         prev_ms = t_ms
     return Arrivals(direction, id_start, entry_x(direction, cfg.road_length), cfg.mean_speed,
                     times, ys)
@@ -142,22 +152,6 @@ def position_at(v: VehicleKinematics, t: TimeMs) -> tuple[float, float]:
     velocity = v.speed if v.direction is _EAST else -v.speed   # sign * speed, exactly
     x = v.spawn_x + velocity * (t - v.spawn_time) / 1000.0
     return (x, v.y)
-
-
-def trigger_crossing_time(v: VehicleKinematics, d_t: SignedMeters) -> TimeMs:
-    """Unique instant at which the signed distance to the RSU equals d_t.
-
-    Rounded up to the next whole millisecond. The trigger line must lie
-    downstream of the spawn point, which holds whenever |d_t| is inside the
-    stretch and vehicles spawn at the entry edge.
-    """
-    start = (RSU_POSITION[0] - v.spawn_x) * v.direction.sign
-    meters_to_go = start - d_t
-    if meters_to_go < 0:
-        raise MobilityError(
-            f"trigger d_t={d_t} lies behind vehicle {v.vehicle_id}'s spawn point"
-        )
-    return v.spawn_time + ceil_ms(meters_to_go / v.speed * 1000.0)
 
 
 def transit_ms(road_length: float, speed: float) -> TimeMs:

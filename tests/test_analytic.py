@@ -327,3 +327,13 @@ def test_bsm_model_of_a_constant_per_is_that_constant(tmp_path, road_length):
     exact on the linear gap density."""
     cfg = ScenarioConfig(per_curve=write_constant_curve(tmp_path, 0.3), road_length=road_length)
     assert bsm_per(cfg) == pytest.approx(0.3, rel=1e-12)
+
+
+@pytest.mark.parametrize("flow, pinned", [
+    (10.0, "0x1.8bc1ca6429f78p-2"), (20.0, "0x1.e0825d67cb975p-2"),
+    (30.0, "0x1.1aaa64e514177p-1"),
+])
+def test_bsm_model_is_pinned_bit_for_bit(flow, pinned):
+    """The default config's closed form, bit for bit: its lanes come from
+    ``mobility.lane_y``, the rule the engine's arrivals are drawn by."""
+    assert bsm_per(ScenarioConfig(flow_rate=flow)).hex() == pinned

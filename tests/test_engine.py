@@ -27,7 +27,7 @@ from v2isim.engine import (
 )
 from v2isim.metrics import CompletionRecord, OUTCOME_COMPLETE, OUTCOME_DESPAWN, OUTCOME_SIMEND
 from v2isim.mobility import (
-    Direction, entry_x, generate_arrivals, position_at, transit_ms,
+    Direction, entry_x, generate_arrivals, position_at, transit_ms, trigger_offset_ms,
 )
 
 
@@ -379,6 +379,38 @@ def test_vehicle_state_lives_from_spawn_to_despawn(tmp_path):
     assert in_stretch and set(sim.obu) == set(sim.active) == in_stretch
     assert set(sim.sum_tx_count) == {r.vehicle_id for r in summary.records
                                      if r.outcome == OUTCOME_SIMEND}
+
+
+@pytest.mark.parametrize("d_t", [300.0, 0.0, -100.0, 1499.5, -1499.5])
+def test_trigger_fires_at_spawn_plus_the_offset_as_the_line_is_reached(d_t):
+    """Every TRIGGER_CROSS, in both directions, fires at its vehicle's spawn
+    plus the one offset: the first whole ms at which the vehicle has reached d_t."""
+    cfg = short_cfg(d_t=d_t, flow_rate=4.0, sim_duration=120_000, bsm_period=120_000)
+    sim = engine._Simulation(cfg)
+    vehicles = {v.vehicle_id: v for arrivals in sim.by_direction.values() for v in arrivals}
+    offset = trigger_offset_ms(cfg)
+    triggers = []
+    pop = sim.queue.pop
+
+    def recording_pop():
+        event = pop()
+        if event.kind is EventKind.TRIGGER_CROSS:
+            triggers.append(event)
+        return event
+
+    sim.queue.pop = recording_pop
+    sim.run()
+    assert {vid for _, _, _, vid in triggers} == {
+        vid for vid, v in vehicles.items() if v.spawn_time + offset < cfg.sim_duration}
+    directions = Counter()
+    for t, _, _, vid in triggers:
+        v = vehicles[vid]
+        directions[v.direction] += 1
+        assert t == v.spawn_time + offset
+        # Signed distance to the RSU at the origin, less d_t, to 1e-9 m.
+        to_go = [-position_at(v, at)[0] * v.direction.sign - d_t for at in (t, t - 1)]
+        assert to_go[0] <= 1e-9 < to_go[1], (vid, to_go)
+    assert set(directions) == set(Direction)
 
 
 # -- one pending spawn per direction ---------------------------------------

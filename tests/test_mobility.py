@@ -8,11 +8,10 @@ import math
 import numpy as np
 import pytest
 
-from v2isim.core import ScenarioConfig, ceil_ms
+from v2isim.core import ScenarioConfig
 from v2isim.mobility import (
     Direction, MobilityError, VehicleKinematics,
-    generate_arrivals, position_at, stretch_window, transit_ms,
-    trigger_crossing_time,
+    generate_arrivals, position_at, stretch_window, transit_ms, trigger_offset_ms,
 )
 
 CFG = ScenarioConfig()
@@ -69,7 +68,9 @@ def test_spawn_times_strictly_increasing_and_lanes_in_range():
 def test_westbound_spawns_opposite_edge_and_side():
     rng = np.random.default_rng(78)
     arrivals = generate_arrivals(_arrival_cfg(10.0, 10_000), Direction.WEST, rng)
-    assert arrivals and all(v.spawn_x == 1500.0 and v.y < 0 for v in arrivals)
+    assert arrivals and all(v.spawn_x == 1500.0 for v in arrivals)
+    lane_centres = {-(lane + 0.5) * CFG.lane_width for lane in range(CFG.lane_count // 2)}
+    assert {v.y for v in arrivals} == lane_centres
 
 
 def test_position_identity_at_spawn():
@@ -91,19 +92,13 @@ def test_query_before_spawn_is_error():
         position_at(_east_vehicle(spawn_time=500), 499)
 
 
-def test_trigger_crossing_examples():
-    v = _east_vehicle()
-    assert trigger_crossing_time(v, 300.0) == 40_000
-    assert trigger_crossing_time(v, 0.0) == 50_000
-    assert trigger_crossing_time(v, -100.0) == 53_334  # ceil(1600/30*1000)
-
-
-@pytest.mark.parametrize("d_t", [300.0, 0.0, -100.0, 1499.5, -1499.5])
-def test_one_trigger_offset_for_both_directions(d_t):
-    """The RSU is mid-stretch: both directions spawn road_length/2 upstream of it."""
-    offsets = {trigger_crossing_time(v, d_t) - v.spawn_time
-               for v in (_east_vehicle(spawn_time=700), _west_vehicle(spawn_time=1234))}
-    assert offsets == {ceil_ms((1500.0 - d_t) / 30.0 * 1000.0)}
+@pytest.mark.parametrize("d_t, offset", [
+    (300.0, 40_000), (0.0, 50_000), (-100.0, 53_334),   # ceil(1600/30*1000)
+    (1499.5, 17), (-1499.5, 99_984),
+])
+def test_trigger_offset_examples(d_t, offset):
+    """The RSU is mid-stretch: both directions spawn 1,500 m upstream of it at 30 m/s."""
+    assert trigger_offset_ms(dataclasses.replace(CFG, d_t=d_t)) == offset
 
 
 def test_trigger_mirrored_for_opposing_direction():
