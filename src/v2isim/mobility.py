@@ -122,7 +122,7 @@ def generate_arrivals(cfg: ScenarioConfig, direction: Direction,
     rate = cfg.flow_rate / 2.0
     if rate <= 0:
         raise MobilityError(f"arrival rate must be > 0 (got {rate})")
-    lanes_y = lane_y(direction, np.arange(cfg.lane_count // 2), cfg.lane_width).tolist()
+    lanes = cfg.lane_count // 2
     times, ys = bytearray(), bytearray()
     t_s = 0.0
     prev_ms = 0
@@ -134,9 +134,9 @@ def generate_arrivals(cfg: ScenarioConfig, direction: Direction,
         t_ms = max(ceil_ms(t_s * 1000.0), prev_ms + 1)
         if t_ms > cfg.sim_duration:
             break
-        lane = uniform_int(rng, 0, len(lanes_y) - 1)
+        lane = uniform_int(rng, 0, lanes - 1)
         times += _PACK_TIME(t_ms)
-        ys += _PACK_Y(lanes_y[lane])
+        ys += _PACK_Y(lane_y(direction, lane, cfg.lane_width))
         prev_ms = t_ms
     return Arrivals(direction, id_start, entry_x(direction, cfg.road_length), cfg.mean_speed,
                     times, ys)

@@ -73,6 +73,18 @@ def test_westbound_spawns_opposite_edge_and_side():
     assert {v.y for v in arrivals} == lane_centres
 
 
+@pytest.mark.parametrize("direction", list(Direction))
+def test_lane_offsets_at_the_widest_valid_lane_count(direction):
+    # 2**31 lanes a direction: each draw places its own lane, no per-lane table.
+    cfg = dataclasses.replace(_arrival_cfg(10.0, 2_000), lane_count=2**32)
+    arrivals = generate_arrivals(cfg, direction, np.random.default_rng(5))
+    assert len(arrivals) > 5
+    for v in arrivals:
+        lane = direction.sign * v.y / cfg.lane_width - 0.5
+        assert lane == int(lane) and 0 <= lane < 2**31
+        assert v.y == direction.sign * (int(lane) + 0.5) * cfg.lane_width
+
+
 def test_position_identity_at_spawn():
     v = _east_vehicle(spawn_time=1234)
     assert position_at(v, 1234) == (v.spawn_x, v.y)
