@@ -9,12 +9,15 @@ makes the first-success index a product-form distribution over the
 distance-dependent success probabilities.
 
 One numpy kernel evaluates the pmf for a list of trigger distances, in
-blocks of _ROW_BLOCK distances by _COL_BLOCK attempts; a distance leaves its
-block of rows once its stop rule fires, so memory stays flat. Reductions run
-along a row in attempt order, continued from the previous column block: a
-``cumprod`` for the never-succeeded mass, ``cumsum``s for the mass and mean.
-That is the scalar recurrence and Python's left-to-right ``sum`` bit for
-bit; ``np.sum`` adds pairwise and would move last digits.
+blocks of _COL_BLOCK attempts (axis 0) by _ROW_BLOCK distances (axis 1); a
+distance leaves its block once its stop rule fires, so memory stays flat.
+Each block's passes write in place into one stacked buffer: the
+never-succeeded mass, the pmf and the mean's numerator, each under a first
+row carried from the previous block. Reductions run down each column in
+attempt order: a ``cumprod`` for the never-succeeded mass, one ``cumsum``
+for the mass and numerator. That is the scalar recurrence and Python's
+left-to-right ``sum`` bit for bit; ``np.sum`` adds pairwise and would move
+last digits.
 
 ``bsm_per`` is the steady-state mean of the engine's post-warmup BSM pass,
 a quadrature over the gap between a probe's sender and receiver.
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,16 +35,17 @@ from . import channel as chan
 # ``per`` is not called here: perfbench/tracer.py wraps ``analytic.per``.
 from .channel import PerCurve, per  # noqa: F401
 from .core import ScenarioConfig, SignedMeters
-from .mobility import Direction, lane_y
 
 # Auto mode stops once the residual never-succeeded mass is below this.
 _TAIL_EPS = 1e-9
 _HARD_CAP = 100_000
-# Kernel block: trigger distances x attempts, 8,192 cells per temporary.
+# Kernel block: trigger distances x attempts, 8,192 cells per pass.
 _ROW_BLOCK = 256
 _COL_BLOCK = 32
-# Node spacing (m) of the BSM model's quadrature over the longitudinal gap.
+# Node spacing (m) of the BSM model's quadrature over the longitudinal gap,
+# and the most gap-by-node PER cells it evaluates at once (1 MiB of float64).
 _BSM_GAP_STEP = 0.5
+_BSM_BLOCK_CELLS = 2 ** 17
 
 
 @dataclass(frozen=True)
@@ -84,33 +89,43 @@ def _first_success(params: AnalyticParams, d_ts: list[SignedMeters], keep_pmf: b
     """
     auto = params.n_max is None
     terms = _HARD_CAP + 1 if auto else params.n_max + 1
+    knot = params.curve.max_knot_distance
     d_all = np.asarray(d_ts, dtype=float)
     mass, num = np.zeros(len(d_all)), np.zeros(len(d_all))
     pieces: list[list[np.ndarray]] = [[] for _ in d_all] if keep_pmf else []
     for r0 in range(0, len(d_all), _ROW_BLOCK):
-        rows = np.arange(r0, min(r0 + _ROW_BLOCK, len(d_all)))   # rows still open
-        fail, n0 = np.ones(len(rows)), 0   # never-succeeded mass carried between blocks
-        while len(rows) and n0 < terms:
-            n = np.arange(n0, min(n0 + _COL_BLOCK, terms))
-            d_req, d_ack = attempt_distances(replace(params, d_t=d_all[rows, None]), n)
-            ok = 1.0 - chan.per_many(params.curve, np.concatenate((d_req.ravel(), d_ack.ravel())),
-                                     params.density)
-            a = (ok[:d_req.size] * ok[d_req.size:]).reshape(d_req.shape)
-            # fails[:, j]: mass not yet served before column j, then after the last.
-            fails = np.cumprod(np.column_stack((fail, 1.0 - a)), axis=1)
-            pmf = a * fails[:, :-1]
-            # A receding row with zero success beyond the calibrated range
-            # repeats that attempt forever, so its pmf is complete.
-            stop = auto & ((fails[:, 1:] < _TAIL_EPS) | ((a == 0.0) & (d_req < 0) & (
-                np.minimum(np.abs(d_req), np.abs(d_ack)) >= params.curve.max_knot_distance)))
-            going = ~stop.any(axis=1)
-            last = np.where(going, len(n) - 1, stop.argmax(axis=1))
-            pick = (np.arange(len(rows)), last + 1)
-            mass[rows] = np.cumsum(np.column_stack((mass[rows], pmf)), axis=1)[pick]
-            num[rows] = np.cumsum(np.column_stack((num[rows], (n + 1) * pmf)), axis=1)[pick]
-            for i, r in enumerate(rows if keep_pmf else ()):
-                pieces[r].append(pmf[i, :last[i] + 1])
-            rows, fail, n0 = rows[going], fails[going, -1], n[-1] + 1
+        live = np.arange(r0, min(r0 + _ROW_BLOCK, len(d_all)))   # distances still open
+        fail, n0 = np.ones(len(live)), 0   # never-succeeded mass carried between blocks
+        while len(live) and n0 < terms:
+            n = np.arange(n0, min(n0 + _COL_BLOCK, terms), dtype=float)[:, None]   # exact floats
+            d_req, d_ack = attempt_distances(replace(params, d_t=d_all[live]), n)
+            ok = chan.per_many(params.curve, np.concatenate((d_req, d_ack), axis=None),
+                               params.density)
+            ok = np.subtract(1.0, ok, out=ok).reshape(2, *d_req.shape)
+            a = np.multiply(ok[0], ok[1], out=ok[0])
+            # acc[0]: the never-succeeded mass before each attempt, then after
+            # the last; acc[1], acc[2]: the pmf and (n + 1) * pmf, under the
+            # mass and numerator summed so far.
+            acc = np.empty((3, len(n) + 1, len(live)))
+            acc[:, 0] = fail, mass[live], num[live]
+            np.subtract(1.0, a, out=acc[0, 1:])
+            np.cumprod(acc[0], axis=0, out=acc[0])
+            pmf = np.multiply(a, acc[0, :-1], out=acc[1, 1:])
+            np.multiply(n + 1.0, pmf, out=acc[2, 1:])
+            # A receding distance with zero success beyond the calibrated range
+            # repeats that attempt forever, so its pmf is complete; only cells
+            # with a == 0.0 can meet that rule. A fixed n_max stops nothing.
+            stop = acc[0, 1:] < _TAIL_EPS
+            zero = np.flatnonzero(a == 0.0)
+            dq, dk = d_req.take(zero), d_ack.take(zero)
+            stop.flat[zero] |= (dq < 0) & (np.minimum(np.abs(dq), np.abs(dk)) >= knot)
+            going = ~stop.any(axis=0) | (not auto)
+            last = np.where(going, len(n) - 1, stop.argmax(axis=0))
+            for i, r in enumerate(live if keep_pmf else ()):
+                pieces[r].append(pmf[:last[i] + 1, i].copy())
+            np.cumsum(acc[1:], axis=1, out=acc[1:])
+            mass[live], num[live] = acc[1:, last + 1, np.arange(len(live))]
+            live, fail, n0 = live[going], acc[0, -1, going], n0 + len(n)
     masses = mass.tolist()
     means = [w / m if m > 0.0 else None for w, m in zip(num.tolist(), masses)]
     return means, masses, [np.concatenate(p).tolist() if p else [] for p in pieces]
@@ -137,8 +152,9 @@ def mean_attempts(params: AnalyticParams) -> float | None:
     return _first_success(params, [params.d_t])[0][0]
 
 
-@dataclass(frozen=True)
-class SweepPoint:
+class SweepPoint(NamedTuple):
+    """One point of a trigger sweep: a read-only tuple whose repr names its fields."""
+
     d_t: SignedMeters
     mean_attempts: float | None
     success_mass: float
@@ -154,8 +170,7 @@ def sweep_trigger(params: AnalyticParams,
     if not d_range:
         raise ValueError("d_range must be non-empty")
     means, masses, _ = _first_success(params, d_range)
-    return [SweepPoint(d_t=d, mean_attempts=mean, success_mass=mass)
-            for d, mean, mass in zip(d_range, means, masses)]
+    return list(map(SweepPoint._make, zip(d_range, means, masses)))
 
 
 def bsm_per(cfg: ScenarioConfig) -> float:
@@ -165,17 +180,31 @@ def bsm_per(cfg: ScenarioConfig) -> float:
     A probe's sender and receiver are two independent uniform in-stretch
     vehicles: uniform along the road, so the longitudinal gap r has density
     2(L - r)/L^2 on [0, L] with L = ``road_length``, and over the
-    ``lane_count`` lanes (``mobility.lane_y``), so the lateral gap ranges
-    over the ``lane_count**2`` lane pairs, equally weighted. The PER at
-    their distance is ``per_many`` at ``flow_rate``; the integral over r is
-    a trapezoid on nodes at most 0.5 m apart. The model has no d_t, and no
-    protocol message loads the curve.
+    ``lane_count`` = 2m lanes (``mobility.lane_y``), so their lateral gap is
+    k * ``lane_width`` for one of the (2m)^2 ordered lane pairs, equally
+    weighted. Of those pairs, 2m share a lane (k = 0), 4(m - k) are k apart
+    in one direction and 2 min(k, 2m - k) are k apart across the median. The
+    PER at their distance is ``per_many`` at ``flow_rate``; the integral over
+    r is a trapezoid on nodes at most 0.5 m apart. Gaps at or past the last
+    knot see the clamped PER at every node, so they share one term; the
+    others are evaluated in blocks of at most _BSM_BLOCK_CELLS, so memory
+    does not grow with the lane count. The model has no d_t, and no protocol
+    message loads the curve.
     """
-    length = cfg.road_length
-    lanes = np.arange(cfg.lane_count // 2)
-    lanes_y = np.concatenate([lane_y(d, lanes, cfg.lane_width) for d in Direction])
-    dy, pairs = np.unique(np.abs(lanes_y[:, None] - lanes_y), return_counts=True)
+    length, width, m = cfg.road_length, cfg.lane_width, cfg.lane_count // 2
+    curve, pairs_total = cfg.channel(), (2 * m) ** 2
+    knot = curve.max_knot_distance
     r = np.linspace(0.0, length, math.ceil(length / _BSM_GAP_STEP) + 1)
-    per_at = chan.per_many(cfg.channel(), np.hypot(r, dy[:, None]), cfg.flow_rate)
-    f = (pairs / pairs.sum()) @ per_at * (2.0 * (length - r) / length ** 2)
+    near = math.ceil(min(knot / width, 2 * m))   # gaps k * width below the last knot
+    block = max(1, _BSM_BLOCK_CELLS // len(r))
+    f, far = np.zeros(len(r)), pairs_total
+    for k0 in range(0, near, block):
+        k = np.arange(k0, min(k0 + block, near))
+        pairs = np.where(k == 0, 2 * m, 4 * np.maximum(m - k, 0)) + 2 * np.minimum(k, 2 * m - k)
+        # A float total: (2m)^2 reaches 2**64, past int64.
+        f += pairs / float(pairs_total) @ chan.per_many(curve, np.hypot(r, k[:, None] * width),
+                                                         cfg.flow_rate)
+        far -= int(pairs.sum())
+    f += far / pairs_total * chan.per_many(curve, np.array([knot]), cfg.flow_rate)
+    f *= 2.0 * (length - r) / length ** 2
     return float((f.sum() - (f[0] + f[-1]) / 2.0) * (r[1] - r[0]))

@@ -12,18 +12,22 @@ replaced; the kernel must reproduce it bit for bit.
 
 from __future__ import annotations
 
+import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
+from v2isim import channel as chan
 from v2isim.analytic import (
-    AnalyticParams, attempt_distances, bsm_per, first_success_pmf, mean_attempts,
+    AnalyticParams, SweepPoint, attempt_distances, bsm_per, first_success_pmf, mean_attempts,
     params_from_config, sweep_trigger,
 )
 from v2isim.channel import PerCurve, constant_per_curve, default_calibration, per
 from v2isim.core import ScenarioConfig
+from v2isim.mobility import Direction, lane_y
 
 from conftest import write_constant_curve
 
@@ -209,6 +213,18 @@ def test_auto_cutoff_leaves_negligible_tail():
     assert sum(pmf) > 1.0 - 1e-6
 
 
+def test_sweep_point_keeps_its_contract():
+    """The repr is what perfbench's model_check digest hashes, so it must not
+    move; the fields keep their order and cannot be reassigned."""
+    assert SweepPoint._fields == ("d_t", "mean_attempts", "success_mass")
+    point = SweepPoint(-300.0, 1.25, 0.5)
+    assert repr(point) == "SweepPoint(d_t=-300.0, mean_attempts=1.25, success_mass=0.5)"
+    assert repr(sweep_trigger(make_params(curve=constant_per_curve(1.0), n_max=3), [0.0])) \
+        == "[SweepPoint(d_t=0.0, mean_attempts=None, success_mass=0.0)]"
+    with pytest.raises(AttributeError):
+        point.d_t = 0.0
+
+
 # -- the array kernel against the scalar recurrence ---------------------------
 
 
@@ -277,11 +293,12 @@ def kernel_cases(draw) -> tuple[AnalyticParams, list[float]]:
         tau_s=draw(st.floats(0.008, 0.2)),
         curve=curve,
         density=draw(st.one_of(st.sampled_from(curve.levels), st.floats(1.0, 50.0))),
-        n_max=draw(st.one_of(st.none(), st.integers(0, 300))),
+        n_max=draw(st.one_of(st.none(), st.sampled_from([31, 32, 33]), st.integers(0, 300))),
     )
-    # 257 and 300 distances take two row blocks of 256; pmfs longer than 32
-    # terms cross column blocks.
-    size = draw(st.one_of(st.integers(1, 20), st.sampled_from([257, 300])))
+    # 255 to 512 distances fill or cross row blocks of 256, and n_max 31 to
+    # 33 ends a pmf at, or one term past, a column block of 32; longer pmfs
+    # cross column blocks. So stops land on block edges too.
+    size = draw(st.one_of(st.integers(1, 20), st.sampled_from([255, 256, 257, 300, 512])))
     return params, draw(st.lists(st.floats(-1000.0, 1000.0), min_size=size, max_size=size))
 
 
@@ -337,3 +354,42 @@ def test_bsm_model_is_pinned_bit_for_bit(flow, pinned):
     """The default config's closed form, bit for bit: its lanes come from
     ``mobility.lane_y``, the rule the engine's arrivals are drawn by."""
     assert bsm_per(ScenarioConfig(flow_rate=flow)).hex() == pinned
+
+
+def pair_matrix_bsm_per(cfg: ScenarioConfig) -> float:
+    """The closed form over every ordered lane pair, with its lane offsets from
+    ``mobility.lane_y``: memory grows with lane_count**2."""
+    length = cfg.road_length
+    lanes = np.arange(cfg.lane_count // 2)
+    lanes_y = np.concatenate([lane_y(d, lanes, cfg.lane_width) for d in Direction])
+    dy, pairs = np.unique(np.abs(lanes_y[:, None] - lanes_y), return_counts=True)
+    r = np.linspace(0.0, length, math.ceil(length / 0.5) + 1)
+    per_at = chan.per_many(cfg.channel(), np.hypot(r, dy[:, None]), cfg.flow_rate)
+    f = (pairs / pairs.sum()) @ per_at * (2.0 * (length - r) / length ** 2)
+    return float((f.sum() - (f[0] + f[-1]) / 2.0) * (r[1] - r[0]))
+
+
+# 20 m lanes put gaps past the 500 m last knot from 26 lanes apart on; 3.7 m
+# is not a dyadic width.
+@pytest.mark.parametrize("lane_width", [3.5, 3.7, 20.0])
+def test_bsm_model_pair_counts_match_the_pair_matrix(lane_width):
+    for lane_count in range(2, 65, 2):
+        cfg = ScenarioConfig(lane_count=lane_count, lane_width=lane_width)
+        assert bsm_per(cfg) == pytest.approx(pair_matrix_bsm_per(cfg), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("lane_count", [2 ** 16, 2 ** 32])
+def test_bsm_model_memory_does_not_grow_with_the_lane_count(tmp_path, lane_count):
+    """The pair matrix would be 32 GiB at 2**16 lanes."""
+    const = ScenarioConfig(per_curve=write_constant_curve(tmp_path, 0.3), lane_count=lane_count)
+    assert bsm_per(const) == pytest.approx(0.3, rel=1e-12)
+    tracemalloc.start()
+    try:
+        value = bsm_per(ScenarioConfig(lane_count=lane_count))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+    # Nearly every pair is past the last knot, where the PER is clamped.
+    clamped = per(CAL, CAL.max_knot_distance, ScenarioConfig().flow_rate)
+    assert value == pytest.approx(clamped, abs=1e-3)
