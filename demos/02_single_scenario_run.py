@@ -31,8 +31,9 @@ print(f"mean attempts (completed): {mean_attempts_empirical(summary):.3f}")
 for q in (50, 90, 100):
     print(f"SCT p{q}: {sct_percentile(summary, q)} ms")
 print(f"BSM packet error rate: {summary.bsm_per:.4f} "
-      f"({summary.bsm_rx_count:.1f} expected receptions over "
-      f"{summary.bsm_expected_rx_count} post-warmup probes; warmup is 0 here)")
+      f"(the steady-state closed form analytic.bsm_per; "
+      f"{summary.bsm_tx_count} BSMs and {summary.bsm_expected_rx_count} probes "
+      f"from warmup on, which is 0 here)")
 
 print("\nfirst ten records:")
 print(f"{'veh':>5} {'dir':>5} {'sam_rx':>8} {'sum_tx':>8} {'ack_rx':>8} "

@@ -19,8 +19,9 @@ for the mass and numerator. That is the scalar recurrence and Python's
 left-to-right ``sum`` bit for bit; ``np.sum`` adds pairwise and would move
 last digits.
 
-``bsm_per`` is the steady-state mean of the engine's post-warmup BSM pass,
-a quadrature over the gap between a probe's sender and receiver.
+``bsm_per`` is the steady-state BSM packet error rate that every run with a
+BSM probe reports: a quadrature over the gap between a probe's sender and
+receiver, bounded by the curve's last knot, plus a closed-form tail.
 """
 
 from __future__ import annotations
@@ -43,9 +44,11 @@ _HARD_CAP = 100_000
 _ROW_BLOCK = 256
 _COL_BLOCK = 32
 # Node spacing (m) of the BSM model's quadrature over the longitudinal gap,
-# and the most gap-by-node PER cells it evaluates at once (1 MiB of float64).
+# the most gap-by-node PER cells it evaluates at once (1 MiB of float64) and
+# the most runs of lateral gaps it evaluates.
 _BSM_GAP_STEP = 0.5
 _BSM_BLOCK_CELLS = 2 ** 17
+_BSM_MAX_RUNS = 1024
 
 
 @dataclass(frozen=True)
@@ -173,9 +176,10 @@ def sweep_trigger(params: AnalyticParams,
     return list(map(SweepPoint._make, zip(d_range, means, masses)))
 
 
-def bsm_per(cfg: ScenarioConfig) -> float:
-    """Steady-state BSM packet error rate, the mean that the engine's
-    post-warmup BSM pass estimates.
+def bsm_per(cfg: ScenarioConfig, curve: PerCurve | None = None) -> float:
+    """Steady-state BSM packet error rate, the ``bsm_per`` of every run with
+    a probe. ``curve`` is ``cfg.channel()`` when not given; a run passes the
+    curve it has loaded, so a calibration file is not read again.
 
     A probe's sender and receiver are two independent uniform in-stretch
     vehicles: uniform along the road, so the longitudinal gap r has density
@@ -184,27 +188,41 @@ def bsm_per(cfg: ScenarioConfig) -> float:
     k * ``lane_width`` for one of the (2m)^2 ordered lane pairs, equally
     weighted. Of those pairs, 2m share a lane (k = 0), 4(m - k) are k apart
     in one direction and 2 min(k, 2m - k) are k apart across the median. The
-    PER at their distance is ``per_many`` at ``flow_rate``; the integral over
-    r is a trapezoid on nodes at most 0.5 m apart. Gaps at or past the last
-    knot see the clamped PER at every node, so they share one term; the
-    others are evaluated in blocks of at most _BSM_BLOCK_CELLS, so memory
-    does not grow with the lane count. The model has no d_t, and no protocol
-    message loads the curve.
+    PER at their distance is ``per_many`` at ``flow_rate``. Past the last
+    knot every pair sees the clamped PER, so the integral over r is a
+    trapezoid on nodes at most 0.5 m apart over [0, min(L, knot)] plus the
+    tail PER_clamp (L - knot)^2 / L^2 in closed form: the nodes do not grow
+    with the road. Lateral gaps at or past the last knot share one term. The
+    others are evaluated one per k while there are at most _BSM_MAX_RUNS + 1
+    of them, and past that as runs of consecutive k, each at its pair-weighted
+    mean gap, in blocks of at most _BSM_BLOCK_CELLS: neither time nor memory
+    grows with the lane count or the road. The model has no d_t, and no
+    protocol message loads the curve.
     """
     length, width, m = cfg.road_length, cfg.lane_width, cfg.lane_count // 2
-    curve, pairs_total = cfg.channel(), (2 * m) ** 2
+    curve, pairs_total = cfg.channel() if curve is None else curve, (2 * m) ** 2
     knot = curve.max_knot_distance
-    r = np.linspace(0.0, length, math.ceil(length / _BSM_GAP_STEP) + 1)
+    clamped = chan.per_many(curve, np.array([knot]), cfg.flow_rate)
+    span = min(length, knot)
+    r = np.linspace(0.0, span, max(1, math.ceil(span / _BSM_GAP_STEP)) + 1)
     near = math.ceil(min(knot / width, 2 * m))   # gaps k * width below the last knot
+    # Gaps 1 <= k < near in at most _BSM_MAX_RUNS runs [a, b) of n consecutive k, one
+    # k each unless there are more. Gap k >= 1 has 4m - 2k pairs, so a run has
+    # n (4m - 2c) at its pair-weighted mean gap c - (n^2 - 1) / (6 (4m - 2c)),
+    # c = (a + b - 1) / 2.
+    edges = np.unique(np.rint(np.linspace(1, near, max(0, min(near - 1, _BSM_MAX_RUNS)) + 1)))
+    n, c = np.diff(edges), (edges[:-1] + edges[1:] - 1) / 2
+    k = np.append([0.0] if near else [], c - (n * n - 1) / (6 * (4 * m - 2 * c)))
+    pairs = np.append([2.0 * m] if near else [], n * (4 * m - 2 * c))
     block = max(1, _BSM_BLOCK_CELLS // len(r))
     f, far = np.zeros(len(r)), pairs_total
-    for k0 in range(0, near, block):
-        k = np.arange(k0, min(k0 + block, near))
-        pairs = np.where(k == 0, 2 * m, 4 * np.maximum(m - k, 0)) + 2 * np.minimum(k, 2 * m - k)
+    for i in range(0, len(k), block):
+        kb, pb = k[i:i + block], pairs[i:i + block]
         # A float total: (2m)^2 reaches 2**64, past int64.
-        f += pairs / float(pairs_total) @ chan.per_many(curve, np.hypot(r, k[:, None] * width),
-                                                         cfg.flow_rate)
-        far -= int(pairs.sum())
-    f += far / pairs_total * chan.per_many(curve, np.array([knot]), cfg.flow_rate)
+        f += pb / float(pairs_total) @ chan.per_many(curve, np.hypot(r, kb[:, None] * width),
+                                                      cfg.flow_rate)
+        far -= int(pb.sum())
+    f += far / pairs_total * clamped
     f *= 2.0 * (length - r) / length ** 2
-    return float((f.sum() - (f[0] + f[-1]) / 2.0) * (r[1] - r[0]))
+    tail = float(clamped[0]) * ((length - span) / length) ** 2
+    return float((f.sum() - (f[0] + f[-1]) / 2.0) * (r[1] - r[0])) + tail

@@ -7,21 +7,13 @@ the RSU and the matching acknowledgment reaching the vehicle; it is drawn
 from the config's inclusive ``tau_low..tau_high`` range, which
 ``validate_config`` keeps inside [8, 200] ms.
 
-PER has two lookup paths over the same knots. ``per_many`` interpolates an
-array of distances with ``np.interp``, blending the two density levels
-around the requested density: the closed form, and the engine once per ACK
-or SAM broadcast, over its candidates. ``per`` is ``per_many`` over a
-one-element list, returned as a plain ``float``: the engine's for each new
-SUM transmit position, and the Monte-Carlo check's per attempt.
-
-``per_table`` is the second path, for the BSM pass's millions of probes: one
-density's ``per_many``, evaluated once at the midpoints of equal cells over
-``[0, last knot]`` (1 cm wide, or wider when 1 cm cells would take more
-than ``PER_TABLE_MAX_CELLS`` entries) and read back by cell index with one
-``take``. PER is piecewise linear in distance, so a lookup is off by at most
-the steepest knot segment's slope times half a cell (1.8e-5 on the default
-curve); at and past the last knot it returns ``per_many``'s clamped value
-bit for bit.
+PER has one lookup path. ``per_many`` interpolates an array of distances
+with ``np.interp``, blending the two density levels around the requested
+density: the closed forms (``analytic``), and the engine once per ACK or SAM
+broadcast, over its candidates. ``per`` is ``per_many`` over a one-element
+list, returned as a plain ``float``: the engine's for each new SUM transmit
+position, and the Monte-Carlo check's per attempt. BSMs take no lookup of
+their own: a run reports the closed form ``analytic.bsm_per``.
 
 Scalar draws (``sample_tau``, the lane draw) call ``uniform_int``: numpy's
 bounded-integer step over the bit generator's C ``next_uint32``, so each
@@ -166,47 +158,10 @@ def per_many(curve: PerCurve, distances: np.ndarray, density: float) -> np.ndarr
         + w * np.interp(abs_dist, hi.dist_array, hi.per_array)
 
 
-# Cells per metre, and the most entries (cells plus the clamp entry) a table
-# may hold: 2**17 float64s is 1 MiB.
-PER_TABLE_CELLS_PER_M = 100.0
-PER_TABLE_MAX_CELLS = 2 ** 17
-
-
-class PerTable(NamedTuple):
-    """``per_many`` at one density, tabulated for lookup by distance.
-
-    ``values[i]`` is the PER at the midpoint of cell i, the distances
-    ``[i, i + 1) / cells_per_m``; the last entry is the PER at and past the
-    last knot.
-    """
-
-    values: np.ndarray
-    cells_per_m: float
-
-    def lookup(self, distances: np.ndarray) -> np.ndarray:
-        """PER at each non-negative distance (m)."""
-        cells = np.multiply(distances, self.cells_per_m)
-        # Clamp as floats: casting a huge float to an integer is undefined.
-        np.minimum(cells, len(self.values) - 1, out=cells)
-        return self.values.take(cells.astype(np.intp))
-
-
-def per_table(curve: PerCurve, density: float) -> PerTable:
-    """Tabulate ``per_many(curve, ., density)`` over ``[0, last knot]``."""
-    last = curve.max_knot_distance
-    cells = math.ceil(min(last * PER_TABLE_CELLS_PER_M, PER_TABLE_MAX_CELLS - 1))
-    cells_per_m = cells / last if cells else 1.0   # no cell: every knot at 0 m
-    if last * cells_per_m < cells:   # so that every distance >= last clamps
-        cells_per_m = float(np.nextafter(cells_per_m, math.inf))
-    mids = (np.arange(cells) + 0.5) / cells_per_m
-    return PerTable(per_many(curve, np.append(mids, last), density), cells_per_m)
-
-
 # Unused by the engine; kept while perfbench/tracer.py wraps it by name.
-def reception_mask(rng: np.random.Generator, table: PerTable,
-                   distances: np.ndarray) -> np.ndarray:
-    """Vectorized reception sampling, one draw per non-negative distance."""
-    return rng.random(len(distances)) >= table.lookup(distances)
+def reception_mask(rng: np.random.Generator, pers: np.ndarray) -> np.ndarray:
+    """Vectorized reception sampling: one uniform draw per PER, received when >= it."""
+    return rng.random(len(pers)) >= pers
 
 
 def uniform_int(rng: np.random.Generator, low: int, high: int) -> int:

@@ -12,8 +12,8 @@ and are listed in the README only. One key=value parser serves config-file
 lines and overrides, taking each field's type from the ``ScenarioConfig``
 annotations; every parsed or derived config passes ``replace_config``. Tau
 is one range, ``tau_low..tau_high``; a fixed tau is ``tau_low = tau_high``.
-The fields are scenario parameters; the BSM pass probes one receiver per
-transmission, with no setting.
+The fields are scenario parameters; each BSM sender probes one receiver,
+with no setting.
 """
 
 from __future__ import annotations
@@ -105,7 +105,7 @@ class ScenarioConfig:
 _FIELD_TYPES: dict[str, type] = get_type_hints(ScenarioConfig)
 
 # Arrivals (16 B each, in arrays) and BSM ticks are built before a run starts.
-# A run's peak grows by about 230 B per arrival with BSMs on and 170 B with
+# A run's peak grows by about 190 B per arrival with BSMs on and 170 B with
 # them off (1e5 arrivals at 30 veh/s, ru_maxrss), so this many stay under
 # 1 GB. The same bound caps the periodic SAM timer's events, so every run can end.
 MAX_UPFRONT_ITEMS = 1_000_000

@@ -2,9 +2,8 @@
 
 Every run is a pure function of (config, seed): events are totally ordered by
 (time, sequence number) and the clock never moves backward. Randomness
-comes from two streams of the seed. Arrivals and the protocol draw from
-``default_rng(seed)`` in event order; the BSM pass draws from the first child
-of ``SeedSequence(seed)``, so no BSM setting moves a protocol outcome.
+comes from one stream, ``default_rng(seed)``: arrivals, then the protocol in
+event order. BSMs draw nothing, so no BSM setting moves a protocol outcome.
 
 Besides its records, a run holds the vehicles between spawn and despawn and
 16 B per arrival. The arrivals are drawn at init into two arrays per
@@ -54,16 +53,12 @@ against one ``channel.per_many`` over its k candidates: the same k uniforms
 as k scalar draws, and the same PER as k one-element ``per`` calls.
 
 Background safety broadcasts (BSMs) only feed the reception-rate metric and
-have no protocol effect, and positions are closed-form, so they are not
-events: one pass after the event loop (``bsm_counters``) handles every BSM
-tick from ``warmup`` on in vectorized form; ``analytic.bsm_per`` is the
-steady-state mean it estimates. Every in-stretch vehicle transmits each tick
-toward one receiver drawn from the other in-stretch vehicles. The probe
-scores its expected reception, 1 - PER, not a sampled one: the same mean,
-with only the receiver choice left random (Rao-Blackwell). A
-probe's PER is read from a table built once per run (``channel.per_table``,
-1 cm cells), not interpolated at its exact distance; the two differ by at
-most 1.8e-5 on the default curve.
+have no protocol effect, so they are not events. After the event loop
+``bsm_counts`` counts, for every BSM tick from ``warmup`` on, the in-stretch
+vehicles: each transmits once and, unless it is alone, probes one other. Those
+two counts are exact for each run. ``bsm_per`` is the steady-state closed form
+``analytic.bsm_per(cfg)`` whenever there is a probe, for any warmup, and None
+otherwise: no PER is looked up per probe and no BSM stream is drawn.
 """
 
 from __future__ import annotations
@@ -75,6 +70,7 @@ from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from . import analytic
 from . import channel as chan
 from . import mobility as mob
 from . import protocol as proto
@@ -100,7 +96,7 @@ class EventKind(Enum):
     SAM_TIMER = "sam_timer"
     MSG_ARRIVAL = "msg_arrival"
     VEHICLE_DESPAWN = "vehicle_despawn"
-    # Never scheduled (bsm_counters runs after the loop); kept so per-kind
+    # Never scheduled (bsm_counts runs after the loop); kept so per-kind
     # event counts keep their names.
     BSM_TICK = "bsm_tick"
     SIM_END = "sim_end"
@@ -174,56 +170,27 @@ def deliver_broadcast(sender: int,
     return {entity_id for entity_id, ok in zip(ids, heard.tolist()) if ok}
 
 
-def bsm_counters(cfg: ScenarioConfig, curve: chan.PerCurve,
-                 by_direction: dict[mob.Direction, mob.Arrivals],
-                 ) -> tuple[int, float, int]:
-    """BSM transmissions, expected receptions and probes over one run.
+def bsm_counts(cfg: ScenarioConfig,
+               by_direction: dict[mob.Direction, mob.Arrivals]) -> tuple[int, int]:
+    """BSM transmissions and probes over one run.
 
     Ticks fall at every positive multiple of ``bsm_period`` at or after
     ``warmup`` and before ``sim_duration``, so, like the record aggregates,
-    the counters leave out the stretch's fill-up. At a tick each in-stretch
-    vehicle transmits once and probes one other, drawn uniformly (none when
-    it is alone). The probe scores its reception probability, 1 - PER from
-    the run's ``per_table``; no reception is drawn. Probes come from the
-    seed's BSM stream, whose first draw is at the first tick; the stream and
-    the table are not built when there is no tick. Spawn times and lateral
-    offsets come from each direction's ``mob.Arrivals`` arrays, and each
-    tick's window bounds from int64 arrays; no vehicle object or per-tick
-    list is built.
+    the counts leave out the stretch's fill-up. At a tick each in-stretch
+    vehicle transmits once and, unless it is alone, probes one other. Each
+    tick's in-stretch count comes from each direction's spawn times
+    (``mob.Arrivals``) as an index window; no position is computed.
     """
     first = max(1, -(-cfg.warmup // cfg.bsm_period)) * cfg.bsm_period   # exact integer ceil
     if first >= cfg.sim_duration:
-        return 0, 0.0, 0
+        return 0, 0
     ticks = np.arange(first, cfg.sim_duration, cfg.bsm_period, dtype=np.int64)
     transit = mob.transit_ms(cfg.road_length, cfg.mean_speed)
-    sides = []
     counts = np.zeros(len(ticks), dtype=np.int64)
-    for direction, arrivals in by_direction.items():
-        spawns = np.array(arrivals.spawn_times, dtype=np.int64)
-        lateral = 1j * np.array(arrivals.ys, dtype=float)
-        lo, hi = mob.stretch_window(spawns, ticks, transit)
+    for arrivals in by_direction.values():
+        lo, hi = mob.stretch_window(np.array(arrivals.spawn_times, dtype=np.int64), ticks, transit)
         counts += hi - lo
-        sides.append((direction, spawns, lateral, lo, hi))
-    heard = counts >= 2
-    expected = int(counts[heard].sum())
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.rng_seed).spawn(1)[0])
-    table = chan.per_table(curve, cfg.flow_rate)
-    senders = np.arange(int(counts.max()))
-    per_sum = 0.0
-    for i in np.flatnonzero(heard):
-        t = int(ticks[i])
-        # Positions as complex x + iy: one take per tick gathers both axes.
-        z = np.concatenate([
-            mob.positions_x(spawns[lo[i]:hi[i]], t, direction,
-                            cfg.road_length, cfg.mean_speed) + lateral[lo[i]:hi[i]]
-            for direction, spawns, lateral, lo, hi in sides
-        ])
-        n = len(z)
-        probes = rng.integers(0, n - 1, size=n)
-        probes += probes >= senders[:n]  # skip self: shift indices at or past the sender
-        # validate_config keeps every distance finite.
-        per_sum += float(table.lookup(np.abs(z.take(probes) - z)).sum())
-    return int(counts.sum()), expected - per_sum, expected
+    return int(counts.sum()), int(counts[counts >= 2].sum())
 
 
 TraceFn = Callable[[TimeMs, str, str, str, str], None]
@@ -260,7 +227,7 @@ class _Simulation:
         )
         self.records = RecordTable()
 
-        # Arrivals are generated up front as arrays; the BSM pass reads them after the run.
+        # Arrivals are generated up front as arrays; the BSM counts read them after the run.
         east = mob.generate_arrivals(cfg, mob.Direction.EAST, self.rng, id_start=0)
         west = mob.generate_arrivals(cfg, mob.Direction.WEST, self.rng, id_start=len(east))
         self.by_direction = {mob.Direction.EAST: east, mob.Direction.WEST: west}
@@ -417,13 +384,13 @@ class _Simulation:
                 break
         for vid in list(self.active):
             self._finalize(vid, OUTCOME_SIMEND)
-        bsm_tx, bsm_rx, bsm_expected = bsm_counters(self.cfg, self.curve, self.by_direction)
+        bsm_tx, bsm_probes = bsm_counts(self.cfg, self.by_direction)
         return RunSummary(
             cfg=self.cfg,
             records=self.records,
             bsm_tx_count=bsm_tx,
-            bsm_rx_count=bsm_rx,
-            bsm_expected_rx_count=bsm_expected,
+            bsm_expected_rx_count=bsm_probes,
+            bsm_per=analytic.bsm_per(self.cfg, self.curve) if bsm_probes else None,
         )
 
 

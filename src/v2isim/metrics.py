@@ -123,17 +123,11 @@ class RecordTable(Sequence):
 class RunSummary:
     cfg: ScenarioConfig
     records: RecordTable
-    # The BSM counters cover the ticks from warmup on (engine.bsm_counters).
+    # The BSM counts cover the ticks from warmup on (engine.bsm_counts).
     bsm_tx_count: int
-    # Receptions expected given the probes drawn: each scores 1 - its PER.
-    bsm_rx_count: float
-    bsm_expected_rx_count: int
-
-    @property
-    def bsm_per(self) -> float | None:
-        if self.bsm_expected_rx_count == 0:
-            return None
-        return 1.0 - self.bsm_rx_count / self.bsm_expected_rx_count
+    bsm_expected_rx_count: int   # probes: one per sender at a tick with >= 2 vehicles
+    # analytic.bsm_per(cfg) when there is a probe, else None.
+    bsm_per: float | None
 
 
 class _Measured(NamedTuple):

@@ -158,6 +158,7 @@ def transit_ms(road_length: float, speed: float) -> TimeMs:
     return ceil_ms(road_length / speed * 1000.0)
 
 
+# Unused by the engine; kept while perfbench/tracer.py wraps it by name.
 def positions_x(spawn_times: np.ndarray, t: TimeMs, direction: Direction,
                 road_length: float, speed: float) -> np.ndarray:
     """Vectorized longitudinal positions for same-direction vehicles."""

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
+from v2isim import analytic
 from v2isim import channel as chan
 from v2isim.analytic import (
     AnalyticParams, SweepPoint, attempt_distances, bsm_per, first_success_pmf, mean_attempts,
@@ -346,9 +347,18 @@ def test_bsm_model_of_a_constant_per_is_that_constant(tmp_path, road_length):
     assert bsm_per(cfg) == pytest.approx(0.3, rel=1e-12)
 
 
+@pytest.mark.parametrize("knot", [100.0, 0.0])   # 0 m: no node left to integrate
+def test_bsm_model_tail_past_the_last_knot_is_exact(tmp_path, knot):
+    """Past a knot short of the road, the clamped PER's closed-form tail."""
+    knots = ((0.0, 0.3), (knot, 0.3)) if knot else ((0.0, 0.3),)
+    path = tmp_path / "short.per"
+    path.write_text(chan.dumps_per_curve(PerCurve(levels=(10.0,), tables=(knots,))))
+    assert bsm_per(ScenarioConfig(per_curve=str(path))) == pytest.approx(0.3, rel=1e-12)
+
+
 @pytest.mark.parametrize("flow, pinned", [
-    (10.0, "0x1.8bc1ca6429f78p-2"), (20.0, "0x1.e0825d67cb975p-2"),
-    (30.0, "0x1.1aaa64e514177p-1"),
+    (10.0, "0x1.8bc1ca6429f7ap-2"), (20.0, "0x1.e0825d67cb976p-2"),
+    (30.0, "0x1.1aaa64e514178p-1"),
 ])
 def test_bsm_model_is_pinned_bit_for_bit(flow, pinned):
     """The default config's closed form, bit for bit: its lanes come from
@@ -376,6 +386,15 @@ def test_bsm_model_pair_counts_match_the_pair_matrix(lane_width):
     for lane_count in range(2, 65, 2):
         cfg = ScenarioConfig(lane_count=lane_count, lane_width=lane_width)
         assert bsm_per(cfg) == pytest.approx(pair_matrix_bsm_per(cfg), rel=1e-12, abs=0.0)
+
+
+def test_bsm_model_merged_lateral_gaps_match_one_run_per_gap(monkeypatch):
+    """4,096 lateral gaps below the last knot, in 1,024 runs: each run sits at
+    its pair-weighted mean gap."""
+    cfg = ScenarioConfig(lane_count=4096, lane_width=0.05)
+    merged = bsm_per(cfg)
+    monkeypatch.setattr(analytic, "_BSM_MAX_RUNS", 4096)
+    assert bsm_per(cfg) == pytest.approx(merged, abs=1e-8)
 
 
 @pytest.mark.parametrize("lane_count", [2 ** 16, 2 ** 32])

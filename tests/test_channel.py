@@ -8,11 +8,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from bsm_reference import PER_TABLE_MAX_CELLS, per_table
 from v2isim.analytic import mean_attempts, params_from_config
 from v2isim.channel import (
-    CurveError, PerCurve, constant_per_curve, default_calibration,
-    PER_TABLE_MAX_CELLS, dumps_per_curve, load_per_curve, parse_per_curve,
-    per, per_many, per_table, reception_mask, sample_tau, validate_per_curve,
+    CurveError, PerCurve, constant_per_curve, default_calibration, dumps_per_curve,
+    load_per_curve, parse_per_curve, per, per_many, reception_mask, sample_tau,
+    validate_per_curve,
 )
 from v2isim.core import ScenarioConfig
 
@@ -209,7 +210,7 @@ def test_scalar_per_accepts_numpy_scalars():
     assert got == per(CAL, 212.5, 17.0)
 
 
-# The BSM pass reads PER from a per-run table of cell midpoints.
+# The reference BSM pass (bsm_reference) reads PER from a per-run table of cell midpoints.
 TABLE_CURVES = {
     **BIT_CURVES,
     # Past the 2**17-cell cap, and 1316 * (cells / 1316) rounds below the
@@ -267,6 +268,6 @@ def test_reception_mask_draws_one_uniform_per_distance():
     table = per_table(CAL, 17.0)
     d = np.random.default_rng(8).uniform(0.0, 700.0, size=1000)
     rng, twin = np.random.default_rng(9), np.random.default_rng(9)
-    mask = reception_mask(rng, table, d)
+    mask = reception_mask(rng, table.lookup(d))
     assert np.array_equal(mask, twin.random(len(d)) >= table.lookup(d))
     assert rng.random() == twin.random()

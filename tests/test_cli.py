@@ -80,7 +80,7 @@ def test_non_finite_value_or_negative_seed_exits_2_naming_field(
 
 @pytest.mark.parametrize("bad", ["mean_speed=1e-300", "road_length=1e150"])
 def test_transit_time_past_int64_exits_2_naming_the_fields(tmp_path, capsys, bad):
-    # With so few arrivals the retry-timer bound passes; the BSM pass's int64
+    # With so few arrivals the retry-timer bound passes; the BSM counts' int64
     # stretch window cannot hold the transit time.
     argv = ["simulate", "--out", str(tmp_path / "o"), "--set", bad, "--set", "flow_rate=1e-300"]
     assert main(argv) == 2
@@ -299,8 +299,8 @@ def test_validate_rejects_trials_past_the_bound_before_replaying(monkeypatch, ca
                                         ("bsm_probe_count", "4"), ("rsu_x", "0"),
                                         ("rsu_y", "0")])
 def test_removed_tau_keys_exit_2_naming_the_key(tmp_path, capsys, source, key, value):
-    """A fixed tau is ``tau_low = tau_high``, the BSM pass probes one
-    receiver per transmission and the RSU stands at the origin
+    """A fixed tau is ``tau_low = tau_high``, each BSM sender probes one
+    receiver and the RSU stands at the origin
     (``core.RSU_POSITION``); the old keys are unknown."""
     if source == "set":
         argv = ["--set", f"{key}={value}"]
@@ -357,6 +357,20 @@ def test_model_commands_read_the_calibration_file_once_per_command(
         outputs.append(out.read_bytes() if command == "analytic" else capsys.readouterr().out)
     assert reads == [str(curve)] * 2
     assert outputs[0] == outputs[1]
+
+
+def test_simulate_with_bsms_reads_the_calibration_file_twice(tmp_path, monkeypatch):
+    """One read checks the file, one builds the run's curve; ``bsm_per`` reuses that curve."""
+    curve = tmp_path / "default.per"
+    curve.write_text(channel.dumps_per_curve(channel.default_calibration()))
+    reads = []
+    load = channel.load_per_curve
+    monkeypatch.setattr(channel, "load_per_curve", lambda path: reads.append(path) or load(path))
+    out = tmp_path / "out"
+    assert main(["simulate", "--out", str(out), *FAST, "--set", f"per_curve={curve}"]) == 0
+    assert reads == [str(curve)] * 2
+    header, row = (out / "summary.csv").read_text().splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["bsm_per"] != ""
 
 
 def test_sweep_parses_the_calibration_file_once(tmp_path, monkeypatch):

@@ -127,7 +127,7 @@ def test_trigger_line_must_lie_inside_stretch_in_both_directions():
     {"road_length": 1e150, "flow_rate": 1e-300},
 ])
 def test_transit_time_past_int64_is_rejected_naming_the_fields(overrides):
-    # Finite transit times that int64 arithmetic (the BSM pass) cannot hold.
+    # Finite transit times that int64 arithmetic (the BSM counts) cannot hold.
     violations = validate_config(ScenarioConfig(**overrides))
     assert violations == [
         f"road_length / mean_speed must be a transit time below 2**63 ms (got "

@@ -7,6 +7,7 @@ import dataclasses
 import heapq
 import math
 import tempfile
+import time
 from collections import Counter
 from concurrent.futures import Future
 from pathlib import Path
@@ -15,10 +16,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from bsm_reference import bsm_counters, per_table
 from v2isim import analytic, engine, metrics
-from v2isim.channel import (
-    constant_per_curve, default_calibration, dumps_per_curve, per, per_many, per_table,
-)
+from v2isim.channel import constant_per_curve, default_calibration, dumps_per_curve, per, per_many
 from v2isim.cli import main
 from v2isim.core import RSU_POSITION, ConfigError, Message, ScenarioConfig
 from v2isim.engine import (
@@ -192,7 +192,7 @@ def test_blocked_channel_zero_completions(blocked_curve_file):
     assert all(not r.complete for r in summary.records)
     # No advertisement is ever received, so no request is ever sent.
     assert len(summary.records) == 0
-    assert summary.bsm_rx_count == 0
+    assert summary.bsm_per == pytest.approx(1.0, rel=1e-12)
 
 
 # -- determinism ---------------------------------------------------------
@@ -510,12 +510,70 @@ def test_completion_fraction_regression():
     assert complete / len(summary.records) > 0.99
 
 
+def _reference_pass(cfg: ScenarioConfig) -> tuple[int, float, int]:
+    """The Monte-Carlo BSM pass (``bsm_reference``) over the run's arrivals."""
+    sim = engine._Simulation(cfg)   # arrivals only: the BSM pass needs no event loop
+    return bsm_counters(cfg, sim.curve, sim.by_direction)
+
+
 def test_bsm_counters_consistent():
-    summary = run(short_cfg(flow_rate=10.0))
+    cfg = short_cfg(flow_rate=10.0)
+    summary = run(cfg)
     assert summary.bsm_tx_count > 0
-    assert 0 < summary.bsm_rx_count <= summary.bsm_expected_rx_count
-    assert summary.bsm_expected_rx_count <= summary.bsm_tx_count
+    assert 0 < summary.bsm_expected_rx_count <= summary.bsm_tx_count
     assert 0.0 <= summary.bsm_per <= 1.0
+    tx, rx, probes = _reference_pass(cfg)
+    assert (tx, probes) == (summary.bsm_tx_count, summary.bsm_expected_rx_count)
+    assert 0 < rx <= probes
+
+
+@pytest.mark.parametrize("overrides", [
+    {},                                                  # warmup 0: the fill-up counts
+    {"warmup": 100_000, "sim_duration": 130_000},        # one transit: steady state
+    {"flow_rate": 15.0, "lane_count": 4, "road_length": 1000.0},
+], ids=["no-warmup", "warmup-one-transit", "blend-4-lanes-1km"])
+def test_bsm_per_is_the_closed_form_whenever_there_is_a_probe(overrides):
+    cfg = short_cfg(**{"flow_rate": 10.0, **overrides})
+    summary = run(cfg)
+    assert summary.bsm_expected_rx_count > 0
+    assert summary.bsm_per == analytic.bsm_per(cfg)
+
+
+@pytest.mark.parametrize("overrides", [
+    {"flow_rate": 0.01, "sim_duration": 20_000},   # at most a lone vehicle per tick
+    {"warmup": 60_000},                            # no tick from warmup on
+], ids=["lone-vehicle", "warmup-covers-the-run"])
+def test_bsm_per_is_none_without_a_probe(overrides):
+    summary = run(short_cfg(**overrides))
+    assert summary.bsm_expected_rx_count == 0
+    assert summary.bsm_per is None
+
+
+def _timed_bsm_run(**overrides):
+    cfg = short_cfg(flow_rate=10.0, sim_duration=2_000, bsm_period=100, **overrides)
+    start = time.perf_counter()
+    summary = run(cfg)
+    elapsed = time.perf_counter() - start
+    assert summary.bsm_expected_rx_count > 0
+    assert elapsed < 1.0
+    return summary
+
+
+def test_bsm_per_of_a_1e9_m_road_takes_under_a_second():
+    """The model's quadrature stops at the last knot: a 1e9 m road (about 2e9
+    nodes of 0.5 m over the whole road) adds the clamped tail in closed form."""
+    summary = _timed_bsm_run(road_length=1e9, t_sum=600_000)
+    curve = summary.cfg.channel()
+    assert summary.bsm_per == pytest.approx(per(curve, curve.max_knot_distance, 10.0), abs=1e-6)
+
+
+def test_bsm_per_of_2_32_lanes_a_nanometre_apart_takes_under_a_second():
+    """2**32 lateral gaps below the last knot, merged into runs: one gap per
+    lane pair would take about 3e7 blocks of PER lookups."""
+    summary = _timed_bsm_run(lane_count=2**32, lane_width=1e-9)
+    # Every lane lies within 4.3 m of the median: close to one lane per direction.
+    one_lane = analytic.bsm_per(dataclasses.replace(summary.cfg, lane_count=2))
+    assert summary.bsm_per == pytest.approx(one_lane, abs=1e-5)
 
 
 def _in_stretch_positions(cfg: ScenarioConfig):
@@ -583,10 +641,10 @@ def test_bsm_reception_rate_matches_constant_per(tmp_path):
     per_value = 0.3
     curve_path = tmp_path / "const.per"
     curve_path.write_text(dumps_per_curve(constant_per_curve(per_value)))
-    summary = run(short_cfg(flow_rate=10.0, per_curve=str(curve_path), bsm_period=100))
-    n = summary.bsm_expected_rx_count
+    _, rx, n = _reference_pass(short_cfg(flow_rate=10.0, per_curve=str(curve_path),
+                                         bsm_period=100))
     assert n > 100_000
-    assert summary.bsm_rx_count == pytest.approx((1.0 - per_value) * n, rel=1e-9)
+    assert rx == pytest.approx((1.0 - per_value) * n, rel=1e-9)
 
 
 def test_bsm_receptions_match_all_pairs_expectation():
@@ -614,9 +672,9 @@ def test_bsm_receptions_match_all_pairs_expectation():
         p = hear.sum(axis=1) / (n - 1)
         mean += p.sum()
         var += ((hear ** 2).sum(axis=1) / (n - 1) - p ** 2).sum()
-    summary = run(cfg)
+    _, rx, _ = _reference_pass(cfg)
     assert var > 1000.0
-    assert abs(summary.bsm_rx_count - mean) <= 4.0 * math.sqrt(var), (summary.bsm_rx_count, mean)
+    assert abs(rx - mean) <= 4.0 * math.sqrt(var), (rx, mean)
 
 
 def _scalar_bsm_pass(cfg: ScenarioConfig):
@@ -660,7 +718,7 @@ def test_bsm_pass_matches_a_scalar_replay_per_probe(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(np.random, "default_rng",
                           lambda *a: streams.append(default_rng(*a)) or streams[-1])
-            tx, rx, expected = engine.bsm_counters(cfg, sim.curve, sim.by_direction)
+            tx, rx, expected = bsm_counters(cfg, sim.curve, sim.by_direction)
         assert (tx, expected) == (want_tx, want_probes), warmup
         assert rx == pytest.approx(want_rx, rel=1e-9), warmup
         assert [g.bit_generator.state for g in streams] == [want_state], warmup
@@ -668,7 +726,7 @@ def test_bsm_pass_matches_a_scalar_replay_per_probe(monkeypatch):
 
 @pytest.mark.parametrize("flow", [10.0, 30.0])
 def test_steady_state_bsm_per_matches_the_closed_form(flow):
-    """The post-warmup BSM pass against ``analytic.bsm_per``, over 12 seeds.
+    """The post-warmup Monte-Carlo BSM pass against ``analytic.bsm_per``, over 12 seeds.
 
     Past warmup the in-stretch vehicles are uniform along the road and over
     the lanes, so a probe's gap is that of two independent uniform vehicles.
@@ -679,9 +737,7 @@ def test_steady_state_bsm_per_matches_the_closed_form(flow):
     base = dataclasses.replace(ScenarioConfig(), flow_rate=flow, sim_duration=200_000)
     pers = []
     for seed in range(12):
-        cfg = dataclasses.replace(base, rng_seed=seed)
-        sim = engine._Simulation(cfg)   # arrivals only: the BSM pass needs no event loop
-        _, rx, probes = engine.bsm_counters(cfg, sim.curve, sim.by_direction)
+        _, rx, probes = _reference_pass(dataclasses.replace(base, rng_seed=seed))
         pers.append(1.0 - rx / probes)
     model = analytic.bsm_per(base)
     se = np.std(pers, ddof=1) / math.sqrt(len(pers))
@@ -694,9 +750,10 @@ def test_bsm_sender_never_probes_itself(tmp_path):
     # the sender itself could be received.
     curve_path = tmp_path / "touch.per"
     curve_path.write_text("density 10\n0 0\n0.01 1\n")
-    summary = run(short_cfg(flow_rate=10.0, per_curve=str(curve_path), bsm_period=100))
-    assert summary.bsm_expected_rx_count > 0
-    assert summary.bsm_rx_count == 0
+    _, rx, probes = _reference_pass(short_cfg(flow_rate=10.0, per_curve=str(curve_path),
+                                              bsm_period=100))
+    assert probes > 0
+    assert rx == 0
 
 
 def test_arrival_of_an_undelivered_kind_raises_before_any_draw():
