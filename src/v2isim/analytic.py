@@ -44,8 +44,8 @@ _HARD_CAP = 100_000
 _ROW_BLOCK = 256
 _COL_BLOCK = 32
 # Node spacing (m) of the BSM model's quadrature over the longitudinal gap,
-# the most gap-by-node PER cells it evaluates at once (1 MiB of float64) and
-# the most runs of lateral gaps it evaluates.
+# the most gap-by-node PER cells it evaluates at once (1 MiB of float64), which
+# also caps its nodes, and the most runs of lateral gaps it evaluates.
 _BSM_GAP_STEP = 0.5
 _BSM_BLOCK_CELLS = 2 ** 17
 _BSM_MAX_RUNS = 1024
@@ -176,10 +176,10 @@ def sweep_trigger(params: AnalyticParams,
     return list(map(SweepPoint._make, zip(d_range, means, masses)))
 
 
-def bsm_per(cfg: ScenarioConfig, curve: PerCurve | None = None) -> float:
+def bsm_per(cfg: ScenarioConfig, curve: PerCurve) -> float:
     """Steady-state BSM packet error rate, the ``bsm_per`` of every run with
-    a probe. ``curve`` is ``cfg.channel()`` when not given; a run passes the
-    curve it has loaded, so a calibration file is not read again.
+    a probe, under ``curve`` (``cfg.channel()``; a run passes the curve it
+    has loaded, so a calibration file is not read again).
 
     A probe's sender and receiver are two independent uniform in-stretch
     vehicles: uniform along the road, so the longitudinal gap r has density
@@ -190,21 +190,23 @@ def bsm_per(cfg: ScenarioConfig, curve: PerCurve | None = None) -> float:
     in one direction and 2 min(k, 2m - k) are k apart across the median. The
     PER at their distance is ``per_many`` at ``flow_rate``. Past the last
     knot every pair sees the clamped PER, so the integral over r is a
-    trapezoid on nodes at most 0.5 m apart over [0, min(L, knot)] plus the
-    tail PER_clamp (L - knot)^2 / L^2 in closed form: the nodes do not grow
-    with the road. Lateral gaps at or past the last knot share one term. The
-    others are evaluated one per k while there are at most _BSM_MAX_RUNS + 1
-    of them, and past that as runs of consecutive k, each at its pair-weighted
-    mean gap, in blocks of at most _BSM_BLOCK_CELLS: neither time nor memory
-    grows with the lane count or the road. The model has no d_t, and no
+    trapezoid over [0, min(L, knot)] plus the tail PER_clamp (L - knot)^2 / L^2
+    in closed form. Its nodes are 0.5 m apart, and at most _BSM_BLOCK_CELLS of
+    them, wider apart on a calibration that reaches past 65.5 km: they grow
+    with neither the road nor the last knot. Lateral gaps at or past the
+    last knot share one term. The others are evaluated one per k while there
+    are at most _BSM_MAX_RUNS + 1 of them, and past that as runs of
+    consecutive k, each at its pair-weighted mean gap, in blocks of at most
+    _BSM_BLOCK_CELLS: neither time nor memory grows with the lane count or
+    the road. The model has no d_t, and no
     protocol message loads the curve.
     """
     length, width, m = cfg.road_length, cfg.lane_width, cfg.lane_count // 2
-    curve, pairs_total = cfg.channel() if curve is None else curve, (2 * m) ** 2
-    knot = curve.max_knot_distance
+    knot, pairs_total = curve.max_knot_distance, (2 * m) ** 2
     clamped = chan.per_many(curve, np.array([knot]), cfg.flow_rate)
     span = min(length, knot)
-    r = np.linspace(0.0, span, max(1, math.ceil(span / _BSM_GAP_STEP)) + 1)
+    steps = min(max(1, math.ceil(span / _BSM_GAP_STEP)), _BSM_BLOCK_CELLS - 1)
+    r = np.linspace(0.0, span, steps + 1)
     near = math.ceil(min(knot / width, 2 * m))   # gaps k * width below the last knot
     # Gaps 1 <= k < near in at most _BSM_MAX_RUNS runs [a, b) of n consecutive k, one
     # k each unless there are more. Gap k >= 1 has 4m - 2k pairs, so a run has

@@ -57,7 +57,7 @@ have no protocol effect, so they are not events. After the event loop
 ``bsm_counts`` counts, for every BSM tick from ``warmup`` on, the in-stretch
 vehicles: each transmits once and, unless it is alone, probes one other. Those
 two counts are exact for each run. ``bsm_per`` is the steady-state closed form
-``analytic.bsm_per(cfg)`` whenever there is a probe, for any warmup, and None
+``analytic.bsm_per(cfg, curve)`` whenever there is a probe, for any warmup, and None
 otherwise: no PER is looked up per probe and no BSM stream is drawn.
 """
 

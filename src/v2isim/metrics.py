@@ -126,7 +126,7 @@ class RunSummary:
     # The BSM counts cover the ticks from warmup on (engine.bsm_counts).
     bsm_tx_count: int
     bsm_expected_rx_count: int   # probes: one per sender at a tick with >= 2 vehicles
-    # analytic.bsm_per(cfg) when there is a probe, else None.
+    # analytic.bsm_per(cfg, curve) when there is a probe, else None.
     bsm_per: float | None
 
 

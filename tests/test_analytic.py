@@ -30,7 +30,6 @@ from v2isim.channel import PerCurve, constant_per_curve, default_calibration, pe
 from v2isim.core import ScenarioConfig
 from v2isim.mobility import Direction, lane_y
 
-from conftest import write_constant_curve
 
 CAL = default_calibration()
 
@@ -340,20 +339,19 @@ def test_kernel_receding_stop_needs_the_request_behind_the_rsu():
 
 
 @pytest.mark.parametrize("road_length", [3000.0, 0.5])   # 0.5 m: the two end nodes alone
-def test_bsm_model_of_a_constant_per_is_that_constant(tmp_path, road_length):
+def test_bsm_model_of_a_constant_per_is_that_constant(road_length):
     """The gap and lane-pair weights each sum to one, and the trapezoid is
     exact on the linear gap density."""
-    cfg = ScenarioConfig(per_curve=write_constant_curve(tmp_path, 0.3), road_length=road_length)
-    assert bsm_per(cfg) == pytest.approx(0.3, rel=1e-12)
+    cfg = ScenarioConfig(road_length=road_length)
+    assert bsm_per(cfg, constant_per_curve(0.3)) == pytest.approx(0.3, rel=1e-12)
 
 
 @pytest.mark.parametrize("knot", [100.0, 0.0])   # 0 m: no node left to integrate
-def test_bsm_model_tail_past_the_last_knot_is_exact(tmp_path, knot):
+def test_bsm_model_tail_past_the_last_knot_is_exact(knot):
     """Past a knot short of the road, the clamped PER's closed-form tail."""
     knots = ((0.0, 0.3), (knot, 0.3)) if knot else ((0.0, 0.3),)
-    path = tmp_path / "short.per"
-    path.write_text(chan.dumps_per_curve(PerCurve(levels=(10.0,), tables=(knots,))))
-    assert bsm_per(ScenarioConfig(per_curve=str(path))) == pytest.approx(0.3, rel=1e-12)
+    curve = PerCurve(levels=(10.0,), tables=(knots,))
+    assert bsm_per(ScenarioConfig(), curve) == pytest.approx(0.3, rel=1e-12)
 
 
 @pytest.mark.parametrize("flow, pinned", [
@@ -363,7 +361,7 @@ def test_bsm_model_tail_past_the_last_knot_is_exact(tmp_path, knot):
 def test_bsm_model_is_pinned_bit_for_bit(flow, pinned):
     """The default config's closed form, bit for bit: its lanes come from
     ``mobility.lane_y``, the rule the engine's arrivals are drawn by."""
-    assert bsm_per(ScenarioConfig(flow_rate=flow)).hex() == pinned
+    assert bsm_per(ScenarioConfig(flow_rate=flow), CAL).hex() == pinned
 
 
 def pair_matrix_bsm_per(cfg: ScenarioConfig) -> float:
@@ -385,26 +383,26 @@ def pair_matrix_bsm_per(cfg: ScenarioConfig) -> float:
 def test_bsm_model_pair_counts_match_the_pair_matrix(lane_width):
     for lane_count in range(2, 65, 2):
         cfg = ScenarioConfig(lane_count=lane_count, lane_width=lane_width)
-        assert bsm_per(cfg) == pytest.approx(pair_matrix_bsm_per(cfg), rel=1e-12, abs=0.0)
+        assert bsm_per(cfg, CAL) == pytest.approx(pair_matrix_bsm_per(cfg), rel=1e-12, abs=0.0)
 
 
 def test_bsm_model_merged_lateral_gaps_match_one_run_per_gap(monkeypatch):
     """4,096 lateral gaps below the last knot, in 1,024 runs: each run sits at
     its pair-weighted mean gap."""
     cfg = ScenarioConfig(lane_count=4096, lane_width=0.05)
-    merged = bsm_per(cfg)
+    merged = bsm_per(cfg, CAL)
     monkeypatch.setattr(analytic, "_BSM_MAX_RUNS", 4096)
-    assert bsm_per(cfg) == pytest.approx(merged, abs=1e-8)
+    assert bsm_per(cfg, CAL) == pytest.approx(merged, abs=1e-8)
 
 
 @pytest.mark.parametrize("lane_count", [2 ** 16, 2 ** 32])
-def test_bsm_model_memory_does_not_grow_with_the_lane_count(tmp_path, lane_count):
+def test_bsm_model_memory_does_not_grow_with_the_lane_count(lane_count):
     """The pair matrix would be 32 GiB at 2**16 lanes."""
-    const = ScenarioConfig(per_curve=write_constant_curve(tmp_path, 0.3), lane_count=lane_count)
-    assert bsm_per(const) == pytest.approx(0.3, rel=1e-12)
+    cfg = ScenarioConfig(lane_count=lane_count)
+    assert bsm_per(cfg, constant_per_curve(0.3)) == pytest.approx(0.3, rel=1e-12)
     tracemalloc.start()
     try:
-        value = bsm_per(ScenarioConfig(lane_count=lane_count))
+        value = bsm_per(cfg, CAL)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -412,3 +410,19 @@ def test_bsm_model_memory_does_not_grow_with_the_lane_count(tmp_path, lane_count
     # Nearly every pair is past the last knot, where the PER is clamped.
     clamped = per(CAL, CAL.max_knot_distance, ScenarioConfig().flow_rate)
     assert value == pytest.approx(clamped, abs=1e-3)
+
+
+def test_bsm_model_memory_does_not_grow_with_the_last_knot():
+    """A calibration reaching 1e9 m would take 2e9 nodes of 0.5 m, about 16 GB
+    per temporary; the nodes are capped and spread over the calibrated span.
+    PER rising linearly from 0.1 to 0.5 over the road has mean 0.1 + 0.4 / 3,
+    since the gap's mean is a third of the road."""
+    curve = PerCurve(levels=(10.0,), tables=(((0.0, 0.1), (1e9, 0.5)),))
+    tracemalloc.start()
+    try:
+        value = bsm_per(ScenarioConfig(road_length=1e9), curve)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+    assert value == pytest.approx(0.1 + 0.4 / 3, abs=1e-9)

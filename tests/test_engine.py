@@ -18,7 +18,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from bsm_reference import bsm_counters, per_table
 from v2isim import analytic, engine, metrics
-from v2isim.channel import constant_per_curve, default_calibration, dumps_per_curve, per, per_many
+from v2isim.channel import (
+    PerCurve, constant_per_curve, default_calibration, dumps_per_curve, per, per_many,
+)
 from v2isim.cli import main
 from v2isim.core import RSU_POSITION, ConfigError, Message, ScenarioConfig
 from v2isim.engine import (
@@ -536,7 +538,7 @@ def test_bsm_per_is_the_closed_form_whenever_there_is_a_probe(overrides):
     cfg = short_cfg(**{"flow_rate": 10.0, **overrides})
     summary = run(cfg)
     assert summary.bsm_expected_rx_count > 0
-    assert summary.bsm_per == analytic.bsm_per(cfg)
+    assert summary.bsm_per == analytic.bsm_per(cfg, cfg.channel())
 
 
 @pytest.mark.parametrize("overrides", [
@@ -567,12 +569,21 @@ def test_bsm_per_of_a_1e9_m_road_takes_under_a_second():
     assert summary.bsm_per == pytest.approx(per(curve, curve.max_knot_distance, 10.0), abs=1e-6)
 
 
+def test_bsm_per_of_a_1e9_m_road_and_last_knot_takes_under_a_second(tmp_path):
+    """A calibration reaching as far as the 1e9 m road leaves no closed-form
+    tail: the quadrature's nodes are capped, not 0.5 m apart."""
+    path = tmp_path / "far.per"
+    path.write_text(dumps_per_curve(PerCurve(levels=(10.0,), tables=(((0.0, 0.1), (1e9, 0.5)),))))
+    summary = _timed_bsm_run(road_length=1e9, t_sum=600_000, per_curve=str(path))
+    assert summary.bsm_per == pytest.approx(0.1 + 0.4 / 3, abs=1e-9)
+
+
 def test_bsm_per_of_2_32_lanes_a_nanometre_apart_takes_under_a_second():
     """2**32 lateral gaps below the last knot, merged into runs: one gap per
     lane pair would take about 3e7 blocks of PER lookups."""
     summary = _timed_bsm_run(lane_count=2**32, lane_width=1e-9)
     # Every lane lies within 4.3 m of the median: close to one lane per direction.
-    one_lane = analytic.bsm_per(dataclasses.replace(summary.cfg, lane_count=2))
+    one_lane = analytic.bsm_per(dataclasses.replace(summary.cfg, lane_count=2), CAL)
     assert summary.bsm_per == pytest.approx(one_lane, abs=1e-5)
 
 
@@ -739,7 +750,7 @@ def test_steady_state_bsm_per_matches_the_closed_form(flow):
     for seed in range(12):
         _, rx, probes = _reference_pass(dataclasses.replace(base, rng_seed=seed))
         pers.append(1.0 - rx / probes)
-    model = analytic.bsm_per(base)
+    model = analytic.bsm_per(base, CAL)
     se = np.std(pers, ddof=1) / math.sqrt(len(pers))
     assert abs(np.mean(pers) - model) <= 4.0 * se, (np.mean(pers), model, se)
 
