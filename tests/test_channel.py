@@ -8,7 +8,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bsm_reference import PER_TABLE_MAX_CELLS, per_table
 from v2isim.analytic import mean_attempts, params_from_config
 from v2isim.channel import (
     CurveError, PerCurve, constant_per_curve, default_calibration, dumps_per_curve,
@@ -137,7 +136,6 @@ def test_density_violation_names_the_first_distance():
 
 def test_nan_density_is_rejected_and_infinite_densities_clamp():
     for call in (lambda rho: per(CAL, 100.0, rho), lambda rho: per_many(CAL, [100.0], rho),
-                 lambda rho: per_table(CAL, rho).values,
                  lambda rho: mean_attempts(replace(params_from_config(ScenarioConfig()),
                                                    density=rho))):
         with pytest.raises(ValueError, match="density must not be NaN"):
@@ -210,64 +208,9 @@ def test_scalar_per_accepts_numpy_scalars():
     assert got == per(CAL, 212.5, 17.0)
 
 
-# The reference BSM pass (bsm_reference) reads PER from a per-run table of cell midpoints.
-TABLE_CURVES = {
-    **BIT_CURVES,
-    # Past the 2**17-cell cap, and 1316 * (cells / 1316) rounds below the
-    # cell count: per_table must still clamp at exactly the last knot.
-    "far": PerCurve(levels=(10.0,), tables=(((0.0, 0.0), (1316.0, 1.0)),)),
-    "touch": parse_per_curve("density 10\n0 0\n0.01 1\n"),
-    "zero_span": PerCurve(levels=(10.0,), tables=(((0.0, 0.2),),)),
-}
-
-
-def _max_slope(curve: PerCurve) -> float:
-    # A density blend's slope lies between its two levels' slopes.
-    return max((abs(p1 - p0) / (d1 - d0) for tab in curve.tables
-                for (d0, p0), (d1, p1) in zip(tab, tab[1:])), default=0.0)
-
-
-@pytest.mark.parametrize("flow", (10.0, 15.0, 20.0, 30.0))
-def test_per_table_within_half_a_cell_of_per_many(flow):
-    table = per_table(CAL, flow)
-    assert table.cells_per_m == 100.0 and len(table.values) == 50_001
-    d = np.random.default_rng(5).uniform(0.0, 700.0, size=100_000)
-    err = np.abs(table.lookup(d) - per_many(CAL, d, flow))
-    # 1e-15 absorbs rounding at cell edges, far below the 1.8e-5 bound.
-    assert err.max() <= _max_slope(CAL) * 0.01 / 2 + 1e-15
-
-
-@pytest.mark.parametrize("name", sorted(TABLE_CURVES))
-def test_per_table_bound_holds_and_is_bit_exact_past_the_last_knot(name):
-    curve = TABLE_CURVES[name]
-    last = curve.max_knot_distance
-    inside = np.random.default_rng(6).uniform(0.0, last, size=10_000)
-    past = np.array([last, np.nextafter(last, math.inf), last + 0.004,
-                     1.5 * last + 1.0, 1e6, 1e150])
-    for rho in BIT_DENSITIES:
-        table = per_table(curve, rho)
-        assert len(table.values) <= PER_TABLE_MAX_CELLS
-        err = np.abs(table.lookup(inside) - per_many(curve, inside, rho))
-        assert err.max() <= _max_slope(curve) / table.cells_per_m / 2 + 1e-15, rho
-        want = per_many(curve, past, rho)
-        assert np.array_equal(table.lookup(past).view(np.uint64), want.view(np.uint64)), rho
-
-
-def test_per_table_cell_cap_bounds_its_size():
-    # The 10 km knot of constant_per_curve would need 1e6 cells of 1 cm.
-    for curve in (constant_per_curve(0.3), TABLE_CURVES["far"]):
-        table = per_table(curve, 10.0)
-        assert len(table.values) == PER_TABLE_MAX_CELLS
-        assert table.values.nbytes <= 2 ** 20
-    huge = PerCurve(levels=(10.0,), tables=(((0.0, 0.1), (1e300, 0.9)),))
-    assert validate_per_curve(huge) == []
-    assert len(per_table(huge, 10.0).values) == PER_TABLE_MAX_CELLS
-
-
 def test_reception_mask_draws_one_uniform_per_distance():
-    table = per_table(CAL, 17.0)
-    d = np.random.default_rng(8).uniform(0.0, 700.0, size=1000)
+    pers = per_many(CAL, np.random.default_rng(8).uniform(0.0, 700.0, size=1000), 17.0)
     rng, twin = np.random.default_rng(9), np.random.default_rng(9)
-    mask = reception_mask(rng, table.lookup(d))
-    assert np.array_equal(mask, twin.random(len(d)) >= table.lookup(d))
+    mask = reception_mask(rng, pers)
+    assert np.array_equal(mask, twin.random(len(pers)) >= pers)
     assert rng.random() == twin.random()

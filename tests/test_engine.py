@@ -16,10 +16,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bsm_reference import bsm_counters, per_table
 from v2isim import analytic, engine, metrics
 from v2isim.channel import (
-    PerCurve, constant_per_curve, default_calibration, dumps_per_curve, per, per_many,
+    PerCurve, constant_per_curve, default_calibration, dumps_per_curve, parse_per_curve, per,
+    per_many,
 )
 from v2isim.cli import main
 from v2isim.core import RSU_POSITION, ConfigError, Message, ScenarioConfig
@@ -512,21 +512,11 @@ def test_completion_fraction_regression():
     assert complete / len(summary.records) > 0.99
 
 
-def _reference_pass(cfg: ScenarioConfig) -> tuple[int, float, int]:
-    """The Monte-Carlo BSM pass (``bsm_reference``) over the run's arrivals."""
-    sim = engine._Simulation(cfg)   # arrivals only: the BSM pass needs no event loop
-    return bsm_counters(cfg, sim.curve, sim.by_direction)
-
-
-def test_bsm_counters_consistent():
-    cfg = short_cfg(flow_rate=10.0)
-    summary = run(cfg)
+def test_bsm_counts_consistent():
+    summary = run(short_cfg(flow_rate=10.0))
     assert summary.bsm_tx_count > 0
     assert 0 < summary.bsm_expected_rx_count <= summary.bsm_tx_count
     assert 0.0 <= summary.bsm_per <= 1.0
-    tx, rx, probes = _reference_pass(cfg)
-    assert (tx, probes) == (summary.bsm_tx_count, summary.bsm_expected_rx_count)
-    assert 0 < rx <= probes
 
 
 @pytest.mark.parametrize("overrides", [
@@ -647,124 +637,70 @@ def test_bsm_per_cell_is_empty_when_warmup_covers_the_run(tmp_path):
     assert dict(zip(header.split(","), row.split(",")))["bsm_per"] == ""
 
 
-def test_bsm_reception_rate_matches_constant_per(tmp_path):
-    # Every probe scores 1 - 0.3 whatever its distance: the estimate is exact.
-    per_value = 0.3
-    curve_path = tmp_path / "const.per"
-    curve_path.write_text(dumps_per_curve(constant_per_curve(per_value)))
-    _, rx, n = _reference_pass(short_cfg(flow_rate=10.0, per_curve=str(curve_path),
-                                         bsm_period=100))
-    assert n > 100_000
-    assert rx == pytest.approx((1.0 - per_value) * n, rel=1e-9)
+def _all_pairs_per(cfg: ScenarioConfig, curve: PerCurve) -> float:
+    """The BSM PER expected of the run's probes, over the positions of
+    ``_in_stretch_positions`` at the ticks from warmup on.
 
-
-def test_bsm_receptions_match_all_pairs_expectation():
-    """The scored-probe estimator against the exact all-pairs reference.
-
-    Sender i's one probe is uniform over the other in-stretch vehicles, and
-    a probe of j scores h_ij = 1 - per(d_ij). With p_i = mean_{j != i} h_ij,
-    E[rx] = sum_t sum_i p_i. Only the receiver choice is random (no
-    reception is drawn), so Var[rx] = sum_t sum_i Var_{j != i}(h_ij), the
-    Rao-Blackwell variance, with no Bernoulli term. A 1 km stretch keeps most
-    pairs on the curve's slope; 15 veh/s blends two density levels.
+    Sender i probes one other in-stretch vehicle, drawn uniformly, so its
+    probe misses with probability mean_{j != i} per(d_ij); averaging out that
+    one random choice leaves, over the n_t senders of each tick,
+    sum_t sum_{i != j} per(d_ij) / (n_t - 1) over sum_t n_t.
     """
-    cfg = short_cfg(flow_rate=15.0, road_length=1000.0, sim_duration=40_000,
-                    bsm_period=250)
-    curve = default_calibration()
-    mean = var = 0.0
+    per_sum = probes = 0.0
     for positions in _in_stretch_positions(cfg):
         n = len(positions)
         if n < 2:
             continue
-        xy = np.array(positions)
-        dist = np.hypot(*(xy[:, None, :] - xy[None, :, :]).transpose(2, 0, 1))
-        hear = 1.0 - per_many(curve, dist, cfg.flow_rate)
-        np.fill_diagonal(hear, 0.0)
-        p = hear.sum(axis=1) / (n - 1)
-        mean += p.sum()
-        var += ((hear ** 2).sum(axis=1) / (n - 1) - p ** 2).sum()
-    _, rx, _ = _reference_pass(cfg)
-    assert var > 1000.0
-    assert abs(rx - mean) <= 4.0 * math.sqrt(var), (rx, mean)
-
-
-def _scalar_bsm_pass(cfg: ScenarioConfig):
-    """The BSM pass replayed one probe at a time from the seed's BSM stream:
-    (transmissions, expected receptions, probes) and the stream's final state."""
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.rng_seed).spawn(1)[0])
-    table = per_table(cfg.channel(), cfg.flow_rate)
-    tx = probes = 0
-    rx = 0.0
-    for positions in _in_stretch_positions(cfg):
-        n = len(positions)
-        tx += n
-        if n < 2:
-            continue
+        x, y = np.array(positions).T
+        z = x + 1j * y
+        # Each pair i < j once: per(d_ij) counts for both of its orders.
+        gaps = np.abs(np.concatenate([z[i + 1:] - z[i] for i in range(n - 1)]))
+        per_sum += 2.0 * per_many(curve, gaps, cfg.flow_rate).sum() / (n - 1)
         probes += n
-        for i, j in enumerate(rng.integers(0, n - 1, size=n).tolist()):
-            xi, yi = positions[i]
-            xj, yj = positions[j + (j >= i)]   # skip the sender
-            d = abs(complex(xj - xi, yj - yi))
-            rx += 1.0 - float(table.lookup(np.array([d]))[0])
-    return (tx, rx, probes), rng.bit_generator.state
+    return per_sum / probes
 
 
-def test_bsm_pass_matches_a_scalar_replay_per_probe(monkeypatch):
-    """Same transmissions and probes, the same expected receptions up to the
-    order of summation, and the same number of draws from the BSM stream.
-    With a warmup (3.1 s: between two ticks, before the last pair) the
-    replay's first draw is at the first tick from warmup on, so the pass
-    draws nothing at the ticks before it."""
-    for warmup in (0, 3_100):
-        cfg = short_cfg(flow_rate=0.5, bsm_period=250, sim_duration=30_000, warmup=warmup)
-        ticks = list(_in_stretch_positions(cfg))
-        sizes = [len(p) for p in ticks]
-        assert 2 in sizes and max(sizes) > 2   # a pair, and ticks with a choice of receiver
-        assert any(min(y for _, y in p) < 0 < max(y for _, y in p) for p in ticks if p)   # both directions
-        (want_tx, want_rx, want_probes), want_state = _scalar_bsm_pass(cfg)
+@pytest.mark.parametrize("flow, overrides", [
+    (10.0, {"bsm_period": 25_000}),                           # the defaults: 3 km, 16 lanes
+    (30.0, {"bsm_period": 10_000, "road_length": 1000.0}),
+    (15.0, {"bsm_period": 10_000, "road_length": 1000.0,      # blends two levels
+            "lane_count": 4}),
+], ids=["10.0", "30.0", "15.0-4-lanes-1km"])
+def test_steady_state_bsm_per_matches_the_closed_form(flow, overrides):
+    """``analytic.bsm_per`` against ``_all_pairs_per`` at 4 ticks from one
+    transit on, at 12 seeds.
 
-        sim = engine._Simulation(cfg)
-        streams = []
-        default_rng = np.random.default_rng
-        with monkeypatch.context() as patch:
-            patch.setattr(np.random, "default_rng",
-                          lambda *a: streams.append(default_rng(*a)) or streams[-1])
-            tx, rx, expected = bsm_counters(cfg, sim.curve, sim.by_direction)
-        assert (tx, expected) == (want_tx, want_probes), warmup
-        assert rx == pytest.approx(want_rx, rel=1e-9), warmup
-        assert [g.bit_generator.state for g in streams] == [want_state], warmup
-
-
-@pytest.mark.parametrize("flow", [10.0, 30.0])
-def test_steady_state_bsm_per_matches_the_closed_form(flow):
-    """The post-warmup Monte-Carlo BSM pass against ``analytic.bsm_per``, over 12 seeds.
-
-    Past warmup the in-stretch vehicles are uniform along the road and over
-    the lanes, so a probe's gap is that of two independent uniform vehicles.
-    The bound is 4 sample standard errors: with 11 degrees of freedom a
-    correct pass fails about 0.2 % of the time. Counting the fill-up ticks
-    puts the mean 3-5e-3 under the model, dozens of standard errors.
+    From one transit on the in-stretch vehicles are uniform along the road
+    and over the lanes, so a probe's gap is that of two independent uniform
+    vehicles. The bound is 4 sample standard errors: with 11 degrees of
+    freedom a correct model fails about 0.2 % of the time. The control's
+    ticks fall in the stretch's fill-up (warmup 0, before one transit),
+    where the vehicles are not yet uniform: it must miss by more than 10
+    standard errors, or the check could not tell the two apart.
     """
-    base = dataclasses.replace(ScenarioConfig(), flow_rate=flow, sim_duration=200_000)
-    pers = []
-    for seed in range(12):
-        _, rx, probes = _reference_pass(dataclasses.replace(base, rng_seed=seed))
-        pers.append(1.0 - rx / probes)
+    base = dataclasses.replace(ScenarioConfig(), flow_rate=flow, **overrides)
+    transit = transit_ms(base.road_length, base.mean_speed)
     model = analytic.bsm_per(base, CAL)
-    se = np.std(pers, ddof=1) / math.sqrt(len(pers))
-    assert abs(np.mean(pers) - model) <= 4.0 * se, (np.mean(pers), model, se)
+
+    def z_score(**window):
+        pers = [_all_pairs_per(dataclasses.replace(base, rng_seed=seed, **window), CAL)
+                for seed in range(12)]
+        se = np.std(pers, ddof=1) / math.sqrt(len(pers))
+        return (np.mean(pers) - model) / se, se
+
+    steady = z_score(warmup=transit, sim_duration=transit + 4 * base.bsm_period)
+    fill_up = z_score(warmup=0, sim_duration=transit)
+    assert abs(steady[0]) <= 4.0, steady
+    assert abs(fill_up[0]) > 10.0, fill_up
 
 
-def test_bsm_sender_never_probes_itself(tmp_path):
-    # Lossless only within 1 cm: no two vehicles are that close (same-direction
-    # spawns are >= 1 ms apart, directions are lanes apart), so only a probe of
-    # the sender itself could be received.
-    curve_path = tmp_path / "touch.per"
-    curve_path.write_text("density 10\n0 0\n0.01 1\n")
-    _, rx, probes = _reference_pass(short_cfg(flow_rate=10.0, per_curve=str(curve_path),
-                                              bsm_period=100))
-    assert probes > 0
-    assert rx == 0
+def test_bsm_sender_never_probes_itself():
+    """Lossless only within 1 cm: no two vehicles are that close (same-direction
+    spawns are >= 1 ms apart, directions are lanes apart), so a self pair is the
+    only one that could be heard. Under a constant PER every pair misses alike."""
+    cfg = short_cfg(flow_rate=10.0, bsm_period=5_000)
+    assert _all_pairs_per(cfg, parse_per_curve("density 10\n0 0\n0.01 1\n")) == 1.0
+    assert _all_pairs_per(cfg, constant_per_curve(0.3)) == pytest.approx(0.3, rel=1e-12)
 
 
 def test_arrival_of_an_undelivered_kind_raises_before_any_draw():
