@@ -697,10 +697,21 @@ def test_steady_state_bsm_per_matches_the_closed_form(flow, overrides):
 def test_bsm_sender_never_probes_itself():
     """Lossless only within 1 cm: no two vehicles are that close (same-direction
     spawns are >= 1 ms apart, directions are lanes apart), so a self pair is the
-    only one that could be heard. Under a constant PER every pair misses alike."""
+    only one that could be heard."""
     cfg = short_cfg(flow_rate=10.0, bsm_period=5_000)
     assert _all_pairs_per(cfg, parse_per_curve("density 10\n0 0\n0.01 1\n")) == 1.0
-    assert _all_pairs_per(cfg, constant_per_curve(0.3)) == pytest.approx(0.3, rel=1e-12)
+
+
+def test_bsm_reception_rate_matches_constant_per(tmp_path):
+    # Every probe misses with 0.3 whatever its distance: the expected PER and
+    # the reported one are that constant exactly.
+    per_value = 0.3
+    curve_path = tmp_path / "const.per"
+    curve_path.write_text(dumps_per_curve(constant_per_curve(per_value)))
+    cfg = short_cfg(flow_rate=10.0, per_curve=str(curve_path), bsm_period=5_000)
+    assert _all_pairs_per(cfg, constant_per_curve(per_value)) == pytest.approx(per_value,
+                                                                               rel=1e-12)
+    assert run(cfg).bsm_per == pytest.approx(per_value, rel=1e-12)
 
 
 def test_arrival_of_an_undelivered_kind_raises_before_any_draw():
