@@ -10,7 +10,8 @@ the engine carries its transmit position beside it. The per-kind radio
 parameters (priority, payload size, MCS) have no effect on the simulation
 and are listed in the README only. One key=value parser serves config-file
 lines and overrides, taking each field's type from the ``ScenarioConfig``
-annotations; every parsed or derived config passes ``replace_config``. Tau
+annotations. Readers only parse: every scenario that runs is validated, a
+derived one by ``replace_config`` and each run by ``engine.run``. Tau
 is one range, ``tau_low..tau_high``; a fixed tau is ``tau_low = tau_high``.
 The fields are scenario parameters; each BSM sender probes one receiver,
 with no setting.
@@ -247,29 +248,26 @@ def parse_config(text: str, base_dir: str = ".") -> ScenarioConfig:
     """Parse flat ``key = value`` configuration text.
 
     Omitted fields keep their defaults; ``#`` starts a comment. Relative
-    per_curve paths are resolved against ``base_dir``.
+    per_curve paths are resolved against ``base_dir``. The result is not validated.
     """
     lines = ((f"line {lineno}", line.split("#", 1)[0].strip())
              for lineno, line in enumerate(text.splitlines(), start=1))
     values = _parse_assignments(((where, text) for where, text in lines if text), base_dir)
-    return replace_config(ScenarioConfig(), **values)
+    return ScenarioConfig(**values)
 
 
-def override_config(cfg: ScenarioConfig, assignments: list[str],
-                    validate: bool = True) -> ScenarioConfig:
-    """Apply ``key=value`` overrides on top of an existing config, revalidating.
+def override_config(cfg: ScenarioConfig, assignments: list[str]) -> ScenarioConfig:
+    """Apply ``key=value`` overrides on top of an existing config, unvalidated.
 
-    With ``validate`` false the result is only parsed; the caller validates
-    every config it builds from it. A relative per_curve path is resolved
-    against the working directory.
+    A relative per_curve path is resolved against the working directory.
     """
     values = _parse_assignments(
         ((f"override {item!r}", item) for item in assignments), os.getcwd())
-    return (replace_config if validate else dataclasses.replace)(cfg, **values)
+    return dataclasses.replace(cfg, **values)
 
 
 def load_config(path: str) -> ScenarioConfig:
-    """Load and validate a scenario configuration file.
+    """Parse a scenario configuration file, unvalidated.
 
     The calibration file named by ``per_curve`` is not read here; it is
     resolved by ``ScenarioConfig.channel()``.

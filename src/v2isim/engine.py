@@ -396,12 +396,14 @@ class _Simulation:
 
 def run(cfg: ScenarioConfig, trace_path: str | None = None) -> RunSummary:
     """Simulate one scenario; identical (cfg, seed) yields an identical summary."""
+    sim = _Simulation(cfg)   # validates cfg and reads its curve: a rejected one opens no file
     if trace_path is None:
-        return _Simulation(cfg).run()
+        return sim.run()
     with open(trace_path, "w", encoding="utf-8", newline="\n") as fh:
         def trace(t: TimeMs, entity: str, event: str, before: str, after: str) -> None:
             fh.write(f"{t}\t{entity}\t{event}\t{before}\t{after}\n")
-        return _Simulation(cfg, trace=trace).run()
+        sim.trace = trace
+        return sim.run()
 
 
 class BatchError(RuntimeError):

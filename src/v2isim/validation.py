@@ -5,7 +5,9 @@ line, a fixed effective exchange delay, and no batching wait. Each attempt
 receives its request and acknowledgment independently at the distances the
 closed form evaluates. The first-success counts are drawn as one binomial per
 attempt, which has exactly the distribution of a trial-by-trial replay, so
-they must match the analytic pmf within binomial sampling error.
+they must match the analytic pmf within binomial sampling error. Each bin is
+judged by its exact binomial tail (``bin_consistent``), not by a 3-sigma band,
+which raises false alarms on bins that expect almost nothing.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ from .core import ConfigError
 # memory at any trial count.
 MAX_TRIALS = 50_000_000
 N_CHECK = 6               # attempts 0..N_CHECK-1 are compared
+# The false-alarm level that one validate run's bins share.
+FALSE_ALARM_LEVEL = 1e-3
 
 
 def mc_first_success_counts(params: AnalyticParams, trials: int,
@@ -61,7 +65,7 @@ class BinCheck:
 
 def check_against_pmf(params: AnalyticParams, trials: int,
                       rng: np.random.Generator) -> list[BinCheck]:
-    """Per-attempt binomial 3-sigma comparison for attempts 0..N_CHECK-1."""
+    """Monte-Carlo counts against the pmf for attempts 0..N_CHECK-1, one ``BinCheck`` each."""
     if not 10_000 <= trials <= MAX_TRIALS:
         raise ConfigError(f"trials must lie in [10000, {MAX_TRIALS}]: fewer make no meaningful "
                           f"check (got {trials})")
@@ -78,3 +82,28 @@ def check_against_pmf(params: AnalyticParams, trials: int,
             sigma=math.sqrt(trials * p * (1.0 - p)),
         ))
     return checks
+
+
+def bin_consistent(observed: int, trials: int, p: float, alpha: float) -> bool:
+    """Exact binomial tail test of one first-success bin.
+
+    True unless a count at least as far from ``trials * p`` as ``observed``
+    (on the same side) has probability below ``alpha``. A bin with p = 0 or
+    p = 1 must match exactly.
+    """
+    if p <= 0.0 or p >= 1.0:
+        return observed == round(trials * p)
+    log_p, log_q, log_n = math.log(p), math.log1p(-p), math.lgamma(trials + 1)
+    step = 1 if observed >= trials * p else -1
+    tail = 0.0
+    k = observed
+    while 0 <= k <= trials:
+        term = math.exp(log_n - math.lgamma(k + 1) - math.lgamma(trials - k + 1)
+                        + k * log_p + (trials - k) * log_q)
+        tail += term
+        if tail >= alpha:
+            return True
+        if term < 1e-30:   # terms fall geometrically away from the mean
+            return False
+        k += step
+    return False

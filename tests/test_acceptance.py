@@ -4,9 +4,9 @@
     steepness (runtime < 5 s).
  2. Closed-form pmf equals exhaustive outcome enumeration to 1e-12 on 50
     randomized calibrations (runtime < 10 s).
- 3. Monte-Carlo replay of the model's assumptions matches the pmf within
-    3-sigma binomial bounds for attempts 0..5 at three operating points
-    (1e5 trials each, runtime < 60 s).
+ 3. Monte-Carlo replay of the model's assumptions matches the pmf for
+    attempts 0..5 at three operating points under an exact binomial tail
+    test at a 1e-3 level shared by the 18 bins (1e5 trials each, runtime < 60 s).
  4. Simulated 90th-percentile service completion time orders the trigger
     settings 0 m < -100 m < 300 m inside every flow group (3x3 grid,
     600 s simulated per cell, warmup excluded, runtime < 10 min).

@@ -106,12 +106,23 @@ def test_trigger_outside_stretch_still_accepted_by_model_commands(tmp_path, caps
     ("validate", "--set flow_rate=1e9 --trials 10000 --point 0:10"),
     ("analytic", "--set d_t=2000 --densities 10"),
     ("validate", "--set d_t=2000 --trials 10000 --point 0:10"),
+    ("sweep", "--config flow_rate=1e6 --set sim_duration=3000 --set warmup=0 --flows 10 --d-t 0"),
+    ("sweep", "--config d_t=5000 --d-t 0 --flows 10 --set sim_duration=3000 --set warmup=0"),
+    ("analytic", "--config flow_rate=1e9 --densities 10"),
+    ("validate", "--config flow_rate=1e9 --trials 10000 --point 0:10"),
+    ("analytic", "--config d_t=5000 --densities 10"),
+    ("validate", "--config d_t=5000 --trials 10000 --point 0:10"),
 ])
 def test_set_values_that_every_scenario_replaces_are_not_validated(
         tmp_path, capsys, command, argv):
-    """Each sweep cell, density or point is validated, not the base it replaces."""
+    """Each sweep cell, density or point is validated, not the base it replaces,
+    whether a value comes from ``--set`` or from a ``--config`` file."""
     out = [] if command == "validate" else ["--out", str(tmp_path / "o")]
-    assert main([command, *out, *argv.split()]) == 0
+    argv = argv.split()
+    if argv[0] == "--config":   # the next item is the file's one line
+        (tmp_path / "base.cfg").write_text(argv[1] + "\n")
+        argv[1] = str(tmp_path / "base.cfg")
+    assert main([command, *out, *argv]) == 0
     if command == "sweep":
         assert len((tmp_path / "o" / "sweep_summary.csv").read_text().splitlines()) == 2
     assert "invalid configuration" not in capsys.readouterr().err
@@ -278,6 +289,40 @@ def test_validate_constant_channel_geometric(tmp_path, capsys):
     assert capsys.readouterr().out.count("ok") == 6
 
 
+def test_validate_does_not_flag_a_bin_that_expects_almost_nothing(capsys):
+    """Seed 4 draws one first success where 0.1 is expected (3 sigma away):
+    likely enough under the binomial, so the tail test passes it."""
+    assert main(["validate", "--seed", "4"]) == 0
+    assert "d_t=0 flow=10 n=4 observed=1 expected=0.1 sigma=0.3 ok" in capsys.readouterr().out
+
+
+def test_validate_false_alarms_stay_at_the_shared_level(capsys):
+    """The 18 bins of a run share a 1e-3 false-alarm level: over 1000 base seeds
+    at the default points about one run should fail (the 3-sigma rule failed 113)."""
+    failed = [seed for seed in range(1000) if main(["validate", "--seed", str(seed)]) != 0]
+    capsys.readouterr()
+    assert len(failed) <= 3, failed
+
+
+def test_validate_flags_a_pmf_moved_by_one_percent(monkeypatch, capsys):
+    """The check keeps its power: moving 0.01 of the pmf's mass from attempt 0
+    to attempt 1 fails both bins at every default point."""
+    exact = validation.first_success_pmf
+
+    def moved(params):
+        pmf = list(exact(params))
+        return [pmf[0] - 0.01, pmf[1] + 0.01, *pmf[2:]]
+    monkeypatch.setattr(validation, "first_success_pmf", moved)
+    assert main(["validate"]) == 1
+    captured = capsys.readouterr()
+    assert "binomial tail" in captured.err
+    for point in ("d_t=300 flow=30", "d_t=0 flow=10", "d_t=-100 flow=20"):
+        for n in (0, 1):
+            line = next(row for row in captured.out.splitlines()
+                        if row.startswith(f"{point} n={n} "))
+            assert line.endswith("VIOLATION"), line
+
+
 def test_validate_rejects_too_few_trials(capsys):
     assert main(["validate", "--trials", "100"]) == 2
     assert "10000" in capsys.readouterr().err
@@ -309,6 +354,31 @@ def test_removed_tau_keys_exit_2_naming_the_key(tmp_path, capsys, source, key, v
         argv = ["--config", str(tmp_path / "old.cfg")]
     assert main(["simulate", "--out", str(tmp_path / "o"), *FAST, *argv]) == 2
     assert f"unknown key {key!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["config", "set"])
+@pytest.mark.parametrize("command", ["simulate", "trace"])
+def test_rejected_run_writes_nothing(tmp_path, capsys, command, source):
+    """A run validates its scenario before it creates --out or opens the trace file."""
+    if source == "set":
+        argv = ["--set", "t_sum=-5"]
+    else:
+        (tmp_path / "bad.cfg").write_text("t_sum = -5\n")
+        argv = ["--config", str(tmp_path / "bad.cfg")]
+    assert main([command, "--out", str(tmp_path / "o"), *FAST, *argv]) == 2
+    assert "t_sum must be > 0 ms" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep", "analytic", "validate", "trace"])
+def test_missing_calibration_file_exits_2_naming_it_and_writes_nothing(
+        tmp_path, capsys, command):
+    curve = tmp_path / "missing.per"
+    out = [] if command == "validate" else ["--out", str(tmp_path / "o")]
+    assert main([command, *out, *FAST, "--set", f"per_curve={curve}"]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot read calibration file {curve}" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_validate_bad_point_spec(capsys):
@@ -343,7 +413,7 @@ def test_unwritable_out_exits_1_with_a_one_line_reason(tmp_path, capsys, command
 @pytest.mark.parametrize("command", ["analytic", "validate"])
 def test_model_commands_read_the_calibration_file_once_per_command(
         tmp_path, capsys, monkeypatch, command):
-    """One read checks the file, one builds the model for every density or point."""
+    """One read builds the model for every density or point, after they are validated."""
     curve = tmp_path / "default.per"
     curve.write_text(channel.dumps_per_curve(channel.default_calibration()))
     reads = []
@@ -355,12 +425,12 @@ def test_model_commands_read_the_calibration_file_once_per_command(
         argv = ["--out", str(out)] if command == "analytic" else ["--trials", "10000"]
         assert main([command, *argv, "--set", f"per_curve={per_curve}"]) == 0
         outputs.append(out.read_bytes() if command == "analytic" else capsys.readouterr().out)
-    assert reads == [str(curve)] * 2
+    assert reads == [str(curve)]
     assert outputs[0] == outputs[1]
 
 
-def test_simulate_with_bsms_reads_the_calibration_file_twice(tmp_path, monkeypatch):
-    """One read checks the file, one builds the run's curve; ``bsm_per`` reuses that curve."""
+def test_simulate_with_bsms_reads_the_calibration_file_once(tmp_path, monkeypatch):
+    """The run reads its curve once, after validating; ``bsm_per`` reuses that curve."""
     curve = tmp_path / "default.per"
     curve.write_text(channel.dumps_per_curve(channel.default_calibration()))
     reads = []
@@ -368,13 +438,13 @@ def test_simulate_with_bsms_reads_the_calibration_file_twice(tmp_path, monkeypat
     monkeypatch.setattr(channel, "load_per_curve", lambda path: reads.append(path) or load(path))
     out = tmp_path / "out"
     assert main(["simulate", "--out", str(out), *FAST, "--set", f"per_curve={curve}"]) == 0
-    assert reads == [str(curve)] * 2
+    assert reads == [str(curve)]
     header, row = (out / "summary.csv").read_text().splitlines()
     assert dict(zip(header.split(","), row.split(",")))["bsm_per"] != ""
 
 
 def test_sweep_parses_the_calibration_file_once(tmp_path, monkeypatch):
-    """The check in ``_load`` and both cells share one parse of the same bytes."""
+    """The sweep's own check and both cells share one parse of the same bytes."""
     curve = tmp_path / "default.per"
     # A comment naming this run's directory: no earlier load has these bytes.
     curve.write_text(channel.dumps_per_curve(channel.default_calibration())

@@ -5,7 +5,8 @@ replay it replaced: every trial draws its request and acknowledgment receptions
 attempt by attempt. Both sample the same multinomial, so at each default
 ``validate`` point every bin must agree within a two-sample binomial bound.
 The chain also holds no per-trial array, so its memory does not grow with the
-trial count.
+trial count. ``bin_consistent``, which judges each bin, is checked against exact
+binomial tail sums.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from v2isim import ScenarioConfig
 from v2isim.analytic import attempt_distances, params_from_config
 from v2isim.channel import constant_per_curve, per
 from v2isim.cli import derive_cell_seed
-from v2isim.validation import MAX_TRIALS, N_CHECK, mc_first_success_counts
+from v2isim.validation import MAX_TRIALS, N_CHECK, bin_consistent, mc_first_success_counts
 
 POINTS = ((300.0, 30.0), (0.0, 10.0), (-100.0, 20.0))   # validate's defaults
 TRIALS = 200_000
@@ -78,3 +79,34 @@ def test_counts_at_the_trial_bound_hold_under_1_mb():
         tracemalloc.stop()
     assert 0 < counts.sum() <= MAX_TRIALS
     assert peak < 1_000_000
+
+
+def _exact_tail(observed: int, trials: int, p: float) -> float:
+    """P(X at least as far from trials * p as observed, on its side), X ~ Bin(trials, p)."""
+    side = range(observed, trials + 1) if observed >= trials * p else range(observed + 1)
+    return math.fsum(math.comb(trials, k) * p**k * (1.0 - p)**(trials - k) for k in side)
+
+
+@pytest.mark.parametrize("trials", [1, 2, 5, 20, 60])
+@pytest.mark.parametrize("p", [0.01, 0.3, 0.5, 0.9])
+@pytest.mark.parametrize("alpha", [1e-3 / 18, 0.01, 0.2])
+def test_bin_consistent_matches_exact_tail_sums(trials, p, alpha):
+    """Every count on both sides of the mean gets the verdict of its exact tail."""
+    verdicts = set()
+    for observed in range(trials + 1):
+        tail = _exact_tail(observed, trials, p)
+        if abs(tail - alpha) <= 1e-9 * alpha:
+            continue   # too close to the level for floating point to settle
+        assert bin_consistent(observed, trials, p, alpha) == (tail >= alpha), (observed, tail)
+        verdicts.add((observed >= trials * p, tail >= alpha))
+    if trials == 60 and p in (0.3, 0.5):   # both verdicts occur on both sides
+        assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0])
+def test_bin_consistent_at_a_certain_bin_wants_the_exact_count(p):
+    trials = 1000
+    exact = round(trials * p)
+    assert bin_consistent(exact, trials, p, 1e-3)
+    for observed in {max(exact - 1, 0), min(exact + 1, trials)} - {exact}:
+        assert not bin_consistent(observed, trials, p, 1e-3)
