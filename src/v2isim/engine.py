@@ -30,11 +30,12 @@ comparison is settled by ``(time, seq)`` and never reaches ``kind`` or
 ``SIM_END``'s handler ends it. Hot code binds Enum members to module names,
 since on Python 3.11 a lookup on the class costs about 0.2 us. A message
 arrival's payload is ``(message, transmit position)``; the RSU transmits
-from ``RSU_POSITION``, the origin. A vehicle's state lives from spawn to
-despawn, so a retry timer that fires later is ignored. At despawn, or at
-``SIM_END`` for a vehicle still in the stretch, a vehicle that sent a
-request appends its record to the run's ``metrics.RecordTable``, which the
-summary holds as it is. After a transition the engine queues its
+from ``RSU_POSITION``, the origin. A live vehicle is one entry of
+``vehicles``, ``[kinematics, OBU state, SUMs sent]``, added at spawn and
+deleted at despawn, so a retry timer that fires later is ignored. At
+despawn, or at ``SIM_END`` for a vehicle still in the stretch, a vehicle
+that sent a request appends its record to the run's ``metrics.RecordTable``,
+which the summary holds as it is. After a transition the engine queues its
 transmissions, then arms a ``RETRY_TIMER``, ``ACK_TIMER`` or ``SAM_TIMER``
 for each deadline the transition moved to a new value that is not None.
 
@@ -75,7 +76,7 @@ from . import channel as chan
 from . import mobility as mob
 from . import protocol as proto
 from .core import (
-    Message, MessageKind, RSU_ID, RSU_POSITION, ScenarioConfig, TimeMs,
+    Message, MessageKind, RSU_POSITION, ScenarioConfig, TimeMs,
     raise_violations, validate_config,
 )
 from .metrics import (
@@ -217,11 +218,10 @@ class _Simulation:
         self.sum_per: dict[tuple[float, float], float] = {}
         self.queue = EventQueue()
 
-        # Vehicles between spawn and despawn: every position lookup is for one.
-        self.active: dict[int, mob.VehicleKinematics] = {}
+        # Vehicles between spawn and despawn, [kinematics, OBU state, SUMs sent]:
+        # every position lookup is for one. A list, so a transition sets its state in place.
+        self.vehicles: dict[int, list] = {}
         self.awaiting_sam: dict[int, None] = {}
-        self.obu: dict[int, proto.ObuState] = {}
-        self.sum_tx_count: dict[int, int] = {}
         self.rsu = proto.RsuState(
             b_ack=cfg.b_ack, t_ack=cfg.t_ack, sam_period=cfg.sam_period,
         )
@@ -248,28 +248,25 @@ class _Simulation:
             self.queue.push(arrivals.spawn_times[i], EventKind.VEHICLE_SPAWN, (arrivals, i),
                             seq=self.spawn_seq + arrivals.id_start + i)
 
-    def _apply_output(self, now: TimeMs, out: proto.ProtocolOutput) -> None:
+    def _apply_output(self, now: TimeMs, out: proto.ProtocolOutput,
+                      pos: tuple[float, float]) -> None:
         for msg in out.transmissions:
-            if msg.sender == RSU_ID:
-                pos = RSU_POSITION
-            else:
-                pos = mob.position_at(self.active[msg.sender], now)
-                if msg.kind is _SUM:
-                    self.sum_tx_count[msg.sender] = self.sum_tx_count.get(msg.sender, 0) + 1
             flight = (chan.sample_tau(self.rng, self.tau_range) + 1) // 2   # ceil(tau/2)
             self.queue.push(now + flight, _MSG_ARRIVAL, (msg, pos))
 
     def _obu_transition(self, vid: int, now: TimeMs, event: str, fn, *args) -> None:
-        state = self.obu[vid]
+        vehicle = self.vehicles[vid]
+        state = vehicle[1]
         new, out = fn(state, now, *args)
         if self.trace is not None:
             self.trace(now, f"veh{vid}", event, state.phase.value, new.phase.value)
         if new is not state:   # else a stale timer or a repeated SAM
-            self.obu[vid] = new
+            vehicle[1] = new
             if state.phase is _IDLE and new.phase is not _IDLE:
                 del self.awaiting_sam[vid]
-        if out.transmissions:   # a stored SAM or a heard ACK sends nothing
-            self._apply_output(now, out)
+        if out.transmissions:   # a stored SAM or a heard ACK sends nothing; an OBU sends only SUMs
+            vehicle[2] += len(out.transmissions)
+            self._apply_output(now, out, mob.position_at(vehicle[0], now))
         if new.retry_deadline != state.retry_deadline and new.retry_deadline is not None:
             self.queue.push(new.retry_deadline, _RETRY_TIMER, vid)
 
@@ -281,17 +278,16 @@ class _Simulation:
             self.trace(now, "rsu", event, f"pending:{len(state.pending)}",
                        f"pending:{len(new.pending)}")
         if out.transmissions:   # most received SUMs only join the batch
-            self._apply_output(now, out)
+            self._apply_output(now, out, RSU_POSITION)
         if new.ack_deadline != state.ack_deadline and new.ack_deadline is not None:
             self.queue.push(new.ack_deadline, EventKind.ACK_TIMER)
         if new.next_sam_time != state.next_sam_time:
             self.queue.push(new.next_sam_time, EventKind.SAM_TIMER)
 
     def _finalize(self, vid: int, outcome_if_incomplete: str) -> None:
-        state = self.obu[vid]
+        kinematics, state, sent = self.vehicles[vid]
         if state.attempts < 1:
             return
-        sent = self.sum_tx_count.get(vid, 0)
         if sent != state.attempts:
             raise EngineError(
                 f"vehicle {vid}: {sent} request transmissions but "
@@ -299,7 +295,7 @@ class _Simulation:
             )
         outcome = OUTCOME_COMPLETE if state.phase is proto.ObuPhase.COMPLETE \
             else outcome_if_incomplete
-        self.records.append(vid, self.active[vid].direction, state.sam_rx_time,
+        self.records.append(vid, kinematics.direction, state.sam_rx_time,
                             state.first_sum_tx_time, state.ack_rx_time, state.attempts, outcome)
 
     # -- event handlers ----------------------------------------------------
@@ -308,9 +304,8 @@ class _Simulation:
         arrivals, i = spawn
         v = arrivals[i]
         vid = v.vehicle_id
-        self.active[vid] = v
+        self.vehicles[vid] = [v, proto.ObuState(vid, self.cfg.t_sum), 0]
         self.awaiting_sam[vid] = None
-        self.obu[vid] = proto.ObuState(vid, self.cfg.t_sum)
         self.queue.push(v.spawn_time + self.trigger_after, EventKind.TRIGGER_CROSS, vid)
         self.queue.push(v.spawn_time + self.transit, EventKind.VEHICLE_DESPAWN, vid)
         self._push_spawn(arrivals, i + 1)
@@ -319,7 +314,7 @@ class _Simulation:
         self._obu_transition(vid, now, "trigger_cross", proto.obu_on_trigger)
 
     def _on_retry_timer(self, now: TimeMs, vid: int) -> None:
-        if vid in self.active:  # else the vehicle left with this timer armed
+        if vid in self.vehicles:  # else the vehicle left with this timer armed
             self._obu_transition(vid, now, "retry_timer", proto.obu_on_retry_timer)
 
     def _on_msg_arrival(self, now: TimeMs, sent: tuple[Message, tuple[float, float]]) -> None:
@@ -336,14 +331,14 @@ class _Simulation:
                 self._rsu_transition(now, "sum_rx", proto.rsu_on_sum, msg.sender)
             return
         if msg.kind is MessageKind.ACK:
-            candidates = [vid for vid in msg.recipients if vid in self.active]
+            candidates = [vid for vid in msg.recipients if vid in self.vehicles]
             event, fn, args = "ack_rx", proto.obu_on_ack, (msg.recipients,)
         elif msg.kind is MessageKind.SAM:
             # Only vehicles still waiting on an advertisement can change state.
             candidates, event, fn, args = self.awaiting_sam, "sam_rx", proto.obu_on_sam, ()
         else:
             raise EngineError(f"unexpected arrival kind {msg.kind}")
-        receivers = [(vid, mob.position_at(self.active[vid], now)) for vid in candidates]
+        receivers = [(vid, mob.position_at(self.vehicles[vid][0], now)) for vid in candidates]
         for vid in sorted(deliver_broadcast(msg.sender, receivers, pos, self.curve,
                                             self.density, self.rng)):
             self._obu_transition(vid, now, event, fn, *args)
@@ -356,9 +351,7 @@ class _Simulation:
 
     def _on_despawn(self, now: TimeMs, vid: int) -> None:
         self._finalize(vid, OUTCOME_DESPAWN)
-        del self.active[vid]
-        del self.obu[vid]
-        self.sum_tx_count.pop(vid, None)
+        del self.vehicles[vid]
         self.awaiting_sam.pop(vid, None)
 
     # -- main loop ---------------------------------------------------------
@@ -382,7 +375,7 @@ class _Simulation:
                 raise EngineError(f"unhandled event kind {kind}")
             if handler(now, payload):
                 break
-        for vid in list(self.active):
+        for vid in self.vehicles:
             self._finalize(vid, OUTCOME_SIMEND)
         bsm_tx, bsm_probes = bsm_counts(self.cfg, self.by_direction)
         return RunSummary(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -117,6 +118,17 @@ def test_parse_errors():
         parse_per_curve("density 10\n0 1.5\n")
     with pytest.raises(CurveError, match="non-decreasing in density"):
         parse_per_curve("density 10\n0 0.5\n100 0.6\ndensity 20\n0 0.1\n100 0.2\n")
+    for text, reason in [
+        ("density\n0 0.5\n", "line 1: expected 'density <veh/s>'"),
+        ("density 10 20\n0 0.5\n", "line 1: expected 'density <veh/s>'"),
+        ("density x\n0 0.5\n", "line 1: bad density 'x'"),
+        ("density 10\n0 x\n", "line 2: bad knot row '0 x'"),
+        ("density 10\n0 0.1\ndensity 10\n0 0.1\n", "density levels must be distinct"),
+        ("density 10\n-1 0.1\n", "density 10.0: knot distances must be >= 0"),
+        ("density 10\n0 0.1\n0 0.2\n", "density 10.0: knot distances must be strictly increasing"),
+    ]:
+        with pytest.raises(CurveError, match=re.escape(reason)):
+            parse_per_curve(text)
     for bad in ("inf", "nan"):
         with pytest.raises(CurveError, match="knot distances must be finite"):
             parse_per_curve(f"density 10\n0 0.1\n{bad} 0.5\n")
@@ -161,6 +173,18 @@ def test_curve_validation_reports_each_level():
     violations = validate_per_curve(bad)
     assert any("density 10" in m for m in violations)
     assert any("density 20" in m for m in violations)
+
+
+def test_curve_validation_rejects_levels_that_no_file_parses_to():
+    # parse_per_curve sorts the levels and gives each its table, so only a
+    # PerCurve built directly can hold these.
+    tab = ((0.0, 0.1), (100.0, 0.5))
+    assert validate_per_curve(PerCurve(levels=(), tables=())) == [
+        "calibration must define at least one density level"]
+    assert validate_per_curve(PerCurve(levels=(20.0, 10.0), tables=(tab, tab))) == [
+        "density levels must be sorted ascending"]
+    assert validate_per_curve(PerCurve(levels=(10.0, 20.0), tables=(tab,))) == [
+        "each density level needs exactly one knot table"]
 
 
 # ``per`` is a one-element ``per_many`` and must agree with it bit for bit:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import v2isim
-from v2isim import ScenarioConfig, analytic, channel, mobility, validation
+from v2isim import ScenarioConfig, analytic, channel, engine, mobility, validation
 from v2isim.cli import derive_cell_seed, main
 
 # Trigger near the entry edge so crossings start ~3 s in, keeping runs short.
@@ -47,6 +47,8 @@ def test_unknown_override_key_rejected(tmp_path, capsys):
     ("analytic", "--set lane_width=nan", "lane_width"),
     ("validate", "--set b_ack=0", "b_ack"),
     ("sweep", "--d-t 5000 --flows 10", "d_t"),
+    ("sweep", "--flows 10,x", "'10,x'"),
+    ("sweep", "--d-t , --flows 10", "sweep grid must be non-empty"),
     ("sweep", "--set per_curve=TMP/missing.per", "TMP/missing.per"),
     ("analytic", "--densities nan", "flow_rate"),
     ("analytic", "--densities 0", "flow_rate"),
@@ -54,6 +56,8 @@ def test_unknown_override_key_rejected(tmp_path, capsys):
     ("analytic", "--d-min nan", "--d-min"),
     ("analytic", "--d-min 10 --d-max 0", "--d-max"),
     ("analytic", "--d-step 1e-300", "--d-step"),
+    ("analytic", "--d-step 0", "--d-step must be > 0"),
+    ("analytic", "--d-min 0 --d-max 100000 --d-step 0.5", "--d-step must give at most"),
     ("analytic", "--d-min=-1e308 --d-max=1e308", "--d-max"),
     ("analytic", "--d-min 1e17 --d-max 1e17 --d-step 1", "--d-step"),
     ("analytic", "--d-min 1e17 --d-max 1e17 --d-step 16", "--d-step"),   # one ulp
@@ -215,6 +219,25 @@ def test_sweep_parallelism_byte_identical(tmp_path):
         blobs.append(((out / "sweep_summary.csv").read_bytes(),
                       (out / "sweep.meta").read_bytes()))
     assert blobs[0] == blobs[1]
+
+
+def test_sweep_reports_a_failed_cell_and_keeps_the_others(tmp_path, capsys, monkeypatch):
+    run = engine.run
+
+    def fail_at_1200(cfg, trace_path=None):
+        if cfg.d_t == 1200.0:
+            raise engine.EngineError("stand-in fault")
+        return run(cfg, trace_path)
+
+    monkeypatch.setattr(engine, "run", fail_at_1200)
+    out = tmp_path / "o"
+    assert main(["sweep", "--out", str(out), "--d-t", "1400,1200,1000", "--flows", "4",
+                 "--parallel", "1", *FAST]) == 1
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("sweep: cell ")] == [
+        "sweep: cell d_t=1200.0 flow=4.0 failed: stand-in fault"]
+    rows = (out / "sweep_summary.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[:2] for row in rows] == [["1400", "4"], ["1000", "4"]]
 
 
 def test_sweep_grid_shape(tmp_path):
@@ -399,6 +422,7 @@ def test_trace_writes_transition_lines(tmp_path):
     ("simulate", "FILE/sub"),
     ("sweep", "FILE"),
     ("trace", "DIR"),
+    ("analytic", "DIR"),
 ])
 def test_unwritable_out_exits_1_with_a_one_line_reason(tmp_path, capsys, command, out):
     (tmp_path / "FILE").write_text("")

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from v2isim import analytic, engine, metrics
+from v2isim import analytic, engine, metrics, protocol as proto
 from v2isim.channel import (
     PerCurve, constant_per_curve, default_calibration, dumps_per_curve, parse_per_curve, per,
     per_many,
@@ -240,12 +240,14 @@ def test_run_batch_heaviest_first_keeps_input_order_and_serial_parallel_agree():
     assert serial == parallel
 
 
-def test_run_batch_pool_is_no_larger_than_the_batch(monkeypatch):
-    """Under fork a pool starts every worker at its first submit, so the pool
-    is sized by the batch and by the CPUs available. An inline stand-in
-    records the size and starts no process; ``run_batch`` imports the pool
-    class only when it makes a pool, so the stand-in replaces it in
-    ``concurrent.futures``."""
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Replace the process pool with an inline stand-in and return the pool sizes.
+
+    The stand-in records its size, runs each submit at once into its future
+    and starts no process; ``run_batch`` imports the pool class only when it
+    makes a pool, so the stand-in replaces it in ``concurrent.futures``.
+    """
     sizes = []
 
     class InlinePool:
@@ -260,25 +262,47 @@ def test_run_batch_pool_is_no_larger_than_the_batch(monkeypatch):
 
         def submit(self, fn, *args):
             future = Future()
-            future.set_result(fn(*args))
+            try:
+                future.set_result(fn(*args))
+            except Exception as exc:  # noqa: BLE001 - the future carries it
+                future.set_exception(exc)
             return future
 
-    def cpus(n):
-        monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: set(range(n)),
-                            raising=False)
-
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    return sizes
+
+
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+
+
+def test_run_batch_pool_is_no_larger_than_the_batch(monkeypatch, inline_pool):
+    """Under fork a pool starts every worker at its first submit, so the pool
+    is sized by the batch and by the CPUs available."""
     cfgs = [short_cfg(sim_duration=5_000, rng_seed=80 + i) for i in range(3)]
-    cpus(8)
+    _cpus(monkeypatch, 8)
     serial = run_batch(cfgs, parallelism=1)
     assert run_batch(cfgs, parallelism=5000) == serial
     run_batch(cfgs[:2], parallelism=2)
-    assert sizes == [3, 2]
-    cpus(2)   # fewer CPUs than cells or workers asked for
+    assert inline_pool == [3, 2]
+    _cpus(monkeypatch, 2)   # fewer CPUs than cells or workers asked for
     assert run_batch(cfgs, parallelism=5000) == serial
-    cpus(1)   # one CPU: the serial path, no pool
+    _cpus(monkeypatch, 1)   # one CPU: the serial path, no pool
     assert run_batch(cfgs, parallelism=5000) == serial
-    assert sizes == [3, 2, 2]
+    assert inline_pool == [3, 2, 2]
+
+
+def test_run_batch_runs_serially_when_no_pool_can_start(monkeypatch):
+    cfgs = [short_cfg(sim_duration=5_000, rng_seed=80 + i) for i in range(3)]
+    serial = run_batch(cfgs, parallelism=1)
+
+    def no_pool(max_workers):
+        raise OSError("no process pool here")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    _cpus(monkeypatch, 8)
+    assert run_batch(cfgs, parallelism=3) == serial
 
 
 def test_pool_records_are_named_tuples_equal_to_serial_ones():
@@ -305,15 +329,20 @@ def test_run_batch_same_cfg_same_seed_identical():
     assert a == b
 
 
-def test_run_batch_reports_failures_per_index_without_aborting():
+@pytest.mark.parametrize("parallelism", [1, 3], ids=["serial", "pool"])
+def test_run_batch_reports_failures_per_index_without_aborting(
+        monkeypatch, inline_pool, parallelism):
     good = short_cfg()
     bad = dataclasses.replace(good, b_ack=0)
+    _cpus(monkeypatch, 8)
     with pytest.raises(BatchError) as exc_info:
-        run_batch([good, bad, good])
+        run_batch([good, bad, good], parallelism=parallelism)
     err = exc_info.value
-    assert set(err.failures) == {1}
+    assert set(err.failures) == {1} and "b_ack" in err.failures[1]
     assert err.results[0] is not None and err.results[2] is not None
     assert err.results[0] == err.results[2]
+    assert err.results[1] is None
+    assert inline_pool == ([3] if parallelism > 1 else [])
 
 
 def test_invalid_config_rejected():
@@ -339,6 +368,21 @@ def test_liveness_lossless_complete_before_despawn(lossless_curve_file):
     assert settled
     assert all(r.complete and r.attempts == 1 for r in settled)
     assert all(r.sam_rx_time is not None for r in summary.records)
+
+
+def test_a_sum_count_that_differs_from_attempts_raises_naming_the_vehicle(monkeypatch):
+    """The engine counts each vehicle's SUMs; a retry that sends one without
+    counting it as an attempt breaks the count at the vehicle's record."""
+    retry = proto.obu_on_retry_timer
+
+    def retry_without_counting(state, now):
+        new, out = retry(state, now)
+        return (new._replace(attempts=state.attempts) if out.transmissions else new), out
+
+    monkeypatch.setattr(proto, "obu_on_retry_timer", retry_without_counting)
+    with pytest.raises(EngineError, match=r"^vehicle 1: 2 request transmissions but "
+                                          r"1 attempts recorded$"):
+        run(short_cfg(d_t=1400.0, flow_rate=10.0, sim_duration=30_000, warmup=0))
 
 
 def test_attempts_match_request_transmissions_under_loss():
@@ -378,9 +422,9 @@ def test_vehicle_state_lives_from_spawn_to_despawn(tmp_path):
     assert {r.vehicle_id: r.attempts for r in summary.records} == sums_sent
     assert all(r.attempts > 1 for r in despawned)
     in_stretch = {vid for vid, t in spawns.items() if t < cfg.sim_duration <= exits[vid]}
-    assert in_stretch and set(sim.obu) == set(sim.active) == in_stretch
-    assert set(sim.sum_tx_count) == {r.vehicle_id for r in summary.records
-                                     if r.outcome == OUTCOME_SIMEND}
+    assert in_stretch and set(sim.vehicles) == in_stretch
+    assert {vid for vid, (_, _, sent) in sim.vehicles.items() if sent} == {
+        r.vehicle_id for r in summary.records if r.outcome == OUTCOME_SIMEND}
 
 
 @pytest.mark.parametrize("d_t", [300.0, 0.0, -100.0, 1499.5, -1499.5])
