@@ -33,8 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import channel as chan
-# ``per`` is not called here: perfbench/tracer.py wraps ``analytic.per``.
-from .channel import PerCurve, per  # noqa: F401
+from .channel import PerCurve, per
 from .core import ScenarioConfig, SignedMeters
 
 # Auto mode stops once the residual never-succeeded mass is below this.
@@ -189,12 +188,12 @@ def bsm_per(cfg: ScenarioConfig, curve: PerCurve) -> float:
     weighted. Of those pairs, 2m share a lane (k = 0), 4(m - k) are k apart
     in one direction and 2 min(k, 2m - k) are k apart across the median. The
     PER at their distance is ``per_many`` at ``flow_rate``. Past the last
-    knot every pair sees the clamped PER, so the integral over r is a
-    trapezoid over [0, min(L, knot)] plus the tail PER_clamp (L - knot)^2 / L^2
-    in closed form. Its nodes are 0.5 m apart, and at most _BSM_BLOCK_CELLS of
-    them, wider apart on a calibration that reaches past 65.5 km: they grow
-    with neither the road nor the last knot. Lateral gaps at or past the
-    last knot share one term. The others are evaluated one per k while there
+    knot every pair sees the clamped PER, ``per`` at that knot, so the
+    integral over r is a trapezoid over [0, min(L, knot)] plus the tail
+    PER_clamp (L - knot)^2 / L^2 in closed form. Its nodes are 0.5 m apart,
+    and at most _BSM_BLOCK_CELLS of them, wider apart on a calibration that
+    reaches past 65.5 km: they grow with neither the road nor the last knot.
+    Lateral gaps at or past the last knot share one term. The others are evaluated one per k while there
     are at most _BSM_MAX_RUNS + 1 of them, and past that as runs of
     consecutive k, each at its pair-weighted mean gap, in blocks of at most
     _BSM_BLOCK_CELLS: neither time nor memory grows with the lane count or
@@ -203,7 +202,7 @@ def bsm_per(cfg: ScenarioConfig, curve: PerCurve) -> float:
     """
     length, width, m = cfg.road_length, cfg.lane_width, cfg.lane_count // 2
     knot, pairs_total = curve.max_knot_distance, (2 * m) ** 2
-    clamped = chan.per_many(curve, np.array([knot]), cfg.flow_rate)
+    clamped = per(curve, knot, cfg.flow_rate)
     span = min(length, knot)
     steps = min(max(1, math.ceil(span / _BSM_GAP_STEP)), _BSM_BLOCK_CELLS - 1)
     r = np.linspace(0.0, span, steps + 1)
@@ -226,5 +225,5 @@ def bsm_per(cfg: ScenarioConfig, curve: PerCurve) -> float:
         far -= int(pb.sum())
     f += far / pairs_total * clamped
     f *= 2.0 * (length - r) / length ** 2
-    tail = float(clamped[0]) * ((length - span) / length) ** 2
+    tail = clamped * ((length - span) / length) ** 2
     return float((f.sum() - (f[0] + f[-1]) / 2.0) * (r[1] - r[0])) + tail

@@ -12,13 +12,19 @@ with ``np.interp``, blending the two density levels around the requested
 density: the closed forms (``analytic``), and the engine once per ACK or SAM
 broadcast, over its candidates. ``per`` is ``per_many`` over a one-element
 list, returned as a plain ``float``: the engine's for each new SUM transmit
-position, and the Monte-Carlo check's per attempt. BSMs take no lookup of
-their own: a run reports the closed form ``analytic.bsm_per``.
+position, the Monte-Carlo check's per attempt, and ``analytic.bsm_per``'s
+PER past the last knot. BSMs take no lookup of their own: a run reports the
+closed form ``analytic.bsm_per``.
 
-Scalar draws (``sample_tau``, the lane draw) call ``uniform_int``: numpy's
-bounded-integer step over the bit generator's C ``next_uint32``, so each
-returns what ``Generator.integers`` would and leaves the same state, at a
-third of the cost. The random stream and every seeded output are unchanged.
+Reception has one rule, ``reception_mask``: one uniform draw per PER,
+received when it is >= that PER. Every ACK and SAM broadcast is decided by
+it, and a SUM, with one candidate, takes the same test as one scalar draw.
+
+Integer draws (``sample_tau``, the lane draw) go straight to the bit
+generator through ``uniform_int``: numpy's bounded-integer step over the C
+``next_uint32``, so each returns what ``Generator.integers`` would and
+leaves the same state, at half the cost. The random stream and every seeded
+output are unchanged.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -61,22 +67,17 @@ class PerCurve:
 
     levels: tuple[float, ...]
     tables: tuple[tuple[tuple[float, float], ...], ...]
-    _knots: list[_KnotTable] | None = field(
-        default=None, init=False, repr=False, compare=False)
 
-    def _knot_tables(self) -> list[_KnotTable]:
-        if self._knots is None:
-            self._knots = [_KnotTable(np.array([d for d, _ in tab], dtype=float),
-                                      np.array([p for _, p in tab], dtype=float))
-                           for tab in self.tables]
-        return self._knots
+    def __post_init__(self) -> None:
+        self._knots = [_KnotTable(np.array([d for d, _ in tab], dtype=float),
+                                  np.array([p for _, p in tab], dtype=float))
+                       for tab in self.tables]
 
     def _blend(self, density: float) -> _Blend:
         """The level(s) and weight used at ``density``."""
         if density != density:
             raise ValueError(f"PER density must not be NaN (got {density})")
-        levels = self.levels
-        knots = self._knot_tables()
+        levels, knots = self.levels, self._knots
         if density <= levels[0]:
             return 0.0, knots[0], None
         if density >= levels[-1]:
@@ -158,7 +159,6 @@ def per_many(curve: PerCurve, distances: np.ndarray, density: float) -> np.ndarr
         + w * np.interp(abs_dist, hi.dist_array, hi.per_array)
 
 
-# Unused by the engine; kept while perfbench/tracer.py wraps it by name.
 def reception_mask(rng: np.random.Generator, pers: np.ndarray) -> np.ndarray:
     """Vectorized reception sampling: one uniform draw per PER, received when >= it."""
     return rng.random(len(pers)) >= pers

@@ -45,6 +45,11 @@ def ceil_ms(value_ms: float) -> TimeMs:
     return int(math.ceil(value_ms - 1e-9))
 
 
+def transit_ms(road_length: float, speed: float) -> TimeMs:
+    """Time a vehicle at ``speed`` takes to cross the stretch, rounded up to whole ms."""
+    return ceil_ms(road_length / speed * 1000.0)
+
+
 class MessageKind(Enum):
     SAM = "sam"
     SUM = "sum"
@@ -105,7 +110,8 @@ class ScenarioConfig:
 # Field name -> int, float or str, in declaration order.
 _FIELD_TYPES: dict[str, type] = get_type_hints(ScenarioConfig)
 
-# Arrivals (16 B each, in arrays) and BSM ticks are built before a run starts.
+# Arrivals (16 B each, in arrays) are built before a run starts, and the BSM
+# tick arrays after its event loop (``engine.bsm_counts``).
 # A run's peak grows by about 190 B per arrival with BSMs on and 170 B with
 # them off (1e5 arrivals at 30 veh/s, ru_maxrss), so this many stay under
 # 1 GB. The same bound caps the periodic SAM timer's events, so every run can end.
@@ -165,7 +171,7 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
         bad(f"road_length / mean_speed must be a transit time below 2**63 ms "
             f"(got {cfg.road_length} / {cfg.mean_speed})")
     elif cfg.mean_speed > 0 and cfg.t_sum > 0:
-        transit = ceil_ms(cfg.road_length / cfg.mean_speed * 1000.0)
+        transit = transit_ms(cfg.road_length, cfg.mean_speed)
         timers = cfg.flow_rate * cfg.sim_duration / 1000.0 * math.ceil(transit / cfg.t_sum)
         if timers > MAX_RETRY_TIMERS:
             bad(f"flow_rate * sim_duration * ceil({transit} ms transit / t_sum) must expect "

@@ -44,14 +44,15 @@ Transmission latency: each radio leg takes ceil(tau/2) ms, tau drawn from
 trip spans a single tau. Reception is sampled per candidate receiver at its
 Euclidean distance from the transmit position, receiver position taken at
 arrival time. Senders never receive their own transmissions. A SUM has one
-candidate, the RSU: one ``rng.random()``, taken from the bit generator's C
-``next_double`` bound once per run, against ``channel.per``, a one-element
-``per_many`` returned as a float. The vehicles of a direction share a spawn
+candidate, the RSU: one scalar ``rng.random()`` against ``channel.per``, a
+one-element ``per_many`` returned as a float, which is ``reception_mask``'s
+test on one candidate. The vehicles of a direction share a spawn
 point, a speed and a retry period, so SUMs leave from few distinct points:
 each run memoizes that PER by transmit position (``per`` runs once per new
-position, bit for bit the same value). An ACK or SAM draws ``rng.random(k)``
-against one ``channel.per_many`` over its k candidates: the same k uniforms
-as k scalar draws, and the same PER as k one-element ``per`` calls.
+position, bit for bit the same value). An ACK or SAM is one
+``channel.reception_mask`` call over one ``channel.per_many`` of its k
+candidates: the same k uniforms as k scalar draws, and the same PER as k
+one-element ``per`` calls.
 
 Background safety broadcasts (BSMs) only feed the reception-rate metric and
 have no protocol effect, so they are not events. After the event loop
@@ -77,7 +78,7 @@ from . import mobility as mob
 from . import protocol as proto
 from .core import (
     Message, MessageKind, RSU_POSITION, ScenarioConfig, TimeMs,
-    raise_violations, validate_config,
+    raise_violations, transit_ms, validate_config,
 )
 from .metrics import (
     OUTCOME_COMPLETE, OUTCOME_DESPAWN, OUTCOME_SIMEND, RecordTable, RunSummary,
@@ -158,8 +159,8 @@ def deliver_broadcast(sender: int,
 
     Each candidate but the sender (excluded even at distance zero) takes one
     uniform draw and receives when it is >= the PER at its Euclidean distance.
-    One ``rng.random(k)`` and one ``per_many`` serve the k candidates, in list
-    order, bit for bit as k scalar draws and ``per`` calls would.
+    One ``per_many`` and one ``chan.reception_mask`` serve the k candidates,
+    in list order, bit for bit as k scalar draws and ``per`` calls would.
     """
     tx, ty = tx_position
     ids, dists = [], []
@@ -167,7 +168,7 @@ def deliver_broadcast(sender: int,
         if entity_id != sender:
             ids.append(entity_id)
             dists.append(((rx - tx) ** 2 + (ry - ty) ** 2) ** 0.5)
-    heard = rng.random(len(ids)) >= chan.per_many(curve, dists, density)
+    heard = chan.reception_mask(rng, chan.per_many(curve, dists, density))
     return {entity_id for entity_id, ok in zip(ids, heard.tolist()) if ok}
 
 
@@ -186,7 +187,7 @@ def bsm_counts(cfg: ScenarioConfig,
     if first >= cfg.sim_duration:
         return 0, 0
     ticks = np.arange(first, cfg.sim_duration, cfg.bsm_period, dtype=np.int64)
-    transit = mob.transit_ms(cfg.road_length, cfg.mean_speed)
+    transit = transit_ms(cfg.road_length, cfg.mean_speed)
     counts = np.zeros(len(ticks), dtype=np.int64)
     for arrivals in by_direction.values():
         lo, hi = mob.stretch_window(np.array(arrivals.spawn_times, dtype=np.int64), ticks, transit)
@@ -208,13 +209,9 @@ class _Simulation:
         self.cfg = cfg
         self.trace = trace
         self.rng = np.random.default_rng(cfg.rng_seed)
-        # No Generator lock: a run owns its generator in one thread (run_batch uses processes).
-        iface = self.rng.bit_generator.ctypes
-        self.next_double, self.rng_state = iface.next_double, iface.state
         self.curve = cfg.channel()
         self.tau_range = (cfg.tau_low, cfg.tau_high)
-        self.density = cfg.flow_rate
-        self.transit = mob.transit_ms(cfg.road_length, cfg.mean_speed)
+        self.transit = transit_ms(cfg.road_length, cfg.mean_speed)
         self.sum_per: dict[tuple[float, float], float] = {}
         self.queue = EventQueue()
 
@@ -326,8 +323,8 @@ class _Simulation:
                     self.sum_per.clear()
                 (rx, ry), (tx, ty) = RSU_POSITION, pos   # the one candidate
                 dist = ((rx - tx) ** 2 + (ry - ty) ** 2) ** 0.5
-                per = self.sum_per[pos] = chan.per(self.curve, dist, self.density)
-            if self.next_double(self.rng_state) >= per:
+                per = self.sum_per[pos] = chan.per(self.curve, dist, self.cfg.flow_rate)
+            if self.rng.random() >= per:
                 self._rsu_transition(now, "sum_rx", proto.rsu_on_sum, msg.sender)
             return
         if msg.kind is MessageKind.ACK:
@@ -340,7 +337,7 @@ class _Simulation:
             raise EngineError(f"unexpected arrival kind {msg.kind}")
         receivers = [(vid, mob.position_at(self.vehicles[vid][0], now)) for vid in candidates]
         for vid in sorted(deliver_broadcast(msg.sender, receivers, pos, self.curve,
-                                            self.density, self.rng)):
+                                            self.cfg.flow_rate, self.rng)):
             self._obu_transition(vid, now, event, fn, *args)
 
     def _on_ack_timer(self, now: TimeMs, _payload: None) -> None:
@@ -372,7 +369,7 @@ class _Simulation:
             now, _, kind, payload = queue.pop()
             handler = handlers.get(kind)
             if handler is None:
-                raise EngineError(f"unhandled event kind {kind}")
+                raise EngineError(f"unhandled event kind {kind.value}")
             if handler(now, payload):
                 break
         for vid in self.vehicles:

@@ -154,10 +154,6 @@ def position_at(v: VehicleKinematics, t: TimeMs) -> tuple[float, float]:
     return (x, v.y)
 
 
-def transit_ms(road_length: float, speed: float) -> TimeMs:
-    return ceil_ms(road_length / speed * 1000.0)
-
-
 # Unused by the engine; kept while perfbench/tracer.py wraps it by name.
 def positions_x(spawn_times: np.ndarray, t: TimeMs, direction: Direction,
                 road_length: float, speed: float) -> np.ndarray:

@@ -417,20 +417,24 @@ def test_trace_writes_transition_lines(tmp_path):
     assert lines and all(len(line.split("\t")) == 5 for line in lines)
 
 
-# TMP/FILE is a regular file and TMP/DIR a directory.
+# TMP/FILE is a regular file, TMP/DIR a directory, and TMP/META a directory
+# whose run.meta is a directory. Each error names the path it could not write.
 @pytest.mark.parametrize("command, out", [
     ("simulate", "FILE/sub"),
     ("sweep", "FILE"),
     ("trace", "DIR"),
     ("analytic", "DIR"),
+    ("simulate", "META"),
 ])
 def test_unwritable_out_exits_1_with_a_one_line_reason(tmp_path, capsys, command, out):
     (tmp_path / "FILE").write_text("")
     (tmp_path / "DIR").mkdir()
+    (tmp_path / "META" / "run.meta").mkdir(parents=True)
     assert main([command, "--out", str(tmp_path / out), *FAST]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"v2isim {command}: ") and err.count("\n") == 1
-    assert str(tmp_path / out.split("/")[0]) in err
+    named = "META/run.meta" if out == "META" else out.split("/")[0]
+    assert str(tmp_path / named) in err
     assert "Traceback" not in err
 
 

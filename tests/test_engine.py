@@ -22,14 +22,14 @@ from v2isim.channel import (
     per_many,
 )
 from v2isim.cli import main
-from v2isim.core import RSU_POSITION, ConfigError, Message, ScenarioConfig
+from v2isim.core import RSU_POSITION, ConfigError, Message, ScenarioConfig, transit_ms
 from v2isim.engine import (
     BatchError, EngineError, Event, EventKind, EventQueue, deliver_broadcast, run,
     run_batch,
 )
 from v2isim.metrics import CompletionRecord, OUTCOME_COMPLETE, OUTCOME_DESPAWN, OUTCOME_SIMEND
 from v2isim.mobility import (
-    Direction, entry_x, generate_arrivals, position_at, transit_ms, trigger_offset_ms,
+    Direction, entry_x, generate_arrivals, position_at, trigger_offset_ms,
 )
 
 
@@ -159,6 +159,27 @@ def test_deliver_matches_a_scalar_draw_per_candidate(case, seed):
     got = deliver_broadcast(sender, candidates, tx_position, CAL, density, rng)
     assert got == _scalar_deliver(sender, candidates, tx_position, CAL, density, ref_rng)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_every_broadcast_is_decided_by_channel_reception_mask(monkeypatch):
+    """Each non-sender candidate of each ACK and SAM is one element of a
+    ``channel.reception_mask`` call, looked up through the module."""
+    masked, candidates = [], []
+    mask, deliver = engine.chan.reception_mask, engine.deliver_broadcast
+
+    def counted_mask(rng, pers):
+        masked.append(len(pers))
+        return mask(rng, pers)
+
+    def counted_deliver(sender, receivers, *rest):
+        candidates.append(sum(vid != sender for vid, _ in receivers))
+        return deliver(sender, receivers, *rest)
+
+    monkeypatch.setattr(engine.chan, "reception_mask", counted_mask)
+    monkeypatch.setattr(engine, "deliver_broadcast", counted_deliver)
+    run(short_cfg(flow_rate=10.0))
+    assert len(masked) == len(candidates)
+    assert sum(masked) == sum(candidates) > 0
 
 
 # -- degenerate channels -------------------------------------------------
@@ -764,6 +785,14 @@ def test_arrival_of_an_undelivered_kind_raises_before_any_draw():
     with pytest.raises(EngineError, match="unexpected arrival kind bsm"):
         sim._on_msg_arrival(0, (Message("bsm", sender=0), RSU_POSITION))
     assert sim.rng.bit_generator.state == state
+
+
+def test_an_event_kind_without_a_handler_raises_naming_it():
+    """``BSM_TICK`` is never scheduled, so it has no handler."""
+    sim = engine._Simulation(short_cfg(flow_rate=2.0))
+    sim.queue.push(0, EventKind.BSM_TICK)
+    with pytest.raises(EngineError, match="unhandled event kind bsm_tick"):
+        sim.run()
 
 
 def test_trace_file_records_transitions(tmp_path):

@@ -4,14 +4,15 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from v2isim.core import ScenarioConfig
+from v2isim.core import ScenarioConfig, transit_ms
 from v2isim.mobility import (
     Direction, MobilityError, VehicleKinematics,
-    generate_arrivals, position_at, stretch_window, transit_ms, trigger_offset_ms,
+    generate_arrivals, position_at, stretch_window, trigger_offset_ms,
 )
 
 CFG = ScenarioConfig()
@@ -140,6 +141,16 @@ def test_arrival_gap_past_any_horizon_ends_the_stream(rate):
     assert cfg.flow_rate / 2.0 == rate
     for seed in range(20):
         assert len(generate_arrivals(cfg, Direction.EAST, np.random.default_rng(seed))) == 0
+
+
+def test_an_arrival_pushed_apart_past_the_horizon_ends_the_stream():
+    # 9.5 ms rounds up to 10 ms, the horizon; 9.5004 ms also rounds to 10 ms
+    # and is pushed apart to 11 ms, past it. Two lanes: no lane draw is taken.
+    cfg = dataclasses.replace(CFG, lane_count=2, sim_duration=10)
+    gaps = iter((0.0095, 4e-7))   # seconds
+    rng = SimpleNamespace(exponential=lambda scale: next(gaps))
+    arrivals = generate_arrivals(cfg, Direction.EAST, rng)
+    assert [v.spawn_time for v in arrivals] == [10]
 
 
 def test_stretch_window_matches_in_stretch():

@@ -180,6 +180,13 @@ def test_stale_ack_timer_after_batch_flush_is_noop():
     assert same == state and out.transmissions == ()
 
 
+def test_ack_timer_over_a_batch_past_b_ack_is_a_contract_violation():
+    state = RsuState(b_ack=2, t_ack=400, sam_period=1000, pending=(1, 2, 3),
+                     ack_deadline=500)
+    with pytest.raises(ProtocolError, match="ACK batch of 3 violates b_ack=2"):
+        rsu_on_ack_timer(state, 500)
+
+
 def test_single_pending_gets_single_recipient_ack():
     state, _ = rsu_on_sum(fresh_rsu(), 10_000, sender=9)
     state, out = rsu_on_ack_timer(state, 10_400)
