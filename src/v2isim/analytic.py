@@ -8,6 +8,11 @@ succeeds only if both packets get through; attempts are independent, which
 makes the first-success index a product-form distribution over the
 distance-dependent success probabilities.
 
+``attempt_success`` is the model's one success rule: the kernel below and the
+Monte-Carlo replay in ``validation`` both read it, so the replay checks the
+product form and its chain against that rule, and criterion 2's enumeration
+(an acceptance test) checks the rule itself.
+
 One numpy kernel evaluates the pmf for a list of trigger distances, in
 blocks of _COL_BLOCK attempts (axis 0) by _ROW_BLOCK distances (axis 1); a
 distance leaves its block once its stop rule fires, so memory stays flat.
@@ -39,8 +44,9 @@ from .core import ScenarioConfig, SignedMeters
 # Auto mode stops once the residual never-succeeded mass is below this.
 _TAIL_EPS = 1e-9
 _HARD_CAP = 100_000
-# Kernel block: trigger distances x attempts, 8,192 cells per pass.
-_ROW_BLOCK = 256
+# Kernel block: trigger distances x attempts, 4,096 cells per pass, so every
+# per-block temporary (acc is 101 KB) stays below glibc's 128 KiB mmap threshold.
+_ROW_BLOCK = 128
 _COL_BLOCK = 32
 # Node spacing (m) of the BSM model's quadrature over the longitudinal gap,
 # the most gap-by-node PER cells it evaluates at once (1 MiB of float64), which
@@ -83,6 +89,18 @@ def attempt_distances(params: AnalyticParams, n: int) -> tuple[float, float]:
     return d_req, d_ack
 
 
+def attempt_success(params: AnalyticParams, n: int) -> np.ndarray:
+    """P(attempt n succeeds) = (1 - PER(d_req)) * (1 - PER(d_ack)): request and ACK get through.
+
+    One ``per_many`` call; ``params.d_t`` and n may be arrays, broadcast as in
+    ``attempt_distances``.
+    """
+    d_req, d_ack = attempt_distances(params, n)
+    ok = chan.per_many(params.curve, np.concatenate((d_req, d_ack), axis=None), params.density)
+    ok = np.subtract(1.0, ok, out=ok).reshape(2, *np.shape(d_req))
+    return ok[0] * ok[1]
+
+
 def _first_success(params: AnalyticParams, d_ts: list[SignedMeters], keep_pmf: bool = False
                    ) -> tuple[list[float | None], list[float], list[list[float]]]:
     """(means, masses, pmfs) of the first-success pmf at each trigger distance.
@@ -100,11 +118,8 @@ def _first_success(params: AnalyticParams, d_ts: list[SignedMeters], keep_pmf: b
         fail, n0 = np.ones(len(live)), 0   # never-succeeded mass carried between blocks
         while len(live) and n0 < terms:
             n = np.arange(n0, min(n0 + _COL_BLOCK, terms), dtype=float)[:, None]   # exact floats
-            d_req, d_ack = attempt_distances(replace(params, d_t=d_all[live]), n)
-            ok = chan.per_many(params.curve, np.concatenate((d_req, d_ack), axis=None),
-                               params.density)
-            ok = np.subtract(1.0, ok, out=ok).reshape(2, *d_req.shape)
-            a = np.multiply(ok[0], ok[1], out=ok[0])
+            block = replace(params, d_t=d_all[live])
+            a = attempt_success(block, n)
             # acc[0]: the never-succeeded mass before each attempt, then after
             # the last; acc[1], acc[2]: the pmf and (n + 1) * pmf, under the
             # mass and numerator summed so far.
@@ -116,11 +131,13 @@ def _first_success(params: AnalyticParams, d_ts: list[SignedMeters], keep_pmf: b
             np.multiply(n + 1.0, pmf, out=acc[2, 1:])
             # A receding distance with zero success beyond the calibrated range
             # repeats that attempt forever, so its pmf is complete; only cells
-            # with a == 0.0 can meet that rule. A fixed n_max stops nothing.
+            # with a == 0.0 can meet that rule, so only a block with such a cell
+            # computes its distances again. A fixed n_max stops nothing.
             stop = acc[0, 1:] < _TAIL_EPS
             zero = np.flatnonzero(a == 0.0)
-            dq, dk = d_req.take(zero), d_ack.take(zero)
-            stop.flat[zero] |= (dq < 0) & (np.minimum(np.abs(dq), np.abs(dk)) >= knot)
+            if len(zero):
+                dq, dk = (d.take(zero) for d in attempt_distances(block, n))
+                stop.flat[zero] |= (dq < 0) & (np.minimum(np.abs(dq), np.abs(dk)) >= knot)
             going = ~stop.any(axis=0) | (not auto)
             last = np.where(going, len(n) - 1, stop.argmax(axis=0))
             for i, r in enumerate(live if keep_pmf else ()):

@@ -2,8 +2,10 @@
 
 Samples the model's exact assumptions: a single vehicle crossing the trigger
 line, a fixed effective exchange delay, and no batching wait. Each attempt
-receives its request and acknowledgment independently at the distances the
-closed form evaluates. The first-success counts are drawn as one binomial per
+succeeds with the probability of ``analytic.attempt_success``, the model's one
+success rule, so this replay checks the product form and the chain built on
+that rule, not the rule itself (criterion 2's enumeration in the acceptance
+tests checks that). The first-success counts are drawn as one binomial per
 attempt, which has exactly the distribution of a trial-by-trial replay, so
 they must match the analytic pmf within binomial sampling error. Each bin is
 judged by its exact binomial tail (``bin_consistent``), not by a 3-sigma band,
@@ -17,8 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import AnalyticParams, attempt_distances, first_success_pmf
-from .channel import per
+from .analytic import AnalyticParams, attempt_success, first_success_pmf
+# Uncalled; kept, like mobility.positions_x, while perfbench/tracer.py wraps it by name.
+from .channel import per  # noqa: F401
 from .core import ConfigError
 
 # An input range, not a cost bound: the chain below takes the same time and
@@ -30,20 +33,17 @@ FALSE_ALARM_LEVEL = 1e-3
 
 
 def mc_first_success_counts(params: AnalyticParams, trials: int,
-                            rng: np.random.Generator, n_bins: int) -> np.ndarray:
-    """Count first successes at attempts 0..n_bins-1 over independent trials.
+                            rng: np.random.Generator) -> np.ndarray:
+    """Count first successes at attempts 0..N_CHECK-1 over independent trials.
 
     Of the trials still alive at attempt n, each succeeds with probability
-    ``(1 - per(d_req)) * (1 - per(d_ack))`` on its own, so the count is one
-    binomial draw (the conditional-binomial construction of the multinomial,
-    Devroye 1986, ch. XI).
+    ``attempt_success(params, n)`` on its own, so the count is one binomial
+    draw (the conditional-binomial construction of the multinomial, Devroye
+    1986, ch. XI).
     """
-    counts = np.zeros(n_bins, dtype=np.int64)
+    counts = np.zeros(N_CHECK, dtype=np.int64)
     alive = trials
-    for n in range(n_bins):
-        d_req, d_ack = attempt_distances(params, n)
-        success = ((1.0 - per(params.curve, d_req, params.density))
-                   * (1.0 - per(params.curve, d_ack, params.density)))
+    for n, success in enumerate(attempt_success(params, np.arange(N_CHECK, dtype=float))):
         counts[n] = rng.binomial(alive, success)
         alive -= int(counts[n])
     return counts
@@ -71,7 +71,7 @@ def check_against_pmf(params: AnalyticParams, trials: int,
                           f"check (got {trials})")
     pmf = first_success_pmf(params)
     pmf = pmf + [0.0] * max(0, N_CHECK - len(pmf))
-    counts = mc_first_success_counts(params, trials, rng, N_CHECK)
+    counts = mc_first_success_counts(params, trials, rng)
     checks = []
     for n in range(N_CHECK):
         p = pmf[n]

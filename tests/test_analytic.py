@@ -7,7 +7,9 @@ reads the first-success index straight off each outcome. It shares no code
 with the product-form implementation under test.
 
 A second oracle is the scalar per-attempt recurrence that the array kernel
-replaced; the kernel must reproduce it bit for bit.
+replaced; the kernel must reproduce it bit for bit. ``attempt_success``, the
+one success rule that the kernel and the Monte-Carlo replay share, must
+reproduce the scalar rule it replaced bit for bit too.
 """
 
 from __future__ import annotations
@@ -228,6 +230,13 @@ def test_sweep_point_keeps_its_contract():
 # -- the array kernel against the scalar recurrence ---------------------------
 
 
+def scalar_attempt_success(params: AnalyticParams, n: int) -> float:
+    """The per-attempt rule as it was written before ``attempt_success``."""
+    d_req, d_ack = attempt_distances(params, n)
+    return (1.0 - per(params.curve, d_req, params.density)) \
+        * (1.0 - per(params.curve, d_ack, params.density))
+
+
 def scalar_first_success(params: AnalyticParams) -> tuple[list[float], float | None, float]:
     """(pmf, mean attempts, mass) by the per-attempt loop, one attempt at a time."""
     pmf: list[float] = []
@@ -237,8 +246,7 @@ def scalar_first_success(params: AnalyticParams) -> tuple[list[float], float | N
     n = 0
     while n <= limit:
         d_req, d_ack = attempt_distances(params, n)
-        a = (1.0 - per(params.curve, d_req, params.density)) \
-            * (1.0 - per(params.curve, d_ack, params.density))
+        a = scalar_attempt_success(params, n)
         pmf.append(a * fail_mass)
         fail_mass *= 1.0 - a
         if params.n_max is None:
@@ -295,7 +303,7 @@ def kernel_cases(draw) -> tuple[AnalyticParams, list[float]]:
         density=draw(st.one_of(st.sampled_from(curve.levels), st.floats(1.0, 50.0))),
         n_max=draw(st.one_of(st.none(), st.sampled_from([31, 32, 33]), st.integers(0, 300))),
     )
-    # 255 to 512 distances fill or cross row blocks of 256, and n_max 31 to
+    # 255 to 512 distances fill or cross row blocks of 128, and n_max 31 to
     # 33 ends a pmf at, or one term past, a column block of 32; longer pmfs
     # cross column blocks. So stops land on block edges too.
     size = draw(st.one_of(st.integers(1, 20), st.sampled_from([255, 256, 257, 300, 512])))
@@ -336,6 +344,39 @@ def test_kernel_receding_stop_needs_the_request_behind_the_rsu():
                             curve=constant_per_curve(1.0, max_distance=1.0), density=20.0)
     assert first_success_pmf(params) == [0.0, 0.0]
     assert_kernel_matches_scalar(params, [5.0, 3.0, -2.0, 40.0])
+
+
+@pytest.mark.parametrize("row_block", [7, 128, 256])
+def test_kernel_sweep_is_the_same_at_any_row_block(monkeypatch, row_block):
+    """Each distance is its own column of the kernel, so the row block moves no byte."""
+    d_range = [float(d) for d in np.arange(-300.0, 500.5, 1.0)]   # the default analytic grid
+    expected = [sweep_trigger(make_params(density=rho), d_range) for rho in (10.0, 25.0)]
+    monkeypatch.setattr(analytic, "_ROW_BLOCK", row_block)
+    assert [sweep_trigger(make_params(density=rho), d_range) for rho in (10.0, 25.0)] == expected
+
+
+# -- the one success rule against the scalar rule it replaced -----------------
+
+
+# The default calibration at a level and between two (blended), and five
+# random one-level calibrations.
+_SUCCESS_CASES = [(CAL, 30.0), (CAL, 15.0), (CAL, 27.5),
+                  *((random_small_curve(np.random.default_rng(seed)), 15.0) for seed in range(5))]
+
+
+@pytest.mark.parametrize("curve, density", _SUCCESS_CASES)
+def test_kernel_attempt_success_matches_the_scalar_rule_bit_for_bit(curve, density):
+    params = make_params(curve=curve, density=density)
+    d_ts = np.linspace(-600.0, 600.0, 37)
+    ns = np.arange(41, dtype=float)
+    grid = analytic.attempt_success(replace(params, d_t=d_ts), ns[:, None])   # array d_t
+    assert grid.shape == (41, 37)
+    for j, d_t in enumerate(d_ts.tolist()):
+        point = replace(params, d_t=d_t)
+        expected = [float.hex(scalar_attempt_success(point, n)) for n in range(41)]
+        assert [float.hex(x) for x in grid[:, j].tolist()] == expected
+        assert [float.hex(x) for x in analytic.attempt_success(point, ns).tolist()] == expected
+        assert float.hex(float(analytic.attempt_success(point, 40))) == expected[40]
 
 
 @pytest.mark.parametrize("road_length", [3000.0, 0.5])   # 0.5 m: the two end nodes alone

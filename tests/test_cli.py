@@ -355,7 +355,8 @@ def test_validate_rejects_trials_past_the_bound_before_replaying(monkeypatch, ca
     """One trial past MAX_TRIALS exits 2; at the bound the replay (stubbed) runs."""
     calls = []
     monkeypatch.setattr(validation, "mc_first_success_counts",
-                        lambda params, trials, rng, n_bins: calls.append(trials) or [0] * n_bins)
+                        lambda params, trials, rng:
+                        calls.append(trials) or [0] * validation.N_CHECK)
     assert main(["validate", "--trials", str(validation.MAX_TRIALS + 1), "--point", "0:10"]) == 2
     assert "trials" in capsys.readouterr().err and calls == []
     main(["validate", "--trials", str(validation.MAX_TRIALS), "--point", "0:10"])

@@ -48,7 +48,7 @@ def _replay_counts(params, trials: int, rng: np.random.Generator, n_bins: int) -
 def test_chain_and_replay_agree_bin_by_bin(d_t, flow):
     params = params_from_config(ScenarioConfig(), d_t=d_t, density=flow)
     seed = derive_cell_seed(0, d_t, flow)
-    chain = mc_first_success_counts(params, TRIALS, np.random.default_rng(seed), N_CHECK)
+    chain = mc_first_success_counts(params, TRIALS, np.random.default_rng(seed))
     replay = _replay_counts(params, TRIALS, np.random.default_rng(seed + 1), N_CHECK)
     assert chain.dtype == np.int64 and chain.shape == (N_CHECK,)
     assert 0 <= chain.sum() <= TRIALS
@@ -65,7 +65,7 @@ def test_chain_and_replay_agree_bin_by_bin(d_t, flow):
 def test_degenerate_curves_give_exact_counts(value, expected):
     params = dataclasses.replace(params_from_config(ScenarioConfig()),
                                  curve=constant_per_curve(value))
-    counts = mc_first_success_counts(params, TRIALS, np.random.default_rng(1), N_CHECK)
+    counts = mc_first_success_counts(params, TRIALS, np.random.default_rng(1))
     assert counts.tolist() == expected
 
 
@@ -73,7 +73,7 @@ def test_counts_at_the_trial_bound_hold_under_1_mb():
     params = params_from_config(ScenarioConfig(), d_t=300.0, density=30.0)
     tracemalloc.start()
     try:
-        counts = mc_first_success_counts(params, MAX_TRIALS, np.random.default_rng(0), N_CHECK)
+        counts = mc_first_success_counts(params, MAX_TRIALS, np.random.default_rng(0))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
