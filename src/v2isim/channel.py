@@ -19,12 +19,6 @@ closed form ``analytic.bsm_per``.
 Reception has one rule, ``reception_mask``: one uniform draw per PER,
 received when it is >= that PER. Every ACK and SAM broadcast is decided by
 it, and a SUM, with one candidate, takes the same test as one scalar draw.
-
-Integer draws (``sample_tau``, the lane draw) go straight to the bit
-generator through ``uniform_int``: numpy's bounded-integer step over the C
-``next_uint32``, so each returns what ``Generator.integers`` would and
-leaves the same state, at half the cost. The random stream and every seeded
-output are unchanged.
 """
 
 from __future__ import annotations
@@ -164,30 +158,10 @@ def reception_mask(rng: np.random.Generator, pers: np.ndarray) -> np.ndarray:
     return rng.random(len(pers)) >= pers
 
 
-def uniform_int(rng: np.random.Generator, low: int, high: int) -> int:
-    """``int(rng.integers(low, high + 1))`` from the bit generator's ``next_uint32``.
-
-    Lemire's multiply-and-reject, numpy's ``buffered_bounded_lemire_uint32``
-    for a span up to 2**32: same value, same state. A span of 1 draws nothing.
-    """
-    span = high - low + 1
-    if span == 1:
-        return low
-    if not 1 < span <= 2**32:
-        raise ValueError(f"span must lie in [1, 2**32] (got [{low}, {high}])")
-    # No Generator lock: a run owns its generator in one thread (run_batch uses processes).
-    iface = rng.bit_generator.ctypes
-    draw, state = iface.next_uint32, iface.state
-    threshold = 2**32 % span   # reject the low words that would bias the high word
-    m = draw(state) * span
-    while m & 0xFFFFFFFF < threshold:
-        m = draw(state) * span
-    return low + (m >> 32)
-
-
 def sample_tau(rng: np.random.Generator, tau_range: tuple[int, int]) -> int:
     """Exchange delay (ms), uniform on the inclusive range; no draw if low == high."""
-    return uniform_int(rng, *tau_range)
+    low, high = tau_range
+    return int(rng.integers(low, high + 1))
 
 
 # Default calibration. The published propagation measurements behind the

@@ -176,7 +176,8 @@ def validate_config(cfg: ScenarioConfig) -> list[str]:
         if timers > MAX_RETRY_TIMERS:
             bad(f"flow_rate * sim_duration * ceil({transit} ms transit / t_sum) must expect "
                 f"at most {MAX_RETRY_TIMERS} retry timers (got {timers:.3g}, t_sum={cfg.t_sum})")
-    # A lane draw (channel.uniform_int) spans lane_count / 2 values, at most 2**32.
+    # A lane draw (rng.integers in mobility.generate_arrivals) spans lane_count / 2
+    # values; numpy draws a span up to 2**32 from 32-bit words.
     if not 2 <= cfg.lane_count <= 2**32 or cfg.lane_count % 2 != 0:
         bad(f"lane_count must be an even number in [2, 2**32] (got {cfg.lane_count})")
     # Any two positions lie within ``extent`` of each other on both axes.

@@ -17,7 +17,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import uniform_int
 from .core import ScenarioConfig, TimeMs, ceil_ms
 
 
@@ -134,7 +133,7 @@ def generate_arrivals(cfg: ScenarioConfig, direction: Direction,
         t_ms = max(ceil_ms(t_s * 1000.0), prev_ms + 1)
         if t_ms > cfg.sim_duration:
             break
-        lane = uniform_int(rng, 0, lanes - 1)
+        lane = int(rng.integers(lanes))
         times += _PACK_TIME(t_ms)
         ys += _PACK_Y(lane_y(direction, lane, cfg.lane_width))
         prev_ms = t_ms

@@ -16,6 +16,7 @@ from v2isim.channel import (
     validate_per_curve,
 )
 from v2isim.core import ScenarioConfig
+from v2isim.mobility import Direction, generate_arrivals
 
 CAL = default_calibration()
 
@@ -75,6 +76,38 @@ def test_sample_tau_fixed_and_degenerate():
     assert sample_tau(rng, (100, 100)) == 100
     assert all(sample_tau(rng, (50, 50)) == 50 for _ in range(100))
     assert rng.bit_generator.state == state
+
+
+def test_draw_stream_is_pinned_across_numpy_versions():
+    """The model's integer draws, mixed with uniforms, give these values and this state.
+
+    Seeded outputs hold across numpy versions only while this stream does: the
+    tau draws, the lane draws (one span of 3 lanes, one of 2**31) and the
+    scalar uniforms the engine takes, with the exponential gaps between lanes.
+    """
+    rng = np.random.default_rng(0)
+
+    def spawns_and_lanes(lane_count):
+        cfg = replace(ScenarioConfig(), lane_count=lane_count, lane_width=1.0,
+                      flow_rate=2000.0, sim_duration=6)
+        return [(v.spawn_time, int(v.y - 0.5))   # eastbound lane k lies at y = k + 0.5
+                for v in generate_arrivals(cfg, Direction.EAST, rng)]
+
+    drawn = [sample_tau(rng, (8, 200)) for _ in range(3)]
+    drawn += [rng.random(), spawns_and_lanes(6), sample_tau(rng, (8, 200)), rng.random(),
+              spawns_and_lanes(2**32), sample_tau(rng, (8, 200))]
+    assert drawn == [
+        172, 130, 106, 0.04097352393619469, [(1, 0), (2, 1), (3, 2), (4, 1)], 112,
+        0.8158535541215322,
+        [(1, 846428920), (2, 1841261663), (3, 1818006483), (5, 377217572), (6, 172656924)],
+        65,
+    ]
+    assert rng.bit_generator.state == {
+        "bit_generator": "PCG64",
+        "state": {"state": 179778097340537474880264210224901646943,
+                  "inc": 87136372517582989555478159403783844777},
+        "has_uint32": 0, "uinteger": 1287252768,
+    }
 
 
 def test_sample_tau_uniform_bounds():

@@ -60,7 +60,6 @@ def test_unknown_override_key_rejected(tmp_path, capsys):
     ("analytic", "--d-min 0 --d-max 100000 --d-step 0.5", "--d-step must give at most"),
     ("analytic", "--d-min=-1e308 --d-max=1e308", "--d-max"),
     ("analytic", "--d-min 1e17 --d-max 1e17 --d-step 1", "--d-step"),
-    ("analytic", "--d-min 1e17 --d-max 1e17 --d-step 16", "--d-step"),   # one ulp
     # Rounding at 1e17 makes a 24 m step 32 m.
     ("analytic", "--d-min 1e17 --d-max 100000000000000096 --d-step 24 --densities 10",
      "--d-step"),
@@ -280,6 +279,25 @@ def test_analytic_rows_print_apart_and_read_back_as_the_grid(tmp_path, d_min, d_
     assert len(keys) >= 4 and len(set(keys)) == len(keys)
     lo, step = float(d_min), float(d_step)
     assert [float(k) for k in keys] == [lo + k * step for k in range(len(keys))]
+
+
+@pytest.mark.parametrize("d_min, d_max, d_step, rows", [
+    ("1e17", "1e17", "16", 1),                                  # one ulp: d_min alone
+    ("1", "1.0000000000000022", "2.220446049250313e-16", 11),   # one ulp a step
+])
+def test_analytic_step_of_one_ulp_writes_its_grid(tmp_path, d_min, d_max, d_step, rows):
+    out = tmp_path / "ana.csv"
+    assert main(["analytic", "--out", str(out), "--d-min", d_min, "--d-max", d_max,
+                 "--d-step", d_step, "--densities", "10"]) == 0
+    written = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    lo, step = float(d_min), float(d_step)
+    d_values = [lo + k * step for k in range(rows)]
+    assert [float(row[1]) for row in written] == d_values
+    params = dataclasses.replace(analytic.params_from_config(ScenarioConfig()), density=10.0)
+    for row, point in zip(written, analytic.sweep_trigger(params, d_values)):
+        assert row[0] == "10"
+        assert (float(row[2]), float(row[3])) == pytest.approx(
+            (point.mean_attempts, point.success_mass), rel=1e-5)
 
 
 def test_analytic_single_point_is_sweep_minimum(tmp_path):

@@ -145,12 +145,25 @@ def test_arrival_gap_past_any_horizon_ends_the_stream(rate):
 
 def test_an_arrival_pushed_apart_past_the_horizon_ends_the_stream():
     # 9.5 ms rounds up to 10 ms, the horizon; 9.5004 ms also rounds to 10 ms
-    # and is pushed apart to 11 ms, past it. Two lanes: no lane draw is taken.
+    # and is pushed apart to 11 ms, past it. Two lanes: one lane per direction.
     cfg = dataclasses.replace(CFG, lane_count=2, sim_duration=10)
     gaps = iter((0.0095, 4e-7))   # seconds
-    rng = SimpleNamespace(exponential=lambda scale: next(gaps))
+    rng = SimpleNamespace(exponential=lambda scale: next(gaps), integers=lambda high: 0)
     arrivals = generate_arrivals(cfg, Direction.EAST, rng)
     assert [v.spawn_time for v in arrivals] == [10]
+
+
+def test_one_lane_per_direction_takes_no_lane_draw():
+    # Two lanes: each direction's lane draw spans one value, which numpy draws
+    # without touching the stream, so only the exponential gaps move the state.
+    cfg = dataclasses.replace(_arrival_cfg(5.0, 20_000), lane_count=2)
+    rng, twin = np.random.default_rng(11), np.random.default_rng(11)
+    arrivals = generate_arrivals(cfg, Direction.EAST, rng)
+    assert len(arrivals) > 50
+    # One gap per arrival, and the one past the horizon that ends the stream.
+    for _ in range(len(arrivals) + 1):
+        twin.exponential(1.0 / 5.0)
+    assert rng.bit_generator.state == twin.bit_generator.state
 
 
 def test_stretch_window_matches_in_stretch():
