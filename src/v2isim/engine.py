@@ -2,8 +2,10 @@
 
 Every run is a pure function of (config, seed): events are totally ordered by
 (time, sequence number) and the clock never moves backward. Randomness
-comes from one stream, ``default_rng(seed)``: arrivals, then the protocol in
-event order. BSMs draw nothing, so no BSM setting moves a protocol outcome.
+comes from one generator, ``default_rng(seed)``: its arrival draws at init,
+then its ``random()`` sequence, read in blocks by ``chan.uniform_stream``,
+for the protocol in event order. BSMs draw nothing, so no BSM setting moves a
+protocol outcome.
 
 Besides its records, a run holds the vehicles between spawn and despawn and
 16 B per arrival. The arrivals are drawn at init into two arrays per
@@ -40,19 +42,23 @@ transmissions, then arms a ``RETRY_TIMER``, ``ACK_TIMER`` or ``SAM_TIMER``
 for each deadline the transition moved to a new value that is not None.
 
 Transmission latency: each radio leg takes ceil(tau/2) ms, tau drawn from
-``tau_low..tau_high`` per transmission, so an unbatched request/ACK round
-trip spans a single tau. Reception is sampled per candidate receiver at its
-Euclidean distance from the transmit position, receiver position taken at
-arrival time. Senders never receive their own transmissions. A SUM has one
-candidate, the RSU: one scalar ``rng.random()`` against ``channel.per``, a
-one-element ``per_many`` returned as a float, which is ``reception_mask``'s
-test on one candidate. The vehicles of a direction share a spawn
-point, a speed and a retry period, so SUMs leave from few distinct points:
-each run memoizes that PER by transmit position (``per`` runs once per new
-position, bit for bit the same value). An ACK or SAM is one
+``tau_low..tau_high`` per delivered transmission (a fixed tau draws nothing),
+so an unbatched request/ACK round trip spans a single tau. Reception is
+sampled per candidate receiver at its Euclidean distance from the transmit
+position. Senders never receive their own transmissions. A SUM has one
+candidate, the RSU, which stands still, so its reception is settled when it
+is sent: one uniform against ``channel.per``, a one-element ``per_many``
+returned as a float, which is ``reception_mask``'s test on one candidate. A
+heard SUM then draws its tau and queues its arrival; a lost one queues
+nothing, since its arrival would change no state. Leaving its event out
+keeps the ``(time, seq)`` order of all the others. The vehicles of a
+direction share a spawn point, a speed and a retry period, so SUMs leave
+from few distinct points: each run memoizes that PER by transmit position
+(``per`` runs once per new position, bit for bit the same value). An ACK or
+SAM is decided at arrival, receiver positions taken then, by one
 ``channel.reception_mask`` call over one ``channel.per_many`` of its k
-candidates: the same k uniforms as k scalar draws, and the same PER as k
-one-element ``per`` calls.
+candidates: the next k uniforms, and the same PER as k one-element ``per``
+calls.
 
 Background safety broadcasts (BSMs) only feed the reception-rate metric and
 have no protocol effect, so they are not events. After the event loop
@@ -68,7 +74,7 @@ from __future__ import annotations
 import heapq
 import os
 from enum import Enum
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -154,11 +160,11 @@ def deliver_broadcast(sender: int,
                       receivers: Sequence[tuple[int, tuple[float, float]]],
                       tx_position: tuple[float, float],
                       curve: chan.PerCurve, density: float,
-                      rng: np.random.Generator) -> set[int]:
+                      uniforms: Iterator[float]) -> set[int]:
     """Sample which candidate receivers pick up one broadcast transmission.
 
-    Each candidate but the sender (excluded even at distance zero) takes one
-    uniform draw and receives when it is >= the PER at its Euclidean distance.
+    Each candidate but the sender (excluded even at distance zero) takes the
+    next uniform and receives when it is >= the PER at its Euclidean distance.
     One ``per_many`` and one ``chan.reception_mask`` serve the k candidates,
     in list order, bit for bit as k scalar draws and ``per`` calls would.
     """
@@ -168,7 +174,7 @@ def deliver_broadcast(sender: int,
         if entity_id != sender:
             ids.append(entity_id)
             dists.append(((rx - tx) ** 2 + (ry - ty) ** 2) ** 0.5)
-    heard = chan.reception_mask(rng, chan.per_many(curve, dists, density))
+    heard = chan.reception_mask(uniforms, chan.per_many(curve, dists, density))
     return {entity_id for entity_id, ok in zip(ids, heard.tolist()) if ok}
 
 
@@ -208,7 +214,7 @@ class _Simulation:
         raise_violations(validate_config(cfg))
         self.cfg = cfg
         self.trace = trace
-        self.rng = np.random.default_rng(cfg.rng_seed)
+        rng = np.random.default_rng(cfg.rng_seed)
         self.curve = cfg.channel()
         self.tau_range = (cfg.tau_low, cfg.tau_high)
         self.transit = transit_ms(cfg.road_length, cfg.mean_speed)
@@ -225,8 +231,9 @@ class _Simulation:
         self.records = RecordTable()
 
         # Arrivals are generated up front as arrays; the BSM counts read them after the run.
-        east = mob.generate_arrivals(cfg, mob.Direction.EAST, self.rng, id_start=0)
-        west = mob.generate_arrivals(cfg, mob.Direction.WEST, self.rng, id_start=len(east))
+        east = mob.generate_arrivals(cfg, mob.Direction.EAST, rng, id_start=0)
+        west = mob.generate_arrivals(cfg, mob.Direction.WEST, rng, id_start=len(east))
+        self.uniforms = chan.uniform_stream(rng)   # every draw after the arrivals
         self.by_direction = {mob.Direction.EAST: east, mob.Direction.WEST: west}
         self.trigger_after = mob.trigger_offset_ms(cfg)
 
@@ -247,9 +254,21 @@ class _Simulation:
 
     def _apply_output(self, now: TimeMs, out: proto.ProtocolOutput,
                       pos: tuple[float, float]) -> None:
+        """Queue each arrival ceil(tau/2) ms on; a SUM's only if the RSU hears it."""
+        low, high = self.tau_range
         for msg in out.transmissions:
-            flight = (chan.sample_tau(self.rng, self.tau_range) + 1) // 2   # ceil(tau/2)
-            self.queue.push(now + flight, _MSG_ARRIVAL, (msg, pos))
+            if msg.kind is _SUM:
+                per = self.sum_per.get(pos)
+                if per is None:
+                    if len(self.sum_per) >= _SUM_PER_CACHE_SIZE:
+                        self.sum_per.clear()
+                    (rx, ry), (tx, ty) = RSU_POSITION, pos   # the one candidate
+                    dist = ((rx - tx) ** 2 + (ry - ty) ** 2) ** 0.5
+                    per = self.sum_per[pos] = chan.per(self.curve, dist, self.cfg.flow_rate)
+                if next(self.uniforms) < per:
+                    continue
+            tau = low if low == high else chan.sample_tau(self.uniforms, self.tau_range)
+            self.queue.push(now + (tau + 1) // 2, _MSG_ARRIVAL, (msg, pos))
 
     def _obu_transition(self, vid: int, now: TimeMs, event: str, fn, *args) -> None:
         vehicle = self.vehicles[vid]
@@ -316,16 +335,8 @@ class _Simulation:
 
     def _on_msg_arrival(self, now: TimeMs, sent: tuple[Message, tuple[float, float]]) -> None:
         msg, pos = sent
-        if msg.kind is _SUM:
-            per = self.sum_per.get(pos)
-            if per is None:
-                if len(self.sum_per) >= _SUM_PER_CACHE_SIZE:
-                    self.sum_per.clear()
-                (rx, ry), (tx, ty) = RSU_POSITION, pos   # the one candidate
-                dist = ((rx - tx) ** 2 + (ry - ty) ** 2) ** 0.5
-                per = self.sum_per[pos] = chan.per(self.curve, dist, self.cfg.flow_rate)
-            if self.rng.random() >= per:
-                self._rsu_transition(now, "sum_rx", proto.rsu_on_sum, msg.sender)
+        if msg.kind is _SUM:   # queued only when heard
+            self._rsu_transition(now, "sum_rx", proto.rsu_on_sum, msg.sender)
             return
         if msg.kind is MessageKind.ACK:
             candidates = [vid for vid in msg.recipients if vid in self.vehicles]
@@ -337,7 +348,7 @@ class _Simulation:
             raise EngineError(f"unexpected arrival kind {msg.kind}")
         receivers = [(vid, mob.position_at(self.vehicles[vid][0], now)) for vid in candidates]
         for vid in sorted(deliver_broadcast(msg.sender, receivers, pos, self.curve,
-                                            self.cfg.flow_rate, self.rng)):
+                                            self.cfg.flow_rate, self.uniforms)):
             self._obu_transition(vid, now, event, fn, *args)
 
     def _on_ack_timer(self, now: TimeMs, _payload: None) -> None:

@@ -9,14 +9,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from v2isim import channel
 from v2isim.analytic import mean_attempts, params_from_config
 from v2isim.channel import (
     CurveError, PerCurve, constant_per_curve, default_calibration, dumps_per_curve,
     load_per_curve, parse_per_curve, per, per_many, reception_mask, sample_tau,
-    validate_per_curve,
+    uniform_stream, validate_per_curve,
 )
 from v2isim.core import ScenarioConfig
 from v2isim.mobility import Direction, generate_arrivals
+from v2isim.validation import bin_consistent
 
 CAL = default_calibration()
 
@@ -69,21 +71,79 @@ def test_shipped_calibration_all_knot_pairs_non_decreasing():
     assert per(CAL, 100.0, 10.0) < per(CAL, 300.0, 10.0)
 
 
+def _stream(seed: int):
+    """The uniform stream of a fresh ``default_rng(seed)``."""
+    return uniform_stream(np.random.default_rng(seed))
+
+
 def test_sample_tau_fixed_and_degenerate():
-    rng = np.random.default_rng(1)
-    state = rng.bit_generator.state
-    # A fixed tau is a one-value range, which leaves the generator untouched.
-    assert sample_tau(rng, (100, 100)) == 100
-    assert all(sample_tau(rng, (50, 50)) == 50 for _ in range(100))
-    assert rng.bit_generator.state == state
+    uniforms, twin = _stream(1), _stream(1)
+    # A fixed tau is a one-value range, which leaves the stream where it was.
+    assert sample_tau(uniforms, (100, 100)) == 100
+    assert all(sample_tau(uniforms, (50, 50)) == 50 for _ in range(100))
+    assert next(uniforms) == next(twin)
+
+
+def test_sample_tau_draws_only_for_a_range():
+    """A range maps the stream's next uniform u to low + int(u * span)."""
+    uniforms, twin = _stream(3), np.random.default_rng(3)
+    assert sample_tau(uniforms, (104, 104)) == 104
+    assert [sample_tau(uniforms, (8, 200)) for _ in range(100)] == \
+        [8 + int(twin.random() * 193) for _ in range(100)]
+    assert next(uniforms) == twin.random()
+    # The largest uniform, 1 - 2**-53, still maps inside the range.
+    top = iter([1.0 - 2.0**-53])
+    assert sample_tau(top, (8, 200)) == 200
+
+
+def test_tau_law_is_uniform_on_its_range():
+    """Each of 8..200 ms passes the binomial tail test at 1/193 over 1e5
+    draws, and fixed taus between them take no uniform."""
+    uniforms, twin = _stream(17), _stream(17)
+    trials = 100_000
+    counts = np.zeros(201, dtype=np.int64)
+    for i in range(trials):
+        counts[sample_tau(uniforms, (8, 200))] += 1
+        if i % 1000 == 0:
+            assert sample_tau(uniforms, (64, 64)) == 64
+    assert counts[:8].sum() == 0 and counts.sum() == trials
+    alpha = 1e-3 / 193   # one false-alarm level shared by the 193 values
+    for tau in range(8, 201):
+        assert bin_consistent(int(counts[tau]), trials, 1 / 193, alpha), tau
+    for _ in range(trials):
+        next(twin)
+    assert next(uniforms) == next(twin)
+
+
+@pytest.mark.parametrize("block", [1, 7, 4096])
+def test_uniform_stream_is_the_generators_random_sequence_at_any_block(monkeypatch, block):
+    monkeypatch.setattr(channel, "UNIFORM_BLOCK", block)
+    rng, twin = np.random.default_rng(21), np.random.default_rng(21)
+    rng.random(3), twin.random(3)   # draws before the stream come first
+    uniforms = uniform_stream(rng)
+    assert [next(uniforms) for _ in range(1100)] == [twin.random() for _ in range(1100)]
+
+
+# Lanes over 3 lanes per direction, then over 2**31.
+PINNED_ARRIVALS = [
+    [(1, 1), (2, 0), (3, 0), (4, 2), (5, 2), (6, 2)],
+    [(4, 1440696408), (6, 5880884)],
+]
+PINNED_PROTOCOL_DRAWS = [
+    0.7296554464299441, 0.17565562060255901, 0.8631789223498866,
+    112, 65, 89,                  # from 0.5414..., 0.2997..., 0.4226...
+    [False, True],                # 0.0283... and 0.1242... against PER 0.1
+    0.13676728481771305, 136,
+]
 
 
 def test_draw_stream_is_pinned_across_numpy_versions():
-    """The model's integer draws, mixed with uniforms, give these values and this state.
+    """The run generator's draws give these values, whatever numpy version.
 
-    Seeded outputs hold across numpy versions only while this stream does: the
-    tau draws, the lane draws (one span of 3 lanes, one of 2**31) and the
-    scalar uniforms the engine takes, with the exponential gaps between lanes.
+    Seeded outputs hold across numpy versions only while this stream does:
+    first the arrival draws (exponential gaps, and lanes over a span of 3 and
+    one of 2**31), then the protocol's uniforms, read in blocks, and the tau
+    values ``sample_tau`` maps them to. The last two lie past a block of 512.
     """
     rng = np.random.default_rng(0)
 
@@ -93,29 +153,23 @@ def test_draw_stream_is_pinned_across_numpy_versions():
         return [(v.spawn_time, int(v.y - 0.5))   # eastbound lane k lies at y = k + 0.5
                 for v in generate_arrivals(cfg, Direction.EAST, rng)]
 
-    drawn = [sample_tau(rng, (8, 200)) for _ in range(3)]
-    drawn += [rng.random(), spawns_and_lanes(6), sample_tau(rng, (8, 200)), rng.random(),
-              spawns_and_lanes(2**32), sample_tau(rng, (8, 200))]
-    assert drawn == [
-        172, 130, 106, 0.04097352393619469, [(1, 0), (2, 1), (3, 2), (4, 1)], 112,
-        0.8158535541215322,
-        [(1, 846428920), (2, 1841261663), (3, 1818006483), (5, 377217572), (6, 172656924)],
-        65,
-    ]
-    assert rng.bit_generator.state == {
-        "bit_generator": "PCG64",
-        "state": {"state": 179778097340537474880264210224901646943,
-                  "inc": 87136372517582989555478159403783844777},
-        "has_uint32": 0, "uinteger": 1287252768,
-    }
+    assert [spawns_and_lanes(6), spawns_and_lanes(2**32)] == PINNED_ARRIVALS
+    uniforms = uniform_stream(rng)
+    drawn = [next(uniforms) for _ in range(3)]
+    drawn += [sample_tau(uniforms, (8, 200)) for _ in range(3)]
+    drawn += [reception_mask(uniforms, np.array([0.1, 0.1])).tolist()]
+    for _ in range(600):
+        next(uniforms)
+    drawn += [next(uniforms), sample_tau(uniforms, (8, 200))]
+    assert drawn == PINNED_PROTOCOL_DRAWS
 
 
 def test_sample_tau_uniform_bounds():
-    rng = np.random.default_rng(5)
+    uniforms = _stream(5)
     cfg = ScenarioConfig()
     tau_range = (cfg.tau_low, cfg.tau_high)
     assert tau_range == (8, 200)
-    samples = [sample_tau(rng, tau_range) for _ in range(10_000)]
+    samples = [sample_tau(uniforms, tau_range) for _ in range(10_000)]
     assert min(samples) >= 8 and max(samples) <= 200
     # Both endpoints are reachable (inclusive range).
     assert 8 in samples and 200 in samples
@@ -267,7 +321,7 @@ def test_scalar_per_accepts_numpy_scalars():
 
 def test_reception_mask_draws_one_uniform_per_distance():
     pers = per_many(CAL, np.random.default_rng(8).uniform(0.0, 700.0, size=1000), 17.0)
-    rng, twin = np.random.default_rng(9), np.random.default_rng(9)
-    mask = reception_mask(rng, pers)
+    uniforms, twin = _stream(9), np.random.default_rng(9)
+    mask = reception_mask(uniforms, pers)
     assert np.array_equal(mask, twin.random(len(pers)) >= pers)
-    assert rng.random() == twin.random()
+    assert next(uniforms) == twin.random()

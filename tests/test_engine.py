@@ -19,10 +19,12 @@ from hypothesis import example, given, settings, strategies as st
 from v2isim import analytic, engine, metrics, protocol as proto
 from v2isim.channel import (
     PerCurve, constant_per_curve, default_calibration, dumps_per_curve, parse_per_curve, per,
-    per_many,
+    per_many, uniform_stream,
 )
 from v2isim.cli import main
-from v2isim.core import RSU_POSITION, ConfigError, Message, ScenarioConfig, transit_ms
+from v2isim.core import (
+    RSU_POSITION, ConfigError, Message, MessageKind, ScenarioConfig, transit_ms,
+)
 from v2isim.engine import (
     BatchError, EngineError, Event, EventKind, EventQueue, deliver_broadcast, run,
     run_batch,
@@ -31,6 +33,7 @@ from v2isim.metrics import CompletionRecord, OUTCOME_COMPLETE, OUTCOME_DESPAWN, 
 from v2isim.mobility import (
     Direction, entry_x, generate_arrivals, position_at, trigger_offset_ms,
 )
+from v2isim.validation import bin_consistent
 
 
 def short_cfg(**overrides) -> ScenarioConfig:
@@ -76,39 +79,44 @@ def test_queue_pop_rejects_an_event_behind_the_clock():
 ORIGIN = (0.0, 0.0)
 
 
+def _stream(seed: int):
+    """The uniform stream of a fresh ``default_rng(seed)``."""
+    return uniform_stream(np.random.default_rng(seed))
+
+
 def test_deliver_all_when_lossless():
     curve = constant_per_curve(0.0)
     receivers = [(i, (float(i), 0.0)) for i in range(1, 50)]
-    got = deliver_broadcast(0, receivers, ORIGIN, curve, 10.0, np.random.default_rng(0))
+    got = deliver_broadcast(0, receivers, ORIGIN, curve, 10.0, _stream(0))
     assert got == {i for i, _ in receivers}
 
 
 def test_sender_excluded_even_at_distance_zero():
     curve = constant_per_curve(0.0)
     receivers = [(0, (0.0, 0.0)), (1, (0.0, 0.0))]
-    got = deliver_broadcast(0, receivers, ORIGIN, curve, 10.0, np.random.default_rng(0))
+    got = deliver_broadcast(0, receivers, ORIGIN, curve, 10.0, _stream(0))
     assert got == {1}
 
 
 def test_deliver_binomial_3sigma():
     curve = constant_per_curve(0.5)
     receivers = [(i, (10.0, 0.0)) for i in range(1, 1001)]
-    got = deliver_broadcast(0, receivers, ORIGIN, curve, 10.0, np.random.default_rng(99))
+    got = deliver_broadcast(0, receivers, ORIGIN, curve, 10.0, _stream(99))
     sigma = math.sqrt(1000 * 0.25)
     assert abs(len(got) - 500) <= 3 * sigma
 
 
 def test_deliver_draws_one_uniform_per_non_sender_candidate():
     receivers = [(i, (float(i), 0.0)) for i in range(16)]   # 0 is the sender
-    rng = np.random.default_rng(7)
-    got = deliver_broadcast(0, receivers, ORIGIN, constant_per_curve(0.3), 10.0, rng)
+    uniforms = _stream(7)
+    got = deliver_broadcast(0, receivers, ORIGIN, constant_per_curve(0.3), 10.0, uniforms)
     ref_rng = np.random.default_rng(7)
     ref = ref_rng.random(15) >= 0.3
     assert got == {i for i, ok in enumerate(ref, start=1) if ok}
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert next(uniforms) == ref_rng.random()
     # Draws lie in [0, 1): PER 1 never receives.
     assert deliver_broadcast(0, receivers, ORIGIN, constant_per_curve(1.0), 10.0,
-                             rng) == set()
+                             uniforms) == set()
 
 
 def _scalar_deliver(sender, receivers, tx_position, curve, density, rng):
@@ -155,10 +163,10 @@ def broadcasts(draw):
 @example((-1, [(-1, (3.0, 0.0))], (3.0, 0.0), 30.0), 5)
 def test_deliver_matches_a_scalar_draw_per_candidate(case, seed):
     sender, candidates, tx_position, density = case
-    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = deliver_broadcast(sender, candidates, tx_position, CAL, density, rng)
+    uniforms, ref_rng = _stream(seed), np.random.default_rng(seed)
+    got = deliver_broadcast(sender, candidates, tx_position, CAL, density, uniforms)
     assert got == _scalar_deliver(sender, candidates, tx_position, CAL, density, ref_rng)
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert next(uniforms) == ref_rng.random()
 
 
 def test_every_broadcast_is_decided_by_channel_reception_mask(monkeypatch):
@@ -167,9 +175,9 @@ def test_every_broadcast_is_decided_by_channel_reception_mask(monkeypatch):
     masked, candidates = [], []
     mask, deliver = engine.chan.reception_mask, engine.deliver_broadcast
 
-    def counted_mask(rng, pers):
+    def counted_mask(uniforms, pers):
         masked.append(len(pers))
-        return mask(rng, pers)
+        return mask(uniforms, pers)
 
     def counted_deliver(sender, receivers, *rest):
         candidates.append(sum(vid != sender for vid, _ in receivers))
@@ -401,7 +409,7 @@ def test_a_sum_count_that_differs_from_attempts_raises_naming_the_vehicle(monkey
         return (new._replace(attempts=state.attempts) if out.transmissions else new), out
 
     monkeypatch.setattr(proto, "obu_on_retry_timer", retry_without_counting)
-    with pytest.raises(EngineError, match=r"^vehicle 1: 2 request transmissions but "
+    with pytest.raises(EngineError, match=r"^vehicle 0: 3 request transmissions but "
                                           r"1 attempts recorded$"):
         run(short_cfg(d_t=1400.0, flow_rate=10.0, sim_duration=30_000, warmup=0))
 
@@ -412,6 +420,52 @@ def test_attempts_match_request_transmissions_under_loss():
     # check; records must still show retries happening.
     summary = run(short_cfg(d_t=250.0, flow_rate=10.0, sim_duration=90_000))
     assert any(r.attempts > 1 for r in summary.records)
+
+
+def _sums_sent_and_queued(cfg: ScenarioConfig):
+    """Run ``cfg``; return its summary, the SUMs each vehicle sent and the
+    SUM arrivals queued."""
+    sim = engine._Simulation(cfg)
+    sent: Counter = Counter()
+    queued = []
+    apply_output, push = sim._apply_output, sim.queue.push
+
+    def counted_output(now, out, pos):
+        sent.update(m.sender for m in out.transmissions if m.kind is MessageKind.SUM)
+        apply_output(now, out, pos)
+
+    def counted_push(time, kind, payload=None, seq=None):
+        if kind is EventKind.MSG_ARRIVAL and payload[0].kind is MessageKind.SUM:
+            queued.append(payload)
+        push(time, kind, payload, seq)
+
+    sim._apply_output, sim.queue.push = counted_output, counted_push
+    return sim.run(), sent, queued
+
+
+def test_a_lost_sum_queues_no_arrival(tmp_path):
+    """A SUM's reception is settled when it is sent: where PER is 1 none is
+    queued, and every vehicle's attempts are the SUMs it sent. (Under PER 1
+    everywhere no SAM is heard, so no SUM is sent: SAMs are heard within
+    900 m here, and every SUM leaves 1,200 m past the RSU or further.)"""
+    curve_path = tmp_path / "step.per"
+    curve_path.write_text("density 10\n0 0\n900 0\n901 1\n")
+    summary, sent, queued = _sums_sent_and_queued(
+        short_cfg(d_t=-1200.0, flow_rate=10.0, sim_duration=120_000, per_curve=str(curve_path)))
+    assert queued == [] and sum(sent.values()) > 100
+    assert summary.records and not any(r.complete for r in summary.records)
+    assert {r.vehicle_id: r.attempts for r in summary.records} == dict(sent)
+
+
+def test_heard_sums_are_binomial_in_the_sums_sent(tmp_path):
+    """Under a constant PER of 0.3 each SUM sent is heard with 0.7."""
+    curve_path = tmp_path / "const.per"
+    curve_path.write_text(dumps_per_curve(constant_per_curve(0.3)))
+    _, sent, queued = _sums_sent_and_queued(
+        short_cfg(d_t=900.0, flow_rate=20.0, per_curve=str(curve_path)))
+    trials = sum(sent.values())
+    assert trials > 1000
+    assert bin_consistent(len(queued), trials, 0.7, 1e-3)
 
 
 def test_vehicle_state_lives_from_spawn_to_despawn(tmp_path):
@@ -780,11 +834,10 @@ def test_bsm_reception_rate_matches_constant_per(tmp_path):
 
 
 def test_arrival_of_an_undelivered_kind_raises_before_any_draw():
-    sim = engine._Simulation(short_cfg(flow_rate=2.0))
-    state = sim.rng.bit_generator.state
+    sim, twin = (engine._Simulation(short_cfg(flow_rate=2.0)) for _ in range(2))
     with pytest.raises(EngineError, match="unexpected arrival kind bsm"):
         sim._on_msg_arrival(0, (Message("bsm", sender=0), RSU_POSITION))
-    assert sim.rng.bit_generator.state == state
+    assert next(sim.uniforms) == next(twin.uniforms)
 
 
 def test_an_event_kind_without_a_handler_raises_naming_it():

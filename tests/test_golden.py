@@ -43,6 +43,19 @@ warmup and the first transit, to the steady-state 0.552081. Its
 The one-lane and one-value tau range cells were pinned before scalar draws
 went straight to the bit generator: both spans are 1, so neither draws.
 
+Every ``simulate`` digest and the trace digest were re-pinned once, when the
+protocol's draws became one block-drawn uniform stream (``channel.uniform_stream``)
+and each SUM's reception began to be settled when it is sent. A tau became
+``tau_low + int(u * span)`` of the stream's next uniform instead of an
+integer draw; a SUM takes its reception uniform at send time, and only a
+heard SUM draws a tau and queues its arrival. The law of every outcome is
+unchanged, but the draws map to other values, so every ``records.csv``,
+``summary.csv`` and the trace moved. The fixed-tau cells, which draw no
+tau, moved too: a SUM's reception uniform is now taken when it is sent, not
+when it arrives, so it falls elsewhere among the ACK and SAM uniforms. The
+``analytic`` and ``validate`` digests did not move. The records do not
+depend on the block size (``test_records_bytes_do_not_depend_on_the_uniform_block``).
+
 The model commands are pinned too: the ``v2isim analytic`` CSV at a 1 m step
 for 10, 15 (blended) and 30 veh/s, and the ``v2isim validate`` table at
 10,000 trials, both recorded before the closed form became an array kernel.
@@ -60,7 +73,7 @@ import hashlib
 
 import pytest
 
-from v2isim import engine
+from v2isim import channel, engine
 from v2isim.cli import main
 
 _SHORT = ["--set", "sim_duration=60000", "--set", "warmup=10000", "--seed", "7"]
@@ -71,52 +84,52 @@ GOLDEN = [
     (
         "dt300_flow30_bsm",
         ["--set", "d_t=300", "--set", "flow_rate=30"],
-        "0ecc1d7ce726f2bc3acd6f669894fa7d7a4a49fe4d2fddfa3f4ba18314f71986",
-        "f076609a08b66fee2ea2facd1dca35d8519e6add86fa60eeda4a122c09ae032e",
+        "64f2f7b394a7b9b0adb3ec3e8592380a42d675b4dd1df63e2570b744b358cf90",
+        "3a5e10a3d7e459d547b7ce747a9df41f553546d08851ebebd6a74ae92a7f3838",
     ),
     (
         "dt0_flow10_fixed_tau",
         ["--set", "d_t=0", "--set", "flow_rate=10", "--set", "tau_low=104",
          "--set", "tau_high=104", *_NO_BSM],
-        "3ea543d6850bfe72fd3d63876e141398a81d0233b749f88ef9b1965124b9c1aa",
-        "5e3e26bbf59efd95e5bb4e63e3a2f12913212d39abd594d362bf6d173773206e",
+        "0af17ffac57686640cf005392cf412498c96d182d2badbf5d8cbdba697ec6b5b",
+        "64e2c048ac2d7209458cc2954f44e945df93b6730ee22498a22a340264d94bbb",
     ),
     (
         # 15 veh/s lies between the 10 and 20 veh/s levels: blended PER.
         "dtm100_flow15_blend",
         ["--set", "d_t=-100", "--set", "flow_rate=15", *_NO_BSM],
-        "8bae8711d926fbc8d2704a82705533e7859cfdc36c6b1042cc8a9552bc8c41c9",
-        "4edb8957fe2b0af8057147560fe639d118951160d9876e79bf68a63d86bf0355",
+        "6d966fffb2fc37ac97719e0383c316de49281620a1943704456cd7a581968ae2",
+        "4ee5abab80016a225377428f81146ff025b70d6010739edd21626bb631c3ea68",
     ),
     (
         # Every received SUM fills a batch of one and is ACKed at once.
         "dt0_flow30_back1",
         ["--set", "d_t=0", "--set", "flow_rate=30", "--set", "b_ack=1", *_NO_BSM],
-        "dc40aea9a6c1bb5de8a6f193a0bec249224a281a043ae6e609d99940863cad6f",
-        "373916c57d1fcd2cc283f4a8bb7ca427e71842f36808e6ffe96447d20159c59c",
+        "369eeb13f86230888fdabf99cd32dc59b07d13dcc8368981ba9b586e94c8e665",
+        "121d535f71909bac527227024a4dc8d26f79691c49e2211b0e45a8252aad6cfc",
     ),
     (
         # A SAM every 5 s and a trigger 100 m past the entry edge: most
         # vehicles cross before hearing any SAM and start deferred.
         "dt1400_flow20_starved_sam",
         ["--set", "d_t=1400", "--set", "sam_period=5000", "--set", "flow_rate=20", *_NO_BSM],
-        "cc7615bd406a061e6c5deff4bd711708b17a0ad216c572b191b991e0c9a697db",
-        "bcbfbfd5641ea1b7011fbcdc7f042995a46cf557edd47a6c8d12edf152acf164",
+        "dcec240566b80dbf9030dbe703466bb7c680a4799367cde6a3d8bd80018fc897",
+        "351eee8b58d2024b773778057c3857657d23b01d9acbb012516f35d6d1a8e967",
     ),
     (
         # One lane per direction: the lane span is 1 and takes no draw.
         "dt300_flow20_one_lane",
         ["--set", "d_t=300", "--set", "flow_rate=20", "--set", "lane_count=2", *_NO_BSM],
-        "16efae8e489eb7b403d2227ecb85ae5990ee25c7b19174da55aef35a698dc42e",
-        "436741b57b506a847f6e705856553e9fba1b8e4cb384b2eba2a7ebaca80fbe11",
+        "4c9dc003bf7635d93103610c2684f8b470b10f5e422ad58cb37c90e91e4450b5",
+        "1129c44054cb69d390e62b01799b4ff6ab8737a5fda9966a2261270b09179a3d",
     ),
     (
         # A one-value tau range, as in the fixed-tau cell: no tau draw.
         "dt300_flow30_tau_span_1",
         ["--set", "d_t=300", "--set", "flow_rate=30", "--set", "tau_low=104",
          "--set", "tau_high=104", *_NO_BSM],
-        "e1c35be7b093aed31449f562d7f3197fcfdfae4a827f0f3983beb9368a8b9157",
-        "63a399d93de6ea1cab3b272d4b5a027c06fcd97c8c35ab10c24fa166c083eec9",
+        "a813857ea5fdba9b844931e7cfc20593fdbf95c7c556493464e1245c3a9b13fd",
+        "cb9965c0bb0be82c36a9253ac3f610b136fb997460b113ba66811da526a0fdba",
     ),
 ]
 
@@ -144,6 +157,18 @@ def test_output_bytes_stay_pinned_with_a_tiny_sum_per_memo(tmp_path, monkeypatch
             == (records_sha, summary_sha), cell
 
 
+@pytest.mark.parametrize("block", [1, 7])
+def test_records_bytes_do_not_depend_on_the_uniform_block(tmp_path, monkeypatch, block):
+    """The stream's block size is not a knob: a uniform-tau cell and a
+    fixed-tau cell give their pinned ``records.csv`` at any block."""
+    monkeypatch.setattr(channel, "UNIFORM_BLOCK", block)
+    for cell, overrides, records_sha, _ in GOLDEN:
+        if cell in ("dtm100_flow15_blend", "dt0_flow10_fixed_tau"):
+            out = tmp_path / cell
+            assert main(["simulate", "--out", str(out), *_SHORT, *overrides]) == 0
+            assert _sha256(out / "records.csv") == records_sha, cell
+
+
 def test_trace_bytes_are_pinned(tmp_path):
     """Every transition line of a short lossy run: first SUMs, retries, stale
     timers, deferred starts, full-batch and timer flushes, uniform tau."""
@@ -151,7 +176,7 @@ def test_trace_bytes_are_pinned(tmp_path):
     assert main(["trace", "--out", str(out), "--seed", "7", "--set", "sim_duration=20000",
                  "--set", "warmup=0", "--set", "d_t=1400", "--set", "flow_rate=30",
                  "--set", "bsm_period=20001"]) == 0
-    assert _sha256(out) == "d2449fa25704525687894d0ad8f2051d1bf63a3f39eadf66fbe9d2535a505e94"
+    assert _sha256(out) == "7148cc28428e7be42bf5aff00c0274a30ac1619ab3adc014e810bf2647d79446"
 
 
 def test_records_bytes_do_not_depend_on_bsm_settings(tmp_path):
