@@ -59,7 +59,9 @@ class MessageKind(Enum):
 class Message(NamedTuple):
     """A single over-the-air transmission.
 
-    ``recipients`` is non-empty only for ACKs (the addressed vehicle ids).
+    ``recipients`` holds the addressed vehicle ids: an ACK's batch, or the
+    one vehicle a SAM settled before the event loop reaches after its
+    trigger (``engine``). Other messages have none.
     """
 
     kind: MessageKind
@@ -110,16 +112,16 @@ class ScenarioConfig:
 # Field name -> int, float or str, in declaration order.
 _FIELD_TYPES: dict[str, type] = get_type_hints(ScenarioConfig)
 
-# Arrivals (16 B each, in arrays) are built before a run starts, and the BSM
-# tick arrays after its event loop (``engine.bsm_counts``).
-# A run's peak grows by about 190 B per arrival with BSMs on and 170 B with
+# Arrivals (16 B each, in arrays, and the SAM each one heard) are built before
+# a run's event loop, and the BSM tick arrays after it (``mobility.bsm_counts``).
+# A run's peak grows by about 200 B per arrival with BSMs on and 190 B with
 # them off (1e5 arrivals at 30 veh/s, ru_maxrss), so this many stay under
-# 1 GB. The same bound caps the periodic SAM timer's events, so every run can end.
+# 1 GB. The same bound caps the SAMs a run sends and settles before its loop.
 MAX_UPFRONT_ITEMS = 1_000_000
 
 # Worst case of retry timers: every arrival retries every t_sum for its whole
-# transit. At about 5.5 us per event (engine.run of 200 s, d_t=300 m, flow 30,
-# BSMs off, 2-vCPU host, Python 3.11) this many take about 18 minutes; it admits
+# transit. At about 5 us per event (engine.run of 200 s, d_t=300 m, flow 30,
+# BSMs off, 2-vCPU host, Python 3.11) this many take about 17 minutes; it admits
 # 1e6 arrivals at the default t_sum (167 each).
 MAX_RETRY_TIMERS = 200_000_000
 

@@ -3,43 +3,64 @@
 Every run is a pure function of (config, seed): events are totally ordered by
 (time, sequence number) and the clock never moves backward. Randomness
 comes from one generator, ``default_rng(seed)``: its arrival draws at init,
-then its ``random()`` sequence, read in blocks by ``chan.uniform_stream``,
-for the protocol in event order. BSMs draw nothing, so no BSM setting moves a
-protocol outcome.
+then its ``random()`` sequence, read in blocks by ``chan.uniform_stream``:
+first for the SAMs, settled before the loop, then for the loop in event
+order. BSMs draw nothing, so no BSM setting moves a protocol outcome.
 
-Besides its records, a run holds the vehicles between spawn and despawn and
-16 B per arrival. The arrivals are drawn at init into two arrays per
-direction (``mob.Arrivals``: spawn times and lateral offsets), and one
-``VEHICLE_SPAWN`` per direction is pending: a spawn builds its vehicle's
-``VehicleKinematics`` and queues its ``TRIGGER_CROSS`` at spawn plus
+A vehicle's life before its trigger crossing depends on nothing dynamic: the
+RSU's SAM schedule is fixed, kinematics are deterministic and PER is static.
+So before its event loop a run settles it in one pass (``_settle_sams``).
+``proto.rsu_on_sam_timer`` sends every SAM due before ``sim_duration``, each
+drawing its tau, which fixes its arrival a. In arrival order, each SAM is
+tested on the vehicles that have heard none yet and are in the stretch at a
+(``mob.first_heard``), with one ``per_many`` and one ``chan.reception_mask``.
+No SAM is an event, and no SAM timer is.
+
+Besides its records, a run holds the vehicles between trigger and despawn,
+16 B per arrival (``mob.Arrivals``: spawn times and lateral offsets, two
+arrays per direction) and the arrival time of the SAM each one heard. One
+``TRIGGER_CROSS`` per direction is pending, at spawn plus
 ``mob.trigger_offset_ms(cfg)`` (one offset for every vehicle, derived at
-init), its despawn and its direction's next spawn. Every spawn keeps the seq
-that pushing all of them at init would give it (``EventQueue.reserve``):
-east 2..E+1, west E+2..N+1, and every other event numbers from N+2. So the
-pop order is the eager schedule's:
+init). A trigger builds its vehicle's ``VehicleKinematics`` and OBU state,
+applies ``proto.obu_on_sam`` at the heard SAM's time if that SAM arrived at
+or before the trigger's ms, then ``proto.obu_on_trigger``; a SAM heard later
+is queued as one ``MSG_ARRIVAL`` naming its receiver, which releases the
+deferred first SUM. It then queues the despawn and its direction's next
+trigger. A vehicle that never reaches its trigger leaves no state. Every
+trigger keeps the seq that pushing all of them at init would give it
+(``EventQueue.reserve``): ``SIM_END`` is 0, east 1..E, west E+1..N, and
+every other event numbers from N+1. So a trigger comes first among the
+events of its ms (bar ``SIM_END``), and the pop order is the eager
+schedule's:
 
 1. every event keeps its ``(time, seq)`` key;
-2. a direction's spawn keys rise with its arrival index, so its earliest
-   unfired spawn has the least key of that direction's spawns;
-3. the least key of the eager heap is a non-spawn event's or such a spawn's,
-   and both are in the smaller heap.
+2. a direction's trigger keys rise with its arrival index, so its earliest
+   unfired trigger has the least key of that direction's triggers;
+3. the least key of the eager heap is a non-trigger event's or such a
+   trigger's, and both are in the smaller heap.
 
 Events are named tuples ``(time, seq, kind, payload)`` on a ``heapq`` heap,
 so the heap orders them with C tuple comparison. ``seq`` is unique, so a
 comparison is settled by ``(time, seq)`` and never reaches ``kind`` or
 ``payload``. The main loop looks every kind up in one dict of handlers
 (``EventKind`` hashes by identity in C, not with ``Enum``'s Python hash);
-``SIM_END``'s handler ends it. Hot code binds Enum members to module names,
-since on Python 3.11 a lookup on the class costs about 0.2 us. A message
-arrival's payload is ``(message, transmit position)``; the RSU transmits
-from ``RSU_POSITION``, the origin. A live vehicle is one entry of
-``vehicles``, ``[kinematics, OBU state, SUMs sent]``, added at spawn and
-deleted at despawn, so a retry timer that fires later is ignored. At
+``SIM_END``'s handler ends it. Hot code binds Enum members to module
+names, since on Python 3.11 a lookup on the class costs about 0.2 us. A
+message arrival's payload is ``(message, transmit position)``; the RSU
+transmits from ``RSU_POSITION``, the origin. A live vehicle is one entry of
+``vehicles``, ``[kinematics, OBU state, SUMs sent]``, added at its trigger
+and deleted at despawn, so a retry timer that fires later is ignored. At
 despawn, or at ``SIM_END`` for a vehicle still in the stretch, a vehicle
 that sent a request appends its record to the run's ``metrics.RecordTable``,
 which the summary holds as it is. After a transition the engine queues its
-transmissions, then arms a ``RETRY_TIMER``, ``ACK_TIMER`` or ``SAM_TIMER``
-for each deadline the transition moved to a new value that is not None.
+transmissions, then arms a ``RETRY_TIMER`` or ``ACK_TIMER`` for each
+deadline the transition moved to a new value that is not None.
+
+A trace gets one line per transition, stamped with its own time. Two kinds
+are written out of time order: every SAM's ``rsu sam_tx`` line comes first,
+written as it is settled (its batch is always empty, since no SUM has
+arrived yet), and a SAM heard before the trigger is written just before
+that vehicle's ``trigger_cross`` line.
 
 Transmission latency: each radio leg takes ceil(tau/2) ms, tau drawn from
 ``tau_low..tau_high`` per delivered transmission (a fixed tau draws nothing),
@@ -54,15 +75,15 @@ nothing, since its arrival would change no state. Leaving its event out
 keeps the ``(time, seq)`` order of all the others. The vehicles of a
 direction share a spawn point, a speed and a retry period, so SUMs leave
 from few distinct points: each run memoizes that PER by transmit position
-(``per`` runs once per new position, bit for bit the same value). An ACK or
-SAM is decided at arrival, receiver positions taken then, by one
+(``per`` runs once per new position, bit for bit the same value). An ACK is
+decided at arrival, receiver positions taken then, by one
 ``channel.reception_mask`` call over one ``channel.per_many`` of its k
 candidates: the next k uniforms, and the same PER as k one-element ``per``
 calls.
 
 Background safety broadcasts (BSMs) only feed the reception-rate metric and
 have no protocol effect, so they are not events. After the event loop
-``bsm_counts`` counts, for every BSM tick from ``warmup`` on, the in-stretch
+``mob.bsm_counts`` counts, for every BSM tick from ``warmup`` on, the in-stretch
 vehicles: each transmits once and, unless it is alone, probes one other. Those
 two counts are exact for each run. ``bsm_per`` is the steady-state closed form
 ``analytic.bsm_per(cfg, curve)`` whenever there is a probe, for any warmup, and None
@@ -83,7 +104,7 @@ from . import channel as chan
 from . import mobility as mob
 from . import protocol as proto
 from .core import (
-    Message, MessageKind, RSU_POSITION, ScenarioConfig, TimeMs,
+    Message, MessageKind, RSU_ID, RSU_POSITION, ScenarioConfig, TimeMs,
     raise_violations, transit_ms, validate_config,
 )
 from .metrics import (
@@ -96,6 +117,10 @@ class EngineError(RuntimeError):
 
 
 class EventKind(Enum):
+    """Event kinds. ``VEHICLE_SPAWN`` and ``SAM_TIMER`` (settled before the
+    loop) and ``BSM_TICK`` (``mob.bsm_counts`` runs after it) are never
+    scheduled; they are kept so per-kind event counts keep their names."""
+
     __hash__ = object.__hash__   # members are singletons: hash by identity, in C
     VEHICLE_SPAWN = "vehicle_spawn"
     TRIGGER_CROSS = "trigger_cross"
@@ -104,8 +129,6 @@ class EventKind(Enum):
     SAM_TIMER = "sam_timer"
     MSG_ARRIVAL = "msg_arrival"
     VEHICLE_DESPAWN = "vehicle_despawn"
-    # Never scheduled (bsm_counts runs after the loop); kept so per-kind
-    # event counts keep their names.
     BSM_TICK = "bsm_tick"
     SIM_END = "sim_end"
 
@@ -178,33 +201,11 @@ def deliver_broadcast(sender: int,
     return {entity_id for entity_id, ok in zip(ids, heard.tolist()) if ok}
 
 
-def bsm_counts(cfg: ScenarioConfig,
-               by_direction: dict[mob.Direction, mob.Arrivals]) -> tuple[int, int]:
-    """BSM transmissions and probes over one run.
-
-    Ticks fall at every positive multiple of ``bsm_period`` at or after
-    ``warmup`` and before ``sim_duration``, so, like the record aggregates,
-    the counts leave out the stretch's fill-up. At a tick each in-stretch
-    vehicle transmits once and, unless it is alone, probes one other. Each
-    tick's in-stretch count comes from each direction's spawn times
-    (``mob.Arrivals``) as an index window; no position is computed.
-    """
-    first = max(1, -(-cfg.warmup // cfg.bsm_period)) * cfg.bsm_period   # exact integer ceil
-    if first >= cfg.sim_duration:
-        return 0, 0
-    ticks = np.arange(first, cfg.sim_duration, cfg.bsm_period, dtype=np.int64)
-    transit = transit_ms(cfg.road_length, cfg.mean_speed)
-    counts = np.zeros(len(ticks), dtype=np.int64)
-    for arrivals in by_direction.values():
-        lo, hi = mob.stretch_window(np.array(arrivals.spawn_times, dtype=np.int64), ticks, transit)
-        counts += hi - lo
-    return int(counts.sum()), int(counts[counts >= 2].sum())
-
-
 TraceFn = Callable[[TimeMs, str, str, str, str], None]
 
-_SUM, _IDLE = MessageKind.SUM, proto.ObuPhase.IDLE
+_SUM, _SAM = MessageKind.SUM, MessageKind.SAM
 _MSG_ARRIVAL, _RETRY_TIMER = EventKind.MSG_ARRIVAL, EventKind.RETRY_TIMER
+_TRIGGER_CROSS = EventKind.TRIGGER_CROSS
 # Entries of a run's SUM reception PER memo, which is cleared when full.
 _SUM_PER_CACHE_SIZE = 4096
 
@@ -221,10 +222,9 @@ class _Simulation:
         self.sum_per: dict[tuple[float, float], float] = {}
         self.queue = EventQueue()
 
-        # Vehicles between spawn and despawn, [kinematics, OBU state, SUMs sent]:
+        # Vehicles between trigger and despawn, [kinematics, OBU state, SUMs sent]:
         # every position lookup is for one. A list, so a transition sets its state in place.
         self.vehicles: dict[int, list] = {}
-        self.awaiting_sam: dict[int, None] = {}
         self.rsu = proto.RsuState(
             b_ack=cfg.b_ack, t_ack=cfg.t_ack, sam_period=cfg.sam_period,
         )
@@ -236,25 +236,29 @@ class _Simulation:
         self.uniforms = chan.uniform_stream(rng)   # every draw after the arrivals
         self.by_direction = {mob.Direction.EAST: east, mob.Direction.WEST: west}
         self.trigger_after = mob.trigger_offset_ms(cfg)
+        # (arrival, send time) of each SAM sent and not yet settled, a heap; then by
+        # vehicle id, the arrival of the first SAM it hears, or None (``_settle_sams``).
+        self.sams_on_air: list[tuple[TimeMs, TimeMs]] = []
+        self.sam_heard: list[TimeMs | None] = []
 
-        self.queue.push(self.rsu.next_sam_time, EventKind.SAM_TIMER)
         self.queue.push(cfg.sim_duration, EventKind.SIM_END)
-        # Vehicle v spawns under seq spawn_seq + v's id; other events number after all of them.
-        self.spawn_seq = self.queue.reserve(len(east) + len(west))
+        # Vehicle v triggers under seq trigger_seq + v's id; other events number after all of them.
+        self.trigger_seq = self.queue.reserve(len(east) + len(west))
         for arrivals in (east, west):
-            self._push_spawn(arrivals, 0)
+            self._push_trigger(arrivals, 0)
 
     # -- helpers ---------------------------------------------------------
 
-    def _push_spawn(self, arrivals: mob.Arrivals, i: int) -> None:
-        """Queue the direction's i-th arrival, if it has one: one spawn pending per direction."""
+    def _push_trigger(self, arrivals: mob.Arrivals, i: int) -> None:
+        """Queue the direction's i-th trigger crossing, if it has one: one pending per direction."""
         if i < len(arrivals):
-            self.queue.push(arrivals.spawn_times[i], EventKind.VEHICLE_SPAWN, (arrivals, i),
-                            seq=self.spawn_seq + arrivals.id_start + i)
+            self.queue.push(arrivals.spawn_times[i] + self.trigger_after, _TRIGGER_CROSS,
+                            (arrivals, i), seq=self.trigger_seq + arrivals.id_start + i)
 
     def _apply_output(self, now: TimeMs, out: proto.ProtocolOutput,
                       pos: tuple[float, float]) -> None:
-        """Queue each arrival ceil(tau/2) ms on; a SUM's only if the RSU hears it."""
+        """Queue each arrival ceil(tau/2) ms on; a SUM's only if the RSU hears it,
+        and a SAM's, with its send time, on the heap ``_sam_arrivals`` settles."""
         low, high = self.tau_range
         for msg in out.transmissions:
             if msg.kind is _SUM:
@@ -268,7 +272,43 @@ class _Simulation:
                 if next(self.uniforms) < per:
                     continue
             tau = low if low == high else chan.sample_tau(self.uniforms, self.tau_range)
-            self.queue.push(now + (tau + 1) // 2, _MSG_ARRIVAL, (msg, pos))
+            if msg.kind is _SAM:
+                heapq.heappush(self.sams_on_air, (now + (tau + 1) // 2, now))
+            else:
+                self.queue.push(now + (tau + 1) // 2, _MSG_ARRIVAL, (msg, pos))
+
+    def _sam_arrivals(self) -> Iterator[TimeMs]:
+        """Send every SAM due before ``sim_duration``; yield the arrivals before it.
+
+        ``proto.rsu_on_sam_timer`` is the schedule, and each SAM draws its tau
+        as it is sent. Arrivals come in arrival order, send order at a tie: a
+        SAM is yielded once no later one can arrive before it, so its
+        receptions are drawn before the next SAM's tau whenever
+        ``sam_period`` is at least the legs' spread.
+        """
+        horizon, shortest = self.cfg.sim_duration, (self.cfg.tau_low + 1) // 2
+        on_air = self.sams_on_air
+        while True:
+            now = self.rsu.next_sam_time
+            # A SAM sent from now on arrives at now + shortest or later.
+            while on_air and (now >= horizon or on_air[0][0] <= now + shortest):
+                at = heapq.heappop(on_air)[0]
+                if at < horizon:
+                    yield at
+            if now >= horizon:
+                return
+            self._rsu_transition(now, "sam_tx", proto.rsu_on_sam_timer)
+
+    def _settle_sams(self) -> None:
+        """Settle, before the loop, the first SAM each vehicle hears (``mob.first_heard``).
+
+        A SAM's candidates take one ``per_many`` at their distances from the
+        RSU and one ``chan.reception_mask``.
+        """
+        curve, density, uniforms = self.curve, self.cfg.flow_rate, self.uniforms
+        self.sam_heard = mob.first_heard(
+            *self.by_direction.values(), self.transit, self._sam_arrivals(),
+            lambda dists: chan.reception_mask(uniforms, chan.per_many(curve, dists, density)))
 
     def _obu_transition(self, vid: int, now: TimeMs, event: str, fn, *args) -> None:
         vehicle = self.vehicles[vid]
@@ -276,10 +316,8 @@ class _Simulation:
         new, out = fn(state, now, *args)
         if self.trace is not None:
             self.trace(now, f"veh{vid}", event, state.phase.value, new.phase.value)
-        if new is not state:   # else a stale timer or a repeated SAM
+        if new is not state:   # else a stale timer
             vehicle[1] = new
-            if state.phase is _IDLE and new.phase is not _IDLE:
-                del self.awaiting_sam[vid]
         if out.transmissions:   # a stored SAM or a heard ACK sends nothing; an OBU sends only SUMs
             vehicle[2] += len(out.transmissions)
             self._apply_output(now, out, mob.position_at(vehicle[0], now))
@@ -297,8 +335,6 @@ class _Simulation:
             self._apply_output(now, out, RSU_POSITION)
         if new.ack_deadline != state.ack_deadline and new.ack_deadline is not None:
             self.queue.push(new.ack_deadline, EventKind.ACK_TIMER)
-        if new.next_sam_time != state.next_sam_time:
-            self.queue.push(new.next_sam_time, EventKind.SAM_TIMER)
 
     def _finalize(self, vid: int, outcome_if_incomplete: str) -> None:
         kinematics, state, sent = self.vehicles[vid]
@@ -316,18 +352,19 @@ class _Simulation:
 
     # -- event handlers ----------------------------------------------------
 
-    def _on_spawn(self, now: TimeMs, spawn: tuple[mob.Arrivals, int]) -> None:
-        arrivals, i = spawn
+    def _on_trigger(self, now: TimeMs, trigger: tuple[mob.Arrivals, int]) -> None:
+        arrivals, i = trigger
         v = arrivals[i]
         vid = v.vehicle_id
         self.vehicles[vid] = [v, proto.ObuState(vid, self.cfg.t_sum), 0]
-        self.awaiting_sam[vid] = None
-        self.queue.push(v.spawn_time + self.trigger_after, EventKind.TRIGGER_CROSS, vid)
-        self.queue.push(v.spawn_time + self.transit, EventKind.VEHICLE_DESPAWN, vid)
-        self._push_spawn(arrivals, i + 1)
-
-    def _on_trigger(self, now: TimeMs, vid: int) -> None:
+        heard = self.sam_heard[vid]
+        if heard is not None and heard <= now:   # heard on the way in, stamped with its time
+            self._obu_transition(vid, heard, "sam_rx", proto.obu_on_sam)
         self._obu_transition(vid, now, "trigger_cross", proto.obu_on_trigger)
+        if heard is not None and heard > now:   # releases the deferred first SUM
+            self.queue.push(heard, _MSG_ARRIVAL, (Message(_SAM, RSU_ID, (vid,)), RSU_POSITION))
+        self.queue.push(v.spawn_time + self.transit, EventKind.VEHICLE_DESPAWN, vid)
+        self._push_trigger(arrivals, i + 1)
 
     def _on_retry_timer(self, now: TimeMs, vid: int) -> None:
         if vid in self.vehicles:  # else the vehicle left with this timer armed
@@ -337,40 +374,32 @@ class _Simulation:
         msg, pos = sent
         if msg.kind is _SUM:   # queued only when heard
             self._rsu_transition(now, "sum_rx", proto.rsu_on_sum, msg.sender)
-            return
-        if msg.kind is MessageKind.ACK:
-            candidates = [vid for vid in msg.recipients if vid in self.vehicles]
-            event, fn, args = "ack_rx", proto.obu_on_ack, (msg.recipients,)
-        elif msg.kind is MessageKind.SAM:
-            # Only vehicles still waiting on an advertisement can change state.
-            candidates, event, fn, args = self.awaiting_sam, "sam_rx", proto.obu_on_sam, ()
+        elif msg.kind is _SAM:   # settled before the loop: its one recipient hears it
+            self._obu_transition(msg.recipients[0], now, "sam_rx", proto.obu_on_sam)
+        elif msg.kind is MessageKind.ACK:
+            receivers = [(vid, mob.position_at(self.vehicles[vid][0], now))
+                         for vid in msg.recipients if vid in self.vehicles]
+            for vid in sorted(deliver_broadcast(msg.sender, receivers, pos, self.curve,
+                                                self.cfg.flow_rate, self.uniforms)):
+                self._obu_transition(vid, now, "ack_rx", proto.obu_on_ack, msg.recipients)
         else:
             raise EngineError(f"unexpected arrival kind {msg.kind}")
-        receivers = [(vid, mob.position_at(self.vehicles[vid][0], now)) for vid in candidates]
-        for vid in sorted(deliver_broadcast(msg.sender, receivers, pos, self.curve,
-                                            self.cfg.flow_rate, self.uniforms)):
-            self._obu_transition(vid, now, event, fn, *args)
 
     def _on_ack_timer(self, now: TimeMs, _payload: None) -> None:
         self._rsu_transition(now, "ack_timer", proto.rsu_on_ack_timer)
 
-    def _on_sam_timer(self, now: TimeMs, _payload: None) -> None:
-        self._rsu_transition(now, "sam_tx", proto.rsu_on_sam_timer)
-
     def _on_despawn(self, now: TimeMs, vid: int) -> None:
         self._finalize(vid, OUTCOME_DESPAWN)
         del self.vehicles[vid]
-        self.awaiting_sam.pop(vid, None)
 
     # -- main loop ---------------------------------------------------------
 
     def run(self) -> RunSummary:
+        self._settle_sams()
         handlers = {
-            EventKind.VEHICLE_SPAWN: self._on_spawn,
-            EventKind.TRIGGER_CROSS: self._on_trigger,
+            _TRIGGER_CROSS: self._on_trigger,
             _RETRY_TIMER: self._on_retry_timer,
             EventKind.ACK_TIMER: self._on_ack_timer,
-            EventKind.SAM_TIMER: self._on_sam_timer,
             _MSG_ARRIVAL: self._on_msg_arrival,
             EventKind.VEHICLE_DESPAWN: self._on_despawn,
             EventKind.SIM_END: lambda now, _payload: True,   # the one that ends the loop
@@ -385,7 +414,7 @@ class _Simulation:
                 break
         for vid in self.vehicles:
             self._finalize(vid, OUTCOME_SIMEND)
-        bsm_tx, bsm_probes = bsm_counts(self.cfg, self.by_direction)
+        bsm_tx, bsm_probes = mob.bsm_counts(self.cfg, self.by_direction)
         return RunSummary(
             cfg=self.cfg,
             records=self.records,

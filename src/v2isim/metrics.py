@@ -123,7 +123,7 @@ class RecordTable(Sequence):
 class RunSummary:
     cfg: ScenarioConfig
     records: RecordTable
-    # The BSM counts cover the ticks from warmup on (engine.bsm_counts).
+    # The BSM counts cover the ticks from warmup on (mobility.bsm_counts).
     bsm_tx_count: int
     bsm_expected_rx_count: int   # probes: one per sender at a tick with >= 2 vehicles
     # analytic.bsm_per(cfg, curve) when there is a probe, else None.
@@ -246,23 +246,35 @@ def summary_row(summary: RunSummary) -> dict[str, object]:
     }
 
 
-def _write_table(path: str, header: tuple[str, ...], rows: Iterable[Sequence[object]],
-                 keys: int = 0) -> None:
-    """Write a CSV; the first ``keys`` columns of each row print with ``_fmt_key``."""
+def _write_lines(path: str, header: tuple[str, ...], lines: Iterable[str]) -> None:
+    """Write a CSV header, then ``lines``, each ending in a newline."""
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join([*map(_fmt_key, row[:keys]), *map(_fmt, row[keys:])]) + "\n")
+            fh.writelines(lines)
     except OSError as exc:
         raise ExportError(f"cannot write {path}: {exc}") from exc
 
 
+def _write_table(path: str, header: tuple[str, ...], rows: Iterable[Sequence[object]],
+                 keys: int = 0) -> None:
+    """Write a CSV; the first ``keys`` columns of each row print with ``_fmt_key``."""
+    _write_lines(path, header, (",".join([*map(_fmt_key, row[:keys]), *map(_fmt, row[keys:])])
+                                + "\n" for row in rows))
+
+
 def export_records(summary: RunSummary, path: str) -> None:
-    """One row per completion record, in simulation order. Deterministic bytes."""
-    rows = ((r.vehicle_id, r.direction.value, r.sam_rx_time, r.first_sum_tx_time,
-             r.ack_rx_time, r.attempts, r.outcome, r.sct) for r in summary.records)
-    _write_table(path, RECORD_COLUMNS, rows)
+    """One row per completion record, in simulation order. Deterministic bytes.
+
+    One pass over the table's int rows, one f-string per row: a missing SAM
+    or ACK time (-1) and the SCT of an incomplete record print empty.
+    """
+    directions = [d.value for d in _DIRECTIONS]
+    lines = (f"{vid},{directions[direction]},{'' if sam < 0 else sam},{first},"
+             f"{'' if ack < 0 else ack},{attempts},{_OUTCOMES[outcome]},"
+             f"{ack - first if outcome == _COMPLETE and ack >= 0 else ''}\n"
+             for vid, direction, sam, first, ack, attempts, outcome in summary.records.int_rows())
+    _write_lines(path, RECORD_COLUMNS, lines)
 
 
 def export_summaries(summaries: list[RunSummary], path: str) -> None:

@@ -124,16 +124,17 @@ def test_uniform_stream_is_the_generators_random_sequence_at_any_block(monkeypat
     assert [next(uniforms) for _ in range(1100)] == [twin.random() for _ in range(1100)]
 
 
-# Lanes over 3 lanes per direction, then over 2**31.
+# Lanes over 3 lanes per direction, then over 2**31; then one lane.
 PINNED_ARRIVALS = [
-    [(1, 1), (2, 0), (3, 0), (4, 2), (5, 2), (6, 2)],
-    [(4, 1440696408), (6, 5880884)],
+    [(1, 1), (4, 1), (5, 1)],
+    [(6, 2008052739)],
+    (44, 9242),
 ]
 PINNED_PROTOCOL_DRAWS = [
-    0.7296554464299441, 0.17565562060255901, 0.8631789223498866,
-    112, 65, 89,                  # from 0.5414..., 0.2997..., 0.4226...
-    [False, True],                # 0.0283... and 0.1242... against PER 0.1
-    0.13676728481771305, 136,
+    0.5803323859868507, 0.2986961328189226, 0.6719948779563594,
+    46, 189, 78,                  # from 0.1995..., 0.9421..., 0.3651...
+    [False, True],                # 0.1054... and 0.6291... against PER 0.2
+    0.458860568981583, 191,
 ]
 
 
@@ -141,23 +142,30 @@ def test_draw_stream_is_pinned_across_numpy_versions():
     """The run generator's draws give these values, whatever numpy version.
 
     Seeded outputs hold across numpy versions only while this stream does:
-    first the arrival draws (exponential gaps, and lanes over a span of 3 and
-    one of 2**31), then the protocol's uniforms, read in blocks, and the tau
-    values ``sample_tau`` maps them to. The last two lie past a block of 512.
+    first the arrival draws (a Poisson count, its exponential spacings and
+    one block of lanes, over a span of 3 and one of 2**31), then the
+    protocol's uniforms, read in blocks, and the tau values ``sample_tau``
+    maps them to. The last two lie past a block of 512.
     """
     rng = np.random.default_rng(0)
 
-    def spawns_and_lanes(lane_count):
+    def spawns_and_lanes(lane_count, flow_rate=2000.0, duration=6):
         cfg = replace(ScenarioConfig(), lane_count=lane_count, lane_width=1.0,
-                      flow_rate=2000.0, sim_duration=6)
+                      flow_rate=flow_rate, sim_duration=duration)
         return [(v.spawn_time, int(v.y - 0.5))   # eastbound lane k lies at y = k + 0.5
                 for v in generate_arrivals(cfg, Direction.EAST, rng)]
 
-    assert [spawns_and_lanes(6), spawns_and_lanes(2**32)] == PINNED_ARRIVALS
+    # Mean counts of 6 and of 40: numpy draws a Poisson count below 10 and
+    # from 10 up by two different methods. The last, over one lane, is pinned
+    # by its count and the sum of its spawn times.
+    drawn_arrivals = [spawns_and_lanes(6), spawns_and_lanes(2**32)]
+    many = spawns_and_lanes(2, flow_rate=200.0, duration=400)
+    drawn_arrivals.append((len(many), sum(t for t, _ in many)))
+    assert drawn_arrivals == PINNED_ARRIVALS
     uniforms = uniform_stream(rng)
     drawn = [next(uniforms) for _ in range(3)]
     drawn += [sample_tau(uniforms, (8, 200)) for _ in range(3)]
-    drawn += [reception_mask(uniforms, np.array([0.1, 0.1])).tolist()]
+    drawn += [reception_mask(uniforms, np.array([0.2, 0.2])).tolist()]
     for _ in range(600):
         next(uniforms)
     drawn += [next(uniforms), sample_tau(uniforms, (8, 200))]

@@ -6,6 +6,7 @@ import concurrent.futures
 import dataclasses
 import heapq
 import math
+import re
 import tempfile
 import time
 from collections import Counter
@@ -19,7 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 from v2isim import analytic, engine, metrics, protocol as proto
 from v2isim.channel import (
     PerCurve, constant_per_curve, default_calibration, dumps_per_curve, parse_per_curve, per,
-    per_many, uniform_stream,
+    per_many, sample_tau, uniform_stream,
 )
 from v2isim.cli import main
 from v2isim.core import (
@@ -31,7 +32,7 @@ from v2isim.engine import (
 )
 from v2isim.metrics import CompletionRecord, OUTCOME_COMPLETE, OUTCOME_DESPAWN, OUTCOME_SIMEND
 from v2isim.mobility import (
-    Direction, entry_x, generate_arrivals, position_at, trigger_offset_ms,
+    Arrivals, Direction, entry_x, generate_arrivals, position_at, trigger_offset_ms,
 )
 from v2isim.validation import bin_consistent
 
@@ -170,8 +171,10 @@ def test_deliver_matches_a_scalar_draw_per_candidate(case, seed):
 
 
 def test_every_broadcast_is_decided_by_channel_reception_mask(monkeypatch):
-    """Each non-sender candidate of each ACK and SAM is one element of a
-    ``channel.reception_mask`` call, looked up through the module."""
+    """Each non-sender candidate of each ACK, and each candidate of each SAM,
+    is one element of a ``channel.reception_mask`` call, looked up through the
+    module: an ACK's inside ``deliver_broadcast``, a SAM's in the settlement
+    pass before the loop."""
     masked, candidates = [], []
     mask, deliver = engine.chan.reception_mask, engine.deliver_broadcast
 
@@ -181,19 +184,29 @@ def test_every_broadcast_is_decided_by_channel_reception_mask(monkeypatch):
 
     def counted_deliver(sender, receivers, *rest):
         candidates.append(sum(vid != sender for vid, _ in receivers))
+        masked.append("ack")
         return deliver(sender, receivers, *rest)
 
     monkeypatch.setattr(engine.chan, "reception_mask", counted_mask)
     monkeypatch.setattr(engine, "deliver_broadcast", counted_deliver)
-    run(short_cfg(flow_rate=10.0))
-    assert len(masked) == len(candidates)
-    assert sum(masked) == sum(candidates) > 0
+    cfg = short_cfg(flow_rate=10.0)
+    run(cfg)
+    # Every SAM is settled before the first ACK; each ACK then masks once.
+    sams, acks = masked[:masked.index("ack")], masked[masked.index("ack"):]
+    assert sams == [n for n in _reference_sam_heard(cfg)[1] if n]
+    assert acks[::2] == ["ack"] * len(candidates) and acks[1::2] == candidates
+    assert sum(candidates) > 0
 
 
 # -- degenerate channels -------------------------------------------------
 
 
-def test_lossless_single_vehicle(lossless_curve_file):
+def test_lossless_single_vehicle(monkeypatch, lossless_curve_file):
+    # One vehicle, whatever the seed: it hears the first SAM in the stretch,
+    # its SUM fills a batch of one below b_ack, so the ACK waits t_ack; one
+    # half-tau out and one back put the completion time in
+    # [t_ack + 8, t_ack + tau_max].
+    _inject_arrivals(monkeypatch, {Direction.EAST: [12_345]})
     cfg = dataclasses.replace(
         ScenarioConfig(), sim_duration=80_000, warmup=0, flow_rate=0.05,
         per_curve=lossless_curve_file, bsm_period=1000, rng_seed=1,
@@ -202,9 +215,8 @@ def test_lossless_single_vehicle(lossless_curve_file):
     assert len(summary.records) == 1
     record = summary.records[0]
     assert record.complete and record.attempts == 1
-    # Sparse lossless traffic: one half-tau out, a full batch wait, one
-    # half-tau back, so the completion time is bounded by tau_max + t_ack.
-    assert record.sct <= 200 + cfg.t_ack
+    assert record.sam_rx_time <= 13_100 and record.first_sum_tx_time == 12_345 + 50_000
+    assert cfg.t_ack + 8 <= record.sct <= 200 + cfg.t_ack
 
 
 def test_lossless_everyone_served_in_one_attempt(lossless_curve_file):
@@ -409,9 +421,17 @@ def test_a_sum_count_that_differs_from_attempts_raises_naming_the_vehicle(monkey
         return (new._replace(attempts=state.attempts) if out.transmissions else new), out
 
     monkeypatch.setattr(proto, "obu_on_retry_timer", retry_without_counting)
-    with pytest.raises(EngineError, match=r"^vehicle 0: 3 request transmissions but "
-                                          r"1 attempts recorded$"):
-        run(short_cfg(d_t=1400.0, flow_rate=10.0, sim_duration=30_000, warmup=0))
+    cfg = short_cfg(d_t=1400.0, flow_rate=10.0, sim_duration=30_000, warmup=0)
+    sim = engine._Simulation(cfg)
+    with pytest.raises(EngineError) as raised:
+        sim.run()
+    got = re.fullmatch(r"vehicle (\d+): (\d+) request transmissions but 1 attempts recorded",
+                       str(raised.value))
+    assert got is not None, raised.value
+    vid, sent = map(int, got.groups())
+    # The vehicle is one the engine holds, and every SUM after its first went uncounted.
+    kinematics, state, counted = sim.vehicles[vid]
+    assert (state.attempts, counted) == (1, sent) and sent > 1
 
 
 def test_attempts_match_request_transmissions_under_loss():
@@ -468,7 +488,7 @@ def test_heard_sums_are_binomial_in_the_sums_sent(tmp_path):
     assert bin_consistent(len(queued), trials, 0.7, 1e-3)
 
 
-def test_vehicle_state_lives_from_spawn_to_despawn(tmp_path):
+def test_vehicle_state_lives_from_trigger_to_despawn(tmp_path):
     # Lossless within 900 m of the RSU, blocked (PER 1) beyond: every vehicle
     # stores a SAM on its way in, and every SUM from the trigger 1,200 m past
     # the RSU is lost, so each vehicle leaves with its retry timer armed.
@@ -496,8 +516,9 @@ def test_vehicle_state_lives_from_spawn_to_despawn(tmp_path):
                if r not in despawned)
     assert {r.vehicle_id: r.attempts for r in summary.records} == sums_sent
     assert all(r.attempts > 1 for r in despawned)
-    in_stretch = {vid for vid, t in spawns.items() if t < cfg.sim_duration <= exits[vid]}
-    assert in_stretch and set(sim.vehicles) == in_stretch
+    offset = trigger_offset_ms(cfg)
+    triggered = {vid for vid, t in spawns.items() if t + offset < cfg.sim_duration <= exits[vid]}
+    assert triggered and set(sim.vehicles) == triggered
     assert {vid for vid, (_, _, sent) in sim.vehicles.items() if sent} == {
         r.vehicle_id for r in summary.records if r.outcome == OUTCOME_SIMEND}
 
@@ -521,10 +542,11 @@ def test_trigger_fires_at_spawn_plus_the_offset_as_the_line_is_reached(d_t):
 
     sim.queue.pop = recording_pop
     sim.run()
-    assert {vid for _, _, _, vid in triggers} == {
+    vids = [arrivals.id_start + i for _, _, _, (arrivals, i) in triggers]
+    assert set(vids) == {
         vid for vid, v in vehicles.items() if v.spawn_time + offset < cfg.sim_duration}
     directions = Counter()
-    for t, _, _, vid in triggers:
+    for (t, _, _, _), vid in zip(triggers, vids):
         v = vehicles[vid]
         directions[v.direction] += 1
         assert t == v.spawn_time + offset
@@ -534,18 +556,18 @@ def test_trigger_fires_at_spawn_plus_the_offset_as_the_line_is_reached(d_t):
     assert set(directions) == set(Direction)
 
 
-# -- one pending spawn per direction ---------------------------------------
+# -- one pending trigger per direction -------------------------------------
 
 
-class _EagerSpawns(engine._Simulation):
-    """The eager schedule: every arrival's spawn is pushed at init under seq
-    2 + its id (after SAM_TIMER and SIM_END), and a spawn pushes no next one."""
+class _EagerTriggers(engine._Simulation):
+    """The eager schedule: every arrival's trigger is pushed at init under seq
+    1 + its id (after SIM_END), and a trigger pushes no next one."""
 
-    def _push_spawn(self, arrivals, i):
+    def _push_trigger(self, arrivals, i):
         if i == 0:
             for j, t in enumerate(arrivals.spawn_times):
-                self.queue.push(t, EventKind.VEHICLE_SPAWN, (arrivals, j),
-                                seq=2 + arrivals.id_start + j)
+                self.queue.push(t + self.trigger_after, EventKind.TRIGGER_CROSS, (arrivals, j),
+                                seq=1 + arrivals.id_start + j)
 
 
 def _run_recording(sim, after_pop=None):
@@ -573,11 +595,12 @@ def _run_recording(sim, after_pop=None):
 def tie_heavy_configs(draw):
     """Short runs full of same-millisecond events: a fixed tau whose half is a
     multiple of the timer unit, timers that are multiples of one another,
-    spawns 1 ms apart at the higher flows, and a warmup."""
+    spawns 1 ms apart at the higher flows, and a warmup. Every run outlasts
+    the longest trigger offset here, 7.5 s."""
     unit = draw(st.sampled_from([50, 100]))
     tau = draw(st.sampled_from([8, 100, 200]))
     road = draw(st.sampled_from([300.0, 600.0]))
-    duration = draw(st.integers(2_000, 9_000))
+    duration = draw(st.integers(8_000, 16_000))
     return short_cfg(
         flow_rate=draw(st.sampled_from([10.0, 120.0, 400.0])), road_length=road,
         mean_speed=draw(st.sampled_from([30.0, 60.0])),
@@ -591,35 +614,199 @@ def tie_heavy_configs(draw):
 
 @settings(derandomize=True, max_examples=25, deadline=None, database=None)
 @given(tie_heavy_configs())
-def test_one_pending_spawn_per_direction_keeps_the_eager_order_and_bytes(cfg):
-    """Each spawn keeps its seq, so each event keeps its (time, seq) key, and
+def test_one_pending_trigger_per_direction_keeps_the_eager_order_and_bytes(cfg):
+    """Each trigger keeps its seq, so each event keeps its (time, seq) key, and
     the minimum of the lazy heap is the minimum of the eager one: it is either
-    a non-spawn event or the earliest unfired spawn of its direction."""
-    lazy, eager = engine._Simulation(cfg), _EagerSpawns(cfg)
+    a non-trigger event or the earliest unfired trigger of its direction."""
+    lazy, eager = engine._Simulation(cfg), _EagerTriggers(cfg)
     arrivals = sum(map(len, lazy.by_direction.values()))
-    assert lazy.queue._next_seq == eager.queue._next_seq == 2 + arrivals
+    assert lazy.queue._next_seq == eager.queue._next_seq == 1 + arrivals
     got, want = _run_recording(lazy), _run_recording(eager)
     assert got[0] == want[0]   # the popped keys, in order
     assert got[1:] == want[1:]   # records.csv and summary.csv bytes
-    assert sum(kind is EventKind.VEHICLE_SPAWN for _, _, kind in got[0]) > 0
+    offset = trigger_offset_ms(cfg)
+    assert sum(kind is EventKind.TRIGGER_CROSS for _, _, kind in got[0]) == sum(
+        t + offset < cfg.sim_duration for a in lazy.by_direction.values() for t in a.spawn_times)
 
 
-def test_at_most_one_spawn_per_direction_is_pending():
-    cfg = short_cfg(flow_rate=20.0, sim_duration=20_000)
+def test_at_most_one_trigger_per_direction_is_pending():
+    cfg = short_cfg(flow_rate=20.0, sim_duration=20_000, d_t=1400.0)
     sim = engine._Simulation(cfg)
     east = len(sim.by_direction[Direction.EAST])
     assert east and len(sim.by_direction[Direction.WEST])
     pending_counts = []
 
     def check(sim):
-        # Spawn seqs run 2.. in id order, east before west.
-        pending = Counter(e.seq < 2 + east for e in sim.queue._heap
-                          if e.kind is EventKind.VEHICLE_SPAWN)
+        # Trigger seqs run 1.. in id order, east before west.
+        pending = Counter(e.seq < 1 + east for e in sim.queue._heap
+                          if e.kind is EventKind.TRIGGER_CROSS)
         pending_counts.append(max(pending.values(), default=0))
 
     check(sim)
     keys, _, _ = _run_recording(sim, after_pop=check)
     assert max(pending_counts) == 1 and len(pending_counts) == len(keys) + 1
+    assert sum(kind is EventKind.TRIGGER_CROSS for _, _, kind in keys) > 100
+
+
+def test_no_spawn_or_sam_timer_event_is_scheduled():
+    """A vehicle enters the event loop at its trigger, and every SAM is sent
+    and settled before the loop: neither kind is ever pushed."""
+    sim = engine._Simulation(short_cfg(flow_rate=10.0))
+    kinds = Counter()
+    push = sim.queue.push
+
+    def counted_push(time, kind, payload=None, seq=None):
+        kinds[kind] += 1
+        push(time, kind, payload, seq)
+
+    sim.queue.push = counted_push
+    sim.run()
+    assert kinds[EventKind.TRIGGER_CROSS] > 0 and kinds[EventKind.MSG_ARRIVAL] > 0
+    assert not {EventKind.VEHICLE_SPAWN, EventKind.SAM_TIMER, EventKind.BSM_TICK} & set(kinds)
+
+
+# -- SAM settlement --------------------------------------------------------
+
+
+def _reference_sam_heard(cfg: ScenarioConfig):
+    """Each vehicle's first heard SAM, by scalar draws, with per-SAM candidate counts.
+
+    The run's generator draws the arrivals, then each SAM, in send order,
+    takes its tau (none when fixed) and one uniform per candidate: a vehicle
+    that has heard no SAM and is in the stretch at the arrival a
+    (``spawn <= a < spawn + transit``), in id order, heard when the uniform is
+    >= ``per`` at its distance from the RSU. Send order is arrival order
+    while ``sam_period`` is at least the legs' spread.
+    """
+    rng = np.random.default_rng(cfg.rng_seed)
+    east = generate_arrivals(cfg, Direction.EAST, rng)
+    vehicles = [*east, *generate_arrivals(cfg, Direction.WEST, rng, id_start=len(east))]
+    uniforms, curve = uniform_stream(rng), cfg.channel()
+    transit = transit_ms(cfg.road_length, cfg.mean_speed)
+    heard: list = [None] * len(vehicles)
+    candidates = []
+    for sent in range(0, cfg.sim_duration, cfg.sam_period):
+        tau = cfg.tau_low if cfg.tau_low == cfg.tau_high else sample_tau(
+            uniforms, (cfg.tau_low, cfg.tau_high))
+        at = sent + (tau + 1) // 2
+        if at >= cfg.sim_duration:
+            continue
+        waiting = [v for v in vehicles if heard[v.vehicle_id] is None
+                   and v.spawn_time <= at < v.spawn_time + transit]
+        for v in waiting:
+            x, y = position_at(v, at)
+            if next(uniforms) >= per(curve, math.sqrt(x * x + y * y), cfg.flow_rate):
+                heard[v.vehicle_id] = at
+        candidates.append(len(waiting))
+    return heard, candidates
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"d_t": 1400.0, "sam_period": 5000, "flow_rate": 20.0},   # starved: most start deferred
+    {"tau_low": 104, "tau_high": 104, "lane_count": 2, "road_length": 1000.0},
+    {"flow_rate": 15.0, "sim_duration": 150_000},   # past one transit: blended PER
+], ids=["defaults", "starved-sam", "fixed-tau-one-lane-1km", "blend-past-a-transit"])
+def test_sam_settlement_matches_a_scalar_draw_per_candidate(monkeypatch, overrides):
+    """The settlement pass gives each vehicle the SAM that a scalar replay of
+    its rule does, and tests exactly its candidates: the per-SAM reception_mask
+    lengths are the waiting vehicles in the stretch, not every vehicle."""
+    cfg = short_cfg(**overrides)
+    sim = engine._Simulation(cfg)
+    masked = []
+    mask = engine.chan.reception_mask
+
+    def counted_mask(uniforms, pers):
+        masked.append(len(pers))
+        return mask(uniforms, pers)
+
+    monkeypatch.setattr(engine.chan, "reception_mask", counted_mask)
+    sim._settle_sams()
+    heard, candidates = _reference_sam_heard(cfg)
+    assert sim.sam_heard == heard
+    assert sum(h is not None for h in heard) > 20
+    assert [n for n in masked if n] == [n for n in candidates if n]
+
+
+def test_sam_settlement_heard_share_is_binomial_under_a_constant_per(monkeypatch, tmp_path):
+    """Under a constant PER of 0.4 each SAM candidate hears it with 0.6."""
+    curve_path = tmp_path / "const.per"
+    curve_path.write_text(dumps_per_curve(constant_per_curve(0.4)))
+    sim = engine._Simulation(short_cfg(flow_rate=20.0, sim_duration=200_000,
+                                       per_curve=str(curve_path)))
+    trials, heard = [], []
+    mask = engine.chan.reception_mask
+
+    def counted_mask(uniforms, pers):
+        got = mask(uniforms, pers)
+        trials.append(len(pers))
+        heard.append(int(got.sum()))
+        return got
+
+    monkeypatch.setattr(engine.chan, "reception_mask", counted_mask)
+    sim._settle_sams()
+    assert sum(trials) > 2000
+    assert bin_consistent(sum(heard), sum(trials), 0.6, 1e-3)
+    assert sum(h is not None for h in sim.sam_heard) == sum(heard)
+
+
+def test_sams_arriving_out_of_send_order_are_settled_in_arrival_order(monkeypatch,
+                                                                     lossless_curve_file):
+    """With SAMs 50 ms apart and tau up to 200 ms a later SAM can land first.
+    Lossless, every vehicle hears the first SAM to arrive while it is in the
+    stretch: the least arrival in its window, whichever SAM was sent first."""
+    cfg = short_cfg(sam_period=50, per_curve=lossless_curve_file, flow_rate=10.0,
+                    road_length=150.0, d_t=0.0, sim_duration=20_000)
+    sim = engine._Simulation(cfg)
+    taus = []
+    sample = engine.chan.sample_tau
+    monkeypatch.setattr(engine.chan, "sample_tau",
+                        lambda *args: taus.append(sample(*args)) or taus[-1])
+    sim._settle_sams()
+    arrivals = [k * cfg.sam_period + (tau + 1) // 2 for k, tau in enumerate(taus)]
+    assert len(arrivals) == cfg.sim_duration // cfg.sam_period
+    assert any(b < a for a, b in zip(arrivals, arrivals[1:]))
+    transit = transit_ms(cfg.road_length, cfg.mean_speed)
+    for arrivals_of in sim.by_direction.values():
+        for v in arrivals_of:
+            window = [a for a in arrivals if v.spawn_time <= a < v.spawn_time + transit
+                      and a < cfg.sim_duration]
+            assert sim.sam_heard[v.vehicle_id] == min(window, default=None)
+
+
+def _inject_arrivals(monkeypatch, spawns: dict[Direction, list[int]]) -> None:
+    """Make the engine's arrivals these spawn times, on lane 0 of each direction."""
+    def fixed(cfg, direction, rng, id_start=0):
+        times = np.array(spawns.get(direction, []), dtype=np.int64)
+        ys = np.full(len(times), direction.sign * 0.5 * cfg.lane_width)
+        return Arrivals(direction, id_start, entry_x(direction, cfg.road_length),
+                        cfg.mean_speed, times.tobytes(), ys.tobytes())
+    monkeypatch.setattr(engine.mob, "generate_arrivals", fixed)
+
+
+def test_sam_settlement_tie_rules(monkeypatch, lossless_curve_file):
+    """A 30 m stretch crossed in 1,000 ms, a SAM every 5 s landing at
+    a = 5,004 ms (fixed tau 8: one 4 ms leg), and the trigger 500 ms after
+    spawn. A spawn at a hears that SAM and a despawn at a does not; a vehicle
+    whose trigger falls at a stores the SAM first and sends at once
+    (sam_rx = first_sum); one that triggers before a starts deferred and
+    sends when the SAM arrives."""
+    a = 5_004
+    spawns = {Direction.EAST: [a - 1_000, a - 999, a - 500, a, a + 1],
+              Direction.WEST: [a - 500, a]}
+    _inject_arrivals(monkeypatch, spawns)
+    cfg = short_cfg(road_length=30.0, d_t=0.0, sam_period=5_000, tau_low=8, tau_high=8,
+                    per_curve=lossless_curve_file, sim_duration=20_000)
+    assert trigger_offset_ms(cfg) == 500 and transit_ms(cfg.road_length, cfg.mean_speed) == 1_000
+    sim = engine._Simulation(cfg)
+    summary = sim.run()
+    #           despawn at a, in stretch at a,  trigger at a, spawn at a, spawn after a
+    assert sim.sam_heard == [None, a, a, a, None, a, a]
+    rows = {r.vehicle_id: (r.sam_rx_time, r.first_sum_tx_time) for r in summary.records}
+    assert rows == {1: (a, a), 2: (a, a), 3: (a, a + 500), 5: (a, a), 6: (a, a + 500)}
+    # Vehicle 1 leaves 1 ms after its first SUM, before any ACK can reach it.
+    assert {r.vehicle_id for r in summary.records if not r.complete} == {1}
+    assert all(r.attempts == 1 for r in summary.records)
 
 
 def test_completion_fraction_regression():
@@ -849,6 +1036,9 @@ def test_an_event_kind_without_a_handler_raises_naming_it():
 
 
 def test_trace_file_records_transitions(tmp_path):
+    """Lines are written in time order but for the settled ones, each stamped
+    with its own time: every SAM's ``sam_tx`` line comes first, and a SAM
+    heard before the trigger is the line just before that trigger's."""
     path = tmp_path / "events.trace"
     cfg = short_cfg(flow_rate=2.0)
     run(cfg, trace_path=str(path))
@@ -856,9 +1046,15 @@ def test_trace_file_records_transitions(tmp_path):
     assert lines
     rows = [line.split("\t") for line in lines]
     assert all(len(r) == 5 for r in rows)
-    times = [int(r[0]) for r in rows]
+    sent = [r for r in rows if r[2] == "sam_tx"]
+    assert rows[:len(sent)] == sent
+    assert [int(r[0]) for r in sent] == list(range(0, cfg.sim_duration, cfg.sam_period))
+    rest = rows[len(sent):]
+    early = [i for i, r in enumerate(rest) if r[2] == "sam_rx" and i + 1 < len(rest)
+             and rest[i + 1][1:3] == [r[1], "trigger_cross"]]
+    assert early and all(int(rest[i][0]) <= int(rest[i + 1][0]) for i in early)
+    times = [int(r[0]) for i, r in enumerate(rest) if i not in early]
     assert times == sorted(times)
-    assert any(r[1] == "rsu" and r[2] == "sam_tx" for r in rows)
     sum_rows = [r for r in rows if r[2] == "trigger_cross" and r[4] == "awaiting_ack"]
     assert sum_rows, "expected at least one trigger transition into awaiting_ack"
 

@@ -56,6 +56,18 @@ when it arrives, so it falls elsewhere among the ACK and SAM uniforms. The
 ``analytic`` and ``validate`` digests did not move. The records do not
 depend on the block size (``test_records_bytes_do_not_depend_on_the_uniform_block``).
 
+Every ``simulate`` digest and the trace digest were re-pinned a second time
+when arrivals began to be drawn as arrays (a Poisson count, then normalised
+exponential spacings and one block of lanes) and each vehicle's SAM reception
+began to be settled in one pass before the event loop, with a vehicle entering
+the loop at its trigger crossing. The arrivals, the SAM receptions and every
+later protocol draw map to other values, and a SAM's candidates are taken in
+vehicle-id order, so every ``records.csv``, ``summary.csv`` and the trace
+moved; the law of every outcome did not (16 seeds of two cells, in
+CHANGES.md). The trace also lists every ``sam_tx`` line first, each with an
+empty batch, since SAMs are sent before the loop. The ``analytic`` and
+``validate`` digests did not move.
+
 The model commands are pinned too: the ``v2isim analytic`` CSV at a 1 m step
 for 10, 15 (blended) and 30 veh/s, and the ``v2isim validate`` table at
 10,000 trials, both recorded before the closed form became an array kernel.
@@ -84,52 +96,52 @@ GOLDEN = [
     (
         "dt300_flow30_bsm",
         ["--set", "d_t=300", "--set", "flow_rate=30"],
-        "64f2f7b394a7b9b0adb3ec3e8592380a42d675b4dd1df63e2570b744b358cf90",
-        "3a5e10a3d7e459d547b7ce747a9df41f553546d08851ebebd6a74ae92a7f3838",
+        "16b30ef30a462f50b41e06b4c6a3556a88a83d21427b816d7a51ec20e0cf0066",
+        "fc1573c71717d70a3d9940e14269c26c9b6a79ba20e07afb3843f02f7de5ff71",
     ),
     (
         "dt0_flow10_fixed_tau",
         ["--set", "d_t=0", "--set", "flow_rate=10", "--set", "tau_low=104",
          "--set", "tau_high=104", *_NO_BSM],
-        "0af17ffac57686640cf005392cf412498c96d182d2badbf5d8cbdba697ec6b5b",
-        "64e2c048ac2d7209458cc2954f44e945df93b6730ee22498a22a340264d94bbb",
+        "2c858e18bf0f9cc54bc2f844451cf2593dfc90c4edc236eed9327f143a28cce9",
+        "0864643df9e620f9b12b098ed8fb6532591d8cec66b6231aeff396ebacaaaf0d",
     ),
     (
         # 15 veh/s lies between the 10 and 20 veh/s levels: blended PER.
         "dtm100_flow15_blend",
         ["--set", "d_t=-100", "--set", "flow_rate=15", *_NO_BSM],
-        "6d966fffb2fc37ac97719e0383c316de49281620a1943704456cd7a581968ae2",
-        "4ee5abab80016a225377428f81146ff025b70d6010739edd21626bb631c3ea68",
+        "78b0609a4761fbbb239d8f430265683e7309eb9ee90e7cdfd73f7a6343a7a7cb",
+        "662a1c51ec466ca31c09c3a8ded447c80da8ab6a239f92b96d3cf28b20e52459",
     ),
     (
         # Every received SUM fills a batch of one and is ACKed at once.
         "dt0_flow30_back1",
         ["--set", "d_t=0", "--set", "flow_rate=30", "--set", "b_ack=1", *_NO_BSM],
-        "369eeb13f86230888fdabf99cd32dc59b07d13dcc8368981ba9b586e94c8e665",
-        "121d535f71909bac527227024a4dc8d26f79691c49e2211b0e45a8252aad6cfc",
+        "d85688047c2f136fbbfe02449d0b77c269c7704fc9f93aa511b57586fac42b50",
+        "f62b2d1744eb2d2b74a2ad7ed6bc3b91ec2dd6b76e2015ae5ba03d1cc040ed9f",
     ),
     (
         # A SAM every 5 s and a trigger 100 m past the entry edge: most
         # vehicles cross before hearing any SAM and start deferred.
         "dt1400_flow20_starved_sam",
         ["--set", "d_t=1400", "--set", "sam_period=5000", "--set", "flow_rate=20", *_NO_BSM],
-        "dcec240566b80dbf9030dbe703466bb7c680a4799367cde6a3d8bd80018fc897",
-        "351eee8b58d2024b773778057c3857657d23b01d9acbb012516f35d6d1a8e967",
+        "18a852baaac5ccb9ba4ccbcc40a7988d0ac091135cb3286fc4fa94bc8d3c0e32",
+        "13b3b3b5012d050860bf7f543cc055f0c8a1711959705bdd65356813433cd49c",
     ),
     (
         # One lane per direction: the lane span is 1 and takes no draw.
         "dt300_flow20_one_lane",
         ["--set", "d_t=300", "--set", "flow_rate=20", "--set", "lane_count=2", *_NO_BSM],
-        "4c9dc003bf7635d93103610c2684f8b470b10f5e422ad58cb37c90e91e4450b5",
-        "1129c44054cb69d390e62b01799b4ff6ab8737a5fda9966a2261270b09179a3d",
+        "76d39488c95aa141bde29e7e6690705101e295d78fde7bed5d2f8c1a3c1e0277",
+        "5b6c8fcb5d630612e85fc1c9167aad4711d7702766afd359f69e33e2b902121f",
     ),
     (
         # A one-value tau range, as in the fixed-tau cell: no tau draw.
         "dt300_flow30_tau_span_1",
         ["--set", "d_t=300", "--set", "flow_rate=30", "--set", "tau_low=104",
          "--set", "tau_high=104", *_NO_BSM],
-        "a813857ea5fdba9b844931e7cfc20593fdbf95c7c556493464e1245c3a9b13fd",
-        "cb9965c0bb0be82c36a9253ac3f610b136fb997460b113ba66811da526a0fdba",
+        "01ed9b6b93f427ca412fac86cfd9cadad6105fe88375fde603d98cd3c77788df",
+        "8adb1e2fd95a1fa1daa9feef13cedaad88fcf644e8375fda6848a75f5b0b2572",
     ),
 ]
 
@@ -176,7 +188,7 @@ def test_trace_bytes_are_pinned(tmp_path):
     assert main(["trace", "--out", str(out), "--seed", "7", "--set", "sim_duration=20000",
                  "--set", "warmup=0", "--set", "d_t=1400", "--set", "flow_rate=30",
                  "--set", "bsm_period=20001"]) == 0
-    assert _sha256(out) == "7148cc28428e7be42bf5aff00c0274a30ac1619ab3adc014e810bf2647d79446"
+    assert _sha256(out) == "4b7291826cda113fb9d7a6f7b7ab91d7e4d764f94e976949f4f9b23fde32d00d"
 
 
 def test_records_bytes_do_not_depend_on_bsm_settings(tmp_path):

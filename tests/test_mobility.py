@@ -14,6 +14,7 @@ from v2isim.mobility import (
     Direction, MobilityError, VehicleKinematics,
     generate_arrivals, position_at, stretch_window, trigger_offset_ms,
 )
+from v2isim.validation import bin_consistent
 
 CFG = ScenarioConfig()
 
@@ -143,27 +144,64 @@ def test_arrival_gap_past_any_horizon_ends_the_stream(rate):
         assert len(generate_arrivals(cfg, Direction.EAST, np.random.default_rng(seed))) == 0
 
 
+def _scripted_rng(spacings, lane_draws):
+    """A generator stand-in: len(spacings) - 1 arrivals at these spacings, lane 0."""
+    def lanes(high, size):
+        lane_draws.append((high, size))
+        return np.zeros(size, dtype=np.int64)
+    return SimpleNamespace(poisson=lambda lam: len(spacings) - 1,
+                           standard_exponential=lambda n: np.array(spacings[:n]),
+                           integers=lanes)
+
+
 def test_an_arrival_pushed_apart_past_the_horizon_ends_the_stream():
-    # 9.5 ms rounds up to 10 ms, the horizon; 9.5004 ms also rounds to 10 ms
-    # and is pushed apart to 11 ms, past it. Two lanes: one lane per direction.
+    # Two arrivals over a 10 ms horizon, at 9.5 and 9.5004 ms (partial sums
+    # 9.5 and 9.5004 of a total of 10): both round up to 10 ms, the horizon,
+    # and the second is pushed apart to 11 ms, past it, so it is dropped and
+    # only one lane is drawn. Two lanes: one lane per direction.
     cfg = dataclasses.replace(CFG, lane_count=2, sim_duration=10)
-    gaps = iter((0.0095, 4e-7))   # seconds
-    rng = SimpleNamespace(exponential=lambda scale: next(gaps), integers=lambda high: 0)
-    arrivals = generate_arrivals(cfg, Direction.EAST, rng)
+    lane_draws = []
+    arrivals = generate_arrivals(cfg, Direction.EAST, _scripted_rng([9.5, 0.0004, 0.4996],
+                                                                    lane_draws))
     assert [v.spawn_time for v in arrivals] == [10]
+    assert lane_draws == [(1, 1)]
 
 
 def test_one_lane_per_direction_takes_no_lane_draw():
     # Two lanes: each direction's lane draw spans one value, which numpy draws
-    # without touching the stream, so only the exponential gaps move the state.
+    # without touching the stream, so only the Poisson count and the N + 1
+    # exponential spacings move the state.
     cfg = dataclasses.replace(_arrival_cfg(5.0, 20_000), lane_count=2)
     rng, twin = np.random.default_rng(11), np.random.default_rng(11)
     arrivals = generate_arrivals(cfg, Direction.EAST, rng)
     assert len(arrivals) > 50
-    # One gap per arrival, and the one past the horizon that ends the stream.
-    for _ in range(len(arrivals) + 1):
-        twin.exponential(1.0 / 5.0)
+    twin.standard_exponential(twin.poisson(5.0 * 20.0) + 1)
     assert rng.bit_generator.state == twin.bit_generator.state
+
+
+def test_spawn_instants_are_pushed_apart_by_a_running_maximum():
+    # Rounded instants 0, 3, 3, 3, 4 and 9 ms become 1, 3, 4, 5, 6 and 9: the
+    # first is at least 1 ms, and each other at least 1 ms past its predecessor.
+    cfg = dataclasses.replace(CFG, lane_count=2, sim_duration=10)
+    spacings = [0.0, 2.5, 0.2, 0.1, 0.9, 5.0, 1.3]   # partial sums 0, 2.5, ..., 10
+    arrivals = generate_arrivals(cfg, Direction.EAST, _scripted_rng(spacings, []))
+    assert [v.spawn_time for v in arrivals] == [1, 3, 4, 5, 6, 9]
+
+
+def test_inter_arrival_gaps_are_exponential():
+    """Binned gaps between spawns, from time 0, against the exponential law at
+    0.05 veh/s a direction: a mean of 20 s, so the 1 ms grid moves a bin's
+    probability by about 1e-4. Each bin passes the exact binomial tail test."""
+    rate = 0.05
+    cfg = _arrival_cfg(rate, 400_000_000)
+    times = np.array(generate_arrivals(cfg, Direction.WEST, np.random.default_rng(2)).spawn_times)
+    gaps = np.diff(times, prepend=0) / 1000.0
+    assert len(gaps) > 15_000
+    edges = [0.0, 2.0, 5.0, 10.0, 20.0, 40.0, 60.0, math.inf]
+    for lo, hi in zip(edges, edges[1:]):
+        observed = int(np.count_nonzero((gaps >= lo) & (gaps < hi)))
+        p = math.exp(-rate * lo) - math.exp(-rate * hi)
+        assert bin_consistent(observed, len(gaps), p, 1e-3 / (len(edges) - 1)), (lo, hi, observed)
 
 
 def test_stretch_window_matches_in_stretch():
